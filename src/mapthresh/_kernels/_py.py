@@ -82,6 +82,7 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter, xi_lo, xi_hi, tau_floor):
     """
     y_sq = np.ascontiguousarray(y_sq, dtype=np.float64)
     n = y_sq.shape[0]
+    y_total = float(np.sum(y_sq))
     trace = []
     converged = False
     iterations = 0
@@ -101,7 +102,7 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter, xi_lo, xi_hi, tau_floor):
         r_sum = float(np.sum(r))
         r_y = float(np.sum(r * y_sq))
         c_sum = n - r_sum
-        c_y = float(np.sum(y_sq)) - r_y
+        c_y = y_total - r_y
         sigma_sq = c_y / c_sum
         tau_sq = r_y / r_sum - sigma_sq
         gamma = tau_sq / sigma_sq

@@ -16,7 +16,7 @@ from scipy.special import erfc
 
 from ._kernels import penalized_scan
 from .errors import DegenerateDataError, DomainError
-from .estimator import EstimateResult
+from .estimator import EstimateResult, GaussianSequence, RankedSequence, rank_sequence
 
 __all__ = [
     "FixedThreshold",
@@ -123,63 +123,44 @@ def tk_sequence(n: int, sigma: float) -> np.ndarray:
     return math.sqrt(2.0) * foster_stine_sequence(n, sigma)
 
 
-def _as_clean_y(y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.size < 1:
-        raise DomainError("y must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(y)):
-        raise DomainError("y must be finite")
-    return y
-
-
-def fixed_threshold_estimate(y, rule: FixedThreshold | float) -> EstimateResult:
+def fixed_threshold_estimate(
+    y: RankedSequence | GaussianSequence | np.ndarray, rule: FixedThreshold | float
+) -> EstimateResult:
     """Keep y_i whenever |y_i| >= lam (boundary kept).
 
     The objective records tail-sum-of-squares plus k * lam^2 for each size;
     at boundary ties its minimum is still attained at the returned size.
+    ``y`` may be a ``RankedSequence``, whose ranking is then reused.
     """
     lam = rule.lam if isinstance(rule, FixedThreshold) else FixedThreshold(float(rule)).lam
-    y = _as_clean_y(y)
-    n = y.size
-    order = np.argsort(-np.abs(y), kind="stable")
-    abs_sorted = np.abs(y[order])
-    k_hat = int(np.count_nonzero(np.abs(y) >= lam))
+    ranked = rank_sequence(y)
+    n = ranked.y.size
+    k_hat = int(np.count_nonzero(np.abs(ranked.y) >= lam))
     # size-0 entry set directly so lam = +inf cannot produce inf * 0 = nan
     penalty = np.zeros(n + 1)
     penalty[1:] = lam**2 * np.arange(1, n + 1, dtype=float)
-    _, objective = penalized_scan(abs_sorted**2, penalty)
-    kept = order[:k_hat]
-    mu_hat = np.zeros(n)
-    mu_hat[kept] = y[kept]
-    threshold = float(abs_sorted[k_hat - 1]) if k_hat > 0 else math.inf
-    return EstimateResult(
-        k_hat=k_hat, threshold=threshold, kept=kept, mu_hat=mu_hat, objective=objective
-    )
+    _, objective = penalized_scan(ranked.sorted_sq, penalty)
+    return ranked.keep_largest(k_hat, objective)
 
 
-def variable_threshold_estimate(y, rule: VariableThreshold | np.ndarray) -> EstimateResult:
+def variable_threshold_estimate(
+    y: RankedSequence | GaussianSequence | np.ndarray, rule: VariableThreshold | np.ndarray
+) -> EstimateResult:
     """Penalized scan with per-rank cutoffs lams[1..n].
 
     Minimizes sum of squares past rank k plus sum of lams[i]^2 for
     i <= k (the size-zero term contributes nothing); ties go to the
-    smaller size, and the k_hat largest magnitudes are kept.
+    smaller size, and the k_hat largest magnitudes are kept.  ``y`` may
+    be a ``RankedSequence``, whose ranking is then reused.
     """
     lams = rule.lams if isinstance(rule, VariableThreshold) else VariableThreshold(np.asarray(rule)).lams
-    y = _as_clean_y(y)
-    n = y.size
+    ranked = rank_sequence(y)
+    n = ranked.y.size
     if lams.size != n:
         raise DomainError(f"lams must have length n = {n}, got {lams.size}")
-    order = np.argsort(-np.abs(y), kind="stable")
-    abs_sorted = np.abs(y[order])
     penalty = np.concatenate(([0.0], np.cumsum(lams**2)))
-    k_hat, objective = penalized_scan(abs_sorted**2, penalty)
-    kept = order[:k_hat]
-    mu_hat = np.zeros(n)
-    mu_hat[kept] = y[kept]
-    threshold = float(abs_sorted[k_hat - 1]) if k_hat > 0 else math.inf
-    return EstimateResult(
-        k_hat=k_hat, threshold=threshold, kept=kept, mu_hat=mu_hat, objective=objective
-    )
+    k_hat, objective = penalized_scan(ranked.sorted_sq, penalty)
+    return ranked.keep_largest(k_hat, objective)
 
 
 def mad_sigma(y) -> float:
@@ -188,7 +169,7 @@ def mad_sigma(y) -> float:
     Raises if the deviations have zero median, since a zero scale breaks
     every downstream user.
     """
-    y = _as_clean_y(y)
+    y = GaussianSequence(y).y
     if y.size < 2:
         raise DomainError(f"need at least 2 observations, got {y.size}")
     mad = float(np.median(np.abs(y - np.median(y))))

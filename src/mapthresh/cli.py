@@ -311,6 +311,14 @@ def cmd_simulate(args) -> int:
     finally:
         if close:
             out.close()
+    missed = {cell: count for cell, count in report.em_nonconverged.items() if count}
+    if missed:
+        cells = ", ".join(f"xi={xi:.6g} tau={tau:.6g}: {count}" for (xi, tau), count in missed.items())
+        print(
+            f"warning: {sum(missed.values())} EM fits did not converge within the iteration"
+            f" budget and were used as returned ({cells})",
+            file=sys.stderr,
+        )
     return 0
 
 

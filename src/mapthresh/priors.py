@@ -238,22 +238,18 @@ def _log_sum_exp(logs: np.ndarray) -> float:
 # Prior tables
 # --------------------------------------------------------------------------
 
-def build_prior_table(spec: PriorSpec, n: int) -> PriorTable:
-    """Normalized log-pmf over k = 0..n for the given prior spec.
+def _check_prior_size(spec: PriorSpec, n: int) -> int:
+    """Validate ``spec`` for sequences of length ``n``; returns n as an int.
 
-    n = 0 is legal and gives the point mass at the empty model.
+    Raises for a spec that does not fit n, and warns when a reflected
+    Poisson prior is too weak to locate the size (lam <= sqrt(n log n)).
     """
     if int(n) != n or n < 0:
         raise DomainError(f"n must be a nonnegative integer, got {n}")
     n = int(n)
-    if isinstance(spec, BinomialPrior):
-        k = np.arange(n + 1, dtype=float)
-        logs = _log_choose_all(n) + k * math.log(spec.xi) + (n - k) * math.log1p(-spec.xi)
-    elif isinstance(spec, TruncatedPoissonPrior):
+    if isinstance(spec, TruncatedPoissonPrior):
         if spec.lam > n:
             raise ConfigurationError(f"truncated Poisson prior needs lam <= n = {n}, got {spec.lam}")
-        k = np.arange(n + 1, dtype=float)
-        logs = k * math.log(spec.lam) - gammaln(k + 1.0)
     elif isinstance(spec, ReflectedPoissonPrior):
         if spec.lam >= n:
             raise ConfigurationError(f"reflected Poisson prior needs lam < n = {n}, got {spec.lam}")
@@ -261,18 +257,35 @@ def build_prior_table(spec: PriorSpec, n: int) -> PriorTable:
             warnings.warn(
                 "reflected Poisson prior with lam <= sqrt(n log n):"
                 " the pmf is nearly flat and the prior loses its locating effect",
-                stacklevel=2,
+                stacklevel=3,
             )
-        j = n - np.arange(n + 1, dtype=float)  # j = n - k
-        logs = j * math.log(n - spec.lam) - gammaln(j + 1.0)
     elif isinstance(spec, CustomLogWeightsPrior):
         if spec.log_weights.size != n + 1:
             raise ConfigurationError(
                 f"custom prior needs n+1 = {n + 1} log weights, got {spec.log_weights.size}"
             )
-        logs = spec.log_weights.astype(float, copy=True)
-    else:
+    elif not isinstance(spec, BinomialPrior):
         raise ConfigurationError(f"unknown prior spec {type(spec).__name__}")
+    return n
+
+
+def build_prior_table(spec: PriorSpec, n: int) -> PriorTable:
+    """Normalized log-pmf over k = 0..n for the given prior spec.
+
+    n = 0 is legal and gives the point mass at the empty model.
+    """
+    n = _check_prior_size(spec, n)
+    if isinstance(spec, BinomialPrior):
+        k = np.arange(n + 1, dtype=float)
+        logs = _log_choose_all(n) + k * math.log(spec.xi) + (n - k) * math.log1p(-spec.xi)
+    elif isinstance(spec, TruncatedPoissonPrior):
+        k = np.arange(n + 1, dtype=float)
+        logs = k * math.log(spec.lam) - gammaln(k + 1.0)
+    elif isinstance(spec, ReflectedPoissonPrior):
+        j = n - np.arange(n + 1, dtype=float)  # j = n - k
+        logs = j * math.log(n - spec.lam) - gammaln(j + 1.0)
+    else:
+        logs = spec.log_weights.astype(float, copy=True)
     log_pmf = logs - _log_sum_exp(logs)
     return PriorTable(n=n, log_pmf=log_pmf)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .baselines import fixed_threshold_estimate, mad_sigma, universal_threshold
 from .em import em_fit
 from .errors import ConfigurationError, DomainError, UnsupportedBallError
-from .estimator import map_estimate
+from .estimator import map_estimate, rank_sequence
 from .priors import (
     BallSpec,
     BinomialPrior,
@@ -177,10 +177,16 @@ class CellResult:
 
 @dataclass(frozen=True)
 class RiskReport:
-    """AMSE per (method, xi, tau) cell plus the config that produced it."""
+    """AMSE per (method, xi, tau) cell plus the config that produced it.
+
+    ``em_nonconverged`` counts, per (xi, tau) cell, the EM fits that hit
+    the iteration budget; their estimates are used as returned.  It is
+    not part of the CSV.
+    """
 
     config: ExperimentConfig
     cells: dict[tuple[str, float, float], CellResult]
+    em_nonconverged: dict[tuple[float, float], int] = field(default_factory=dict)
 
     def write_csv(self, fh) -> None:
         fh.write("method,xi,tau,amse,std_err,replications,seed\n")
@@ -198,14 +204,21 @@ def _map_methods(methods: Sequence[str]) -> bool:
     return any(m in ("bin", "pois1", "pois2") for m in methods)
 
 
-def _one_replication(config: ExperimentConfig, xi: float, tau: float, rng) -> dict[str, float]:
+def _one_replication(
+    config: ExperimentConfig, xi: float, tau: float, rng
+) -> tuple[dict[str, float], bool]:
+    """Squared error per method on one draw, and whether an EM fit ran
+    without converging."""
     n, sigma = config.n, config.sigma
     signal = rng.random(n) < xi
     mu = np.where(signal, tau * rng.standard_normal(n), 0.0)
     y = mu + sigma * rng.standard_normal(n)
+    ranked = rank_sequence(y)
 
+    nonconverged = False
     if config.use_em and _map_methods(config.methods):
         fit = em_fit(y)
+        nonconverged = not fit.converged
         hyper = HyperParams(sigma=fit.sigma_hat, tau=fit.tau_hat)
         xi_hat = fit.xi_hat
     else:
@@ -215,11 +228,11 @@ def _one_replication(config: ExperimentConfig, xi: float, tau: float, rng) -> di
     out: dict[str, float] = {}
     for method in config.methods:
         if method == "bin":
-            est = map_estimate(y, hyper, BinomialPrior(xi_hat))
+            est = map_estimate(ranked, hyper, BinomialPrior(xi_hat))
         elif method == "pois1":
-            est = map_estimate(y, hyper, TruncatedPoissonPrior(n * xi_hat))
+            est = map_estimate(ranked, hyper, TruncatedPoissonPrior(n * xi_hat))
         elif method == "pois2":
-            est = map_estimate(y, hyper, ReflectedPoissonPrior(n * xi_hat))
+            est = map_estimate(ranked, hyper, ReflectedPoissonPrior(n * xi_hat))
         elif method == "universal":
             if config.universal_scale == "mad_raw":
                 scale = 0.6745 * mad_sigma(y)
@@ -227,28 +240,30 @@ def _one_replication(config: ExperimentConfig, xi: float, tau: float, rng) -> di
                 scale = mad_sigma(y)
             else:
                 scale = sigma
-            est = fixed_threshold_estimate(y, universal_threshold(n, scale))
+            est = fixed_threshold_estimate(ranked, universal_threshold(n, scale))
         elif method == "oracle":
             out[method] = oracle_risk(mu, sigma) / n
             continue
         else:  # pragma: no cover - guarded by config validation
             raise ConfigurationError(f"unknown method {method!r}")
         out[method] = float(np.sum((est.mu_hat - mu) ** 2)) / n
-    return out
+    return out, nonconverged
 
 
-def _run_cell(args) -> tuple[int, dict[str, np.ndarray]]:
+def _run_cell(args) -> tuple[int, dict[str, np.ndarray], int]:
     config, cell_index, xi, tau = args
     reps = config.replications
     errors = {m: np.empty(reps) for m in config.methods}
+    nonconverged = 0
     for rep in range(reps):
         rng = np.random.default_rng(
             np.random.SeedSequence([config.master_seed, cell_index, rep])
         )
-        values = _one_replication(config, xi, tau, rng)
+        values, missed = _one_replication(config, xi, tau, rng)
+        nonconverged += missed
         for m, v in values.items():
             errors[m][rep] = v
-    return cell_index, errors
+    return cell_index, errors, nonconverged
 
 
 def monte_carlo_amse(config: ExperimentConfig) -> RiskReport:
@@ -267,13 +282,15 @@ def monte_carlo_amse(config: ExperimentConfig) -> RiskReport:
     tasks = [(config, idx, xi, tau) for idx, xi, tau in grid]
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
-            results = dict(pool.map(_run_cell, tasks))
+            outputs = pool.map(_run_cell, tasks)
     else:
-        results = dict(map(_run_cell, tasks))
+        outputs = list(map(_run_cell, tasks))
+    results = {idx: (errors, missed) for idx, errors, missed in outputs}
 
     cells: dict[tuple[str, float, float], CellResult] = {}
+    nonconverged: dict[tuple[float, float], int] = {}
     for idx, xi, tau in grid:
-        errors = results[idx]
+        errors, nonconverged[(xi, tau)] = results[idx]
         for method in config.methods:
             e = errors[method]
             amse = float(np.mean(e))
@@ -282,7 +299,7 @@ def monte_carlo_amse(config: ExperimentConfig) -> RiskReport:
             else:
                 std_err = 0.0
             cells[(method, xi, tau)] = CellResult(amse=amse, std_err=std_err)
-    return RiskReport(config=config, cells=cells)
+    return RiskReport(config=config, cells=cells, em_nonconverged=nonconverged)
 
 
 # --------------------------------------------------------------------------

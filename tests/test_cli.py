@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, formats, and library agreement."""
 
+import dataclasses
 import json
 import math
 
@@ -14,6 +15,7 @@ from mapthresh import (
     map_estimate,
     penalty_table,
 )
+from mapthresh import risk
 from mapthresh.cli import main
 
 
@@ -311,6 +313,24 @@ def test_simulate_runs_and_repeats_exactly(capsys, tmp_path):
     lines = out_a.read_text().strip().split("\n")
     assert lines[0] == "method,xi,tau,amse,std_err,replications,seed"
     assert len(lines) == 3
+
+
+def test_simulate_reports_unconverged_fits_on_stderr(capsys, tmp_path, monkeypatch):
+    cfg = write_config(tmp_path, dict(TINY, methods=["bin", "oracle"], use_em=True))
+    rc, clean_out, clean_err = run(capsys, "simulate", "--config", cfg)
+    assert rc == 0 and clean_err == ""
+
+    def unconverged_fit(y):
+        return dataclasses.replace(em_fit(y), converged=False)
+
+    monkeypatch.setattr(risk, "em_fit", unconverged_fit)
+    rc, out, err = run(capsys, "simulate", "--config", cfg)
+    assert rc == 0
+    assert out == clean_out
+    lines = err.strip().split("\n")
+    assert len(lines) == 1
+    assert lines[0].startswith("warning: 3 EM fits did not converge")
+    assert "xi=0.1 tau=4: 3" in lines[0]
 
 
 def test_simulate_seed_override(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Penalty construction, the penalized scan, and the selection estimate."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,22 +9,30 @@ import pytest
 from mapthresh import (
     BinomialPrior,
     Configuration,
+    ConfigurationError,
     CustomLogWeightsPrior,
     DomainError,
     GaussianSequence,
     HyperParams,
+    RankedSequence,
     ReflectedPoissonPrior,
     SizeError,
     TruncatedPoissonPrior,
     bayes_factor,
     brute_force_map,
     build_prior_table,
+    fdr_sequence,
+    fixed_threshold_estimate,
     log_choose,
     map_estimate,
+    penalty_increments,
     penalty_table,
     posterior_log_score,
+    rank_sequence,
     select_k,
+    variable_threshold_estimate,
 )
+from mapthresh import estimator
 
 UNIT_HYPER = HyperParams(1.0, 1.0)  # gamma = 1
 
@@ -157,6 +166,122 @@ def test_select_k_matches_quadratic_rescan():
         )
         assert np.allclose(objective, slow, rtol=1e-12)
         assert k_hat == int(np.argmin(slow))
+
+
+def _named_priors_at_edges(n):
+    """Each named prior with its parameter at or near the ends of its range."""
+    rp_top = n - 1e-3 if n > 1 else 0.999
+    return [
+        BinomialPrior(1e-12),
+        BinomialPrior(0.005),
+        BinomialPrior(0.5),
+        BinomialPrior(1.0 - 1e-9),
+        TruncatedPoissonPrior(1e-6),
+        TruncatedPoissonPrior(0.005 * n),
+        TruncatedPoissonPrior(float(n)),
+        ReflectedPoissonPrior(1e-6),
+        ReflectedPoissonPrior(0.005 * n),
+        ReflectedPoissonPrior(rp_top),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 10, 1000, 100_000])
+@pytest.mark.parametrize("gamma", [0.01, 9.0, 1e4])
+def test_closed_form_increments_match_prior_table(n, gamma):
+    hyper = make_hyper(1.3, gamma)
+    rate = 2.0 * 1.3**2 * (1.0 + 1.0 / gamma)
+    # The table subtracts log-gamma terms as large as n log n, so its own
+    # increments carry absolute rounding of that size times epsilon.
+    table_rounding = 8.0 * np.finfo(float).eps * rate * max(1.0, (n + 1) * math.log(n + 1))
+    for spec in _named_priors_at_edges(n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # small-lambda reflected priors warn
+            closed = penalty_increments(spec, n, hyper)
+            table = penalty_table(build_prior_table(spec, n), hyper).increments
+        np.testing.assert_allclose(closed, table, rtol=1e-10, atol=table_rounding, err_msg=repr(spec))
+
+
+def test_penalty_increments_custom_prior_uses_its_table():
+    weights = np.array([0.0, -1.0, 2.5, -0.3])
+    spec = CustomLogWeightsPrior(weights)
+    hyper = make_hyper(0.8, 3.0)
+    expected = penalty_table(build_prior_table(spec, 3), hyper).increments
+    assert np.array_equal(penalty_increments(spec, 3, hyper), expected)
+
+
+def test_penalty_increments_validate_like_the_table():
+    with pytest.raises(ConfigurationError):
+        penalty_increments(TruncatedPoissonPrior(11.0), 10, UNIT_HYPER)
+    with pytest.raises(ConfigurationError):
+        penalty_increments(ReflectedPoissonPrior(10.0), 10, UNIT_HYPER)
+    with pytest.raises(ConfigurationError):
+        penalty_increments(CustomLogWeightsPrior(np.zeros(3)), 10, UNIT_HYPER)
+    with pytest.raises(DomainError):
+        penalty_increments(BinomialPrior(0.1), -1, UNIT_HYPER)
+    with pytest.warns(UserWarning):
+        penalty_increments(ReflectedPoissonPrior(2.0), 100, UNIT_HYPER)
+    assert np.array_equal(penalty_increments(BinomialPrior(0.3), 0, UNIT_HYPER), [0.0])
+
+
+def test_map_estimate_builds_no_table_for_named_priors(monkeypatch):
+    def refuse(spec, n):
+        raise AssertionError("map_estimate built a prior table")
+
+    monkeypatch.setattr(estimator, "build_prior_table", refuse)
+    y = np.random.default_rng(4).standard_normal(50) * 2.0
+    for spec in (BinomialPrior(0.1), TruncatedPoissonPrior(5.0), ReflectedPoissonPrior(30.0)):
+        map_estimate(y, make_hyper(1.0, 4.0), spec)
+
+
+# ---------------------------------------------------------------------------
+# ranked view
+
+
+def assert_same_result(a, b):
+    assert a.k_hat == b.k_hat
+    assert a.threshold == b.threshold
+    assert np.array_equal(a.kept, b.kept)
+    assert np.array_equal(a.mu_hat, b.mu_hat)
+    assert np.array_equal(a.objective, b.objective)
+
+
+def test_ranked_view_gives_the_same_estimates():
+    rng = np.random.default_rng(71)
+    hyper = make_hyper(1.0, 9.0)
+    for n in (1, 7, 300):
+        y = np.where(rng.random(n) < 0.2, 3.0 * rng.standard_normal(n), 0.0) + rng.standard_normal(n)
+        y[: n // 3] = np.round(y[: n // 3])  # tied magnitudes exercise the stable order
+        ranked = rank_sequence(y)
+        specs = [BinomialPrior(0.1), TruncatedPoissonPrior(0.1 * n)]
+        if n > 1:
+            specs.append(ReflectedPoissonPrior(0.5 * n))
+        for spec in specs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert_same_result(map_estimate(y, hyper, spec), map_estimate(ranked, hyper, spec))
+        for lam in (0.0, 1.5, math.inf):
+            assert_same_result(fixed_threshold_estimate(y, lam), fixed_threshold_estimate(ranked, lam))
+        lams = fdr_sequence(n, 1.0, 0.1)
+        assert_same_result(variable_threshold_estimate(y, lams), variable_threshold_estimate(ranked, lams))
+
+
+def test_ranked_view_fields():
+    y = np.array([1.0, -3.0, 3.0, 0.5])
+    ranked = RankedSequence(GaussianSequence(y, 1.0))
+    assert np.array_equal(ranked.order, [1, 2, 0, 3])
+    assert np.array_equal(ranked.sorted_sq, [9.0, 9.0, 1.0, 0.25])
+    assert rank_sequence(ranked) is ranked
+    with pytest.raises(DomainError):
+        rank_sequence(np.array([1.0, math.nan]))
+
+
+def test_results_from_one_view_do_not_share_kept():
+    ranked = rank_sequence(np.array([5.0, -4.0, 0.1]))
+    a = fixed_threshold_estimate(ranked, 1.0)
+    b = map_estimate(ranked, UNIT_HYPER, BinomialPrior(0.4))
+    a.kept[0] = 2
+    assert ranked.order[0] == 0
+    assert b.kept[0] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Risk references, rate formulas, and the grid benchmark."""
 
+import dataclasses
 import io
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -19,12 +21,14 @@ from mapthresh import (
     UnsupportedBallError,
     WeakLpBall,
     ball_contains,
+    em_fit,
     least_favorable_mu,
     minimax_rate,
     monte_carlo_amse,
     oracle_risk,
     rate_check,
 )
+from mapthresh import risk
 
 ROOT_2LOG5 = math.sqrt(2.0 * math.log(5.0))
 
@@ -254,6 +258,104 @@ def test_universal_scale_variants_differ():
     values = {s: r.cells[("universal", 0.1, 5.0)].amse for s, r in reports.items()}
     assert values["mad_raw"] != values["mad"]
     assert values["mad"] != values["true"]
+
+
+GOLDEN_CONFIG = dict(
+    n=400,
+    sigma=1.0,
+    xi_grid=(0.01, 0.1),
+    tau_grid=(3.0, 5.0),
+    replications=5,
+    methods=("bin", "pois1", "pois2", "universal", "oracle"),
+    master_seed=31,
+)
+
+# Reports of GOLDEN_CONFIG from the implementation that built a normalized
+# prior table per MAP call and ranked y once per method; the shared ranking
+# and the closed-form penalties must reproduce them byte for byte.
+GOLDEN_CSV = {
+    True: """\
+method,xi,tau,amse,std_err,replications,seed
+bin,0.01,3,0.0479186,0.0102507,5,31
+bin,0.01,5,0.0271095,0.00793155,5,31
+bin,0.1,3,0.34109,0.0514941,5,31
+bin,0.1,5,0.27287,0.0304009,5,31
+pois1,0.01,3,0.0479186,0.0102507,5,31
+pois1,0.01,5,0.0271095,0.00793155,5,31
+pois1,0.1,3,0.336551,0.0474944,5,31
+pois1,0.1,5,0.273355,0.0293328,5,31
+pois2,0.01,3,0.057971,0.0178469,5,31
+pois2,0.01,5,0.024557,0.010134,5,31
+pois2,0.1,3,0.314226,0.0407219,5,31
+pois2,0.1,5,0.29934,0.0318181,5,31
+universal,0.01,3,0.165543,0.0423283,5,31
+universal,0.01,5,0.11069,0.0146286,5,31
+universal,0.1,3,0.320389,0.0247494,5,31
+universal,0.1,5,0.285086,0.0247001,5,31
+oracle,0.01,3,0.00906899,0.00183259,5,31
+oracle,0.01,5,0.0105003,0.00301895,5,31
+oracle,0.1,3,0.0881313,0.00837219,5,31
+oracle,0.1,5,0.107715,0.0078373,5,31
+""",
+    False: """\
+method,xi,tau,amse,std_err,replications,seed
+bin,0.01,3,0.0479186,0.0102507,5,31
+bin,0.01,5,0.024557,0.010134,5,31
+bin,0.1,3,0.269637,0.0280023,5,31
+bin,0.1,5,0.259693,0.0281246,5,31
+pois1,0.01,3,0.0479186,0.0102507,5,31
+pois1,0.01,5,0.024557,0.010134,5,31
+pois1,0.1,3,0.26588,0.0275851,5,31
+pois1,0.1,5,0.262148,0.0270925,5,31
+pois2,0.01,3,0.0479186,0.0102507,5,31
+pois2,0.01,5,0.024557,0.010134,5,31
+pois2,0.1,3,0.29088,0.036069,5,31
+pois2,0.1,5,0.279284,0.0239968,5,31
+universal,0.01,3,0.165543,0.0423283,5,31
+universal,0.01,5,0.11069,0.0146286,5,31
+universal,0.1,3,0.320389,0.0247494,5,31
+universal,0.1,5,0.285086,0.0247001,5,31
+oracle,0.01,3,0.00906899,0.00183259,5,31
+oracle,0.01,5,0.0105003,0.00301895,5,31
+oracle,0.1,3,0.0881313,0.00837219,5,31
+oracle,0.1,5,0.107715,0.0078373,5,31
+""",
+}
+
+
+@pytest.mark.parametrize("use_em", [True, False])
+def test_report_matches_golden_csv(use_em):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small-lambda reflected priors warn
+        report = monte_carlo_amse(ExperimentConfig(**GOLDEN_CONFIG, use_em=use_em))
+    assert report_bytes(report) == GOLDEN_CSV[use_em]
+
+
+def test_one_ranking_per_replication(monkeypatch):
+    calls = []
+    argsort = np.argsort
+
+    def counting_argsort(*args, **kwargs):
+        calls.append(1)
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counting_argsort)
+    report = small_report(use_em=False, methods=("bin", "pois1", "pois2", "universal"))
+    cells = len(report.config.xi_grid) * len(report.config.tau_grid)
+    assert len(calls) == cells * report.config.replications
+
+
+def test_unconverged_fits_are_counted_not_written(monkeypatch):
+    baseline = small_report()
+    assert baseline.em_nonconverged == {(xi, tau): 0 for xi in (0.05, 0.3) for tau in (3.0, 5.0)}
+
+    def unconverged_fit(y):
+        return dataclasses.replace(em_fit(y), converged=False)
+
+    monkeypatch.setattr(risk, "em_fit", unconverged_fit)
+    report = small_report()
+    assert report.em_nonconverged == {cell: 4 for cell in baseline.em_nonconverged}
+    assert report_bytes(report) == report_bytes(baseline)
 
 
 # ---------------------------------------------------------------------------
