@@ -7,7 +7,6 @@ classical fixed and rank-dependent threshold rules, an EM fitter for the
 hyperparameters, and a Monte Carlo risk benchmark.
 """
 
-from ._kernels import BACKEND
 from .baselines import (
     FixedThreshold,
     VariableThreshold,

@@ -1,28 +1,5 @@
-"""Hot-loop kernels with a compiled core and a NumPy fallback.
+"""Hot-loop kernels: the penalized size scan and the EM iteration."""
 
-The Cython extension is optional: if it failed to build (or the
-MAPTHRESH_DISABLE_EXT environment variable is set) the pure-NumPy
-implementations in ``_py`` take over with identical semantics.
-``BACKEND`` records which one is active.
-"""
+from ._py import em_loop, penalized_scan
 
-import os
-
-from . import _py
-
-__all__ = ["BACKEND", "penalized_scan", "em_loop"]
-
-if os.environ.get("MAPTHRESH_DISABLE_EXT"):
-    _impl = _py
-    BACKEND = "python"
-else:
-    try:
-        from . import _core as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = _py
-        BACKEND = "python"
-
-penalized_scan = _impl.penalized_scan
-em_loop = _impl.em_loop
+__all__ = ["penalized_scan", "em_loop"]

@@ -1,9 +1,9 @@
-"""NumPy reference implementations of the hot kernels.
+"""NumPy implementations of the hot kernels.
 
-These define the semantics; the compiled module in ``_core.pyx`` mirrors
-them loop for loop.  ``penalized_scan`` accumulates the tail sums in the
-same right-to-left order as the C version, so the two backends agree
-bit for bit there.
+``penalized_scan`` is a reversed cumulative sum and one ``argmin``.
+``em_loop`` makes one fused pass over the data per EM iteration: every
+E-step quantity comes from a single vector of per-observation odds, held
+in buffers allocated once per fit.
 """
 
 import math
@@ -74,6 +74,20 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter, xi_lo, xi_hi, tau_floor):
     * ``xi`` takes its closed-form update, raised to ``weight_floor`` of
       the new gamma and clamped to [xi_lo, xi_hi].
 
+    The E-step is fused around the noise log-odds of each observation,
+    with v0 = sigma_sq, v1 = sigma_sq + tau_sq:
+
+        d = log((1 - xi)/xi) + log(v1/v0)/2 - y^2 (1/v0 - 1/v1)/2,
+        e = exp(d).
+
+    The log-likelihood is the wide component's term, whose sum over i is
+    closed form, plus sum(log1p(e)); the wide responsibility is
+    r = 1/(1 + e) and the noise one c = e r.  Both variance sums are taken
+    directly (c y^2, not sum(y^2) - r y^2), so one huge observation cannot
+    cancel the noise sum to zero.  ``e`` cannot overflow: xi_lo = 1/n keeps
+    log((1 - xi)/xi) <= log(n - 1), and log(1 + gamma)/2 < 355 for any
+    finite gamma, so d < 710.
+
     The previous parameters are feasible for both steps, so each step
     cannot lower the expected complete-data log-likelihood and the trace
     is non-decreasing from any start that meets the constraint.  Stops
@@ -82,31 +96,40 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter, xi_lo, xi_hi, tau_floor):
     """
     y_sq = np.ascontiguousarray(y_sq, dtype=np.float64)
     n = y_sq.shape[0]
-    y_total = float(np.sum(y_sq))
+    y_total = float(y_sq.sum())
+    e = np.empty(n)
+    w = np.empty(n)
     trace = []
     converged = False
     iterations = 0
     while True:
-        v0 = sigma_sq
         v1 = sigma_sq + tau_sq
-        l0 = np.log1p(-xi) - 0.5 * (_LOG_2PI + np.log(v0) + y_sq / v0)
-        l1 = np.log(xi) - 0.5 * (_LOG_2PI + np.log(v1) + y_sq / v1)
-        loglik = float(np.sum(np.logaddexp(l0, l1)))
+        log_odds = math.log1p(-xi) - math.log(xi)
+        np.multiply(y_sq, -0.5 * (tau_sq / v1) / sigma_sq, out=e)
+        e += log_odds + 0.5 * math.log1p(tau_sq / sigma_sq)
+        np.exp(e, out=e)
+        np.log1p(e, out=w)
+        loglik = (
+            n * (math.log(xi) - 0.5 * (_LOG_2PI + math.log(v1)))
+            - 0.5 * y_total / v1
+            + float(w.sum())
+        )
         trace.append(loglik)
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-1])):
             converged = True
             break
         if iterations >= max_iter:
             break
-        r = 1.0 / (1.0 + np.exp(l0 - l1))
-        r_sum = float(np.sum(r))
-        r_y = float(np.sum(r * y_sq))
-        c_sum = n - r_sum
-        c_y = y_total - r_y
+        np.add(e, 1.0, out=w)
+        np.reciprocal(w, out=w)
+        r_sum = float(w.sum())
+        r_y = float(w @ y_sq)
+        e *= w
+        c_sum = float(e.sum())
+        c_y = float(e @ y_sq)
         sigma_sq = c_y / c_sum
         tau_sq = r_y / r_sum - sigma_sq
         gamma = tau_sq / sigma_sq
-        log_odds = math.log1p(-xi) - math.log(xi)
         if gamma < tau_floor or gamma - math.log1p(gamma) < 2.0 * log_odds:
             gamma = max(tau_floor, slab_floor(xi))
             sigma_sq = (c_y + r_y / (1.0 + gamma)) / n

@@ -27,7 +27,7 @@ from .baselines import (
 )
 from .em import em_fit
 from .errors import MapThreshError, NumericError
-from .estimator import map_estimate, penalty_table
+from .estimator import map_estimate, penalty_increments
 from .priors import (
     BinomialPrior,
     CustomLogWeightsPrior,
@@ -222,32 +222,33 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_penalty(args) -> int:
-    table = _prior_table_from_args(args)
+    spec = _prior_spec_from_args(args)
     hyper = HyperParams(sigma=args.sigma, tau=args.sigma * math.sqrt(args.gamma))
-    penalties = penalty_table(table, hyper)
+    # the increments and their running sum are exactly what map_estimate scans
+    increments = penalty_increments(spec, args.n, hyper)
+    penalty = np.cumsum(increments)
     out, close = _open_out(args.out)
     try:
         out.write("k,P,increment\n")
         for k in range(args.n + 1):
-            out.write(f"{k},{penalties.penalty[k]:.17g},{penalties.increments[k]:.17g}\n")
+            out.write(f"{k},{penalty[k]:.17g},{increments[k]:.17g}\n")
     finally:
         if close:
             out.close()
     return 0
 
 
-def _prior_table_from_args(args):
+def _prior_spec_from_args(args):
     kind, params = parse_method_spec(args.prior)
     if kind not in MAP_PRIOR_KINDS:
         _fail(f"{kind!r} is not a prior on model sizes")
     if args.n < 0:
         _fail(f"--n must be >= 0, got {args.n}")
-    spec = _build_map_prior(kind, params, args.n, None)
-    return build_prior_table(spec, args.n)
+    return _build_map_prior(kind, params, args.n, None)
 
 
 def cmd_check_prior(args) -> int:
-    table = _prior_table_from_args(args)
+    table = build_prior_table(_prior_spec_from_args(args), args.n)
     report = check_assumption_a(table, args.gamma)
     _, l_star = complexity_weights(table)
     print(f"c_gamma={report.c_gamma:.17g}")
@@ -311,15 +312,19 @@ def cmd_simulate(args) -> int:
     finally:
         if close:
             out.close()
-    missed = {cell: count for cell, count in report.em_nonconverged.items() if count}
-    if missed:
-        cells = ", ".join(f"xi={xi:.6g} tau={tau:.6g}: {count}" for (xi, tau), count in missed.items())
-        print(
-            f"warning: {sum(missed.values())} EM fits did not converge within the iteration"
-            f" budget and were used as returned ({cells})",
-            file=sys.stderr,
-        )
+    _warn_counts(report.em_nonconverged, "EM fits did not converge within the iteration"
+                 " budget and were used as returned")
+    _warn_counts(report.flat_reflected_priors, "pois2 estimates used a nearly flat reflected"
+                 " Poisson prior, lam <= sqrt(n log n)")
     return 0
+
+
+def _warn_counts(per_cell: dict, what: str) -> None:
+    """One stderr line with the total and the nonzero per-cell counts."""
+    nonzero = {cell: count for cell, count in per_cell.items() if count}
+    if nonzero:
+        cells = ", ".join(f"xi={xi:.6g} tau={tau:.6g}: {count}" for (xi, tau), count in nonzero.items())
+        print(f"warning: {sum(nonzero.values())} {what} ({cells})", file=sys.stderr)
 
 
 def cmd_em_fit(args) -> int:
@@ -359,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("penalty", help="dump the per-size penalty table")
+    p = sub.add_parser("penalty", help="dump the per-size penalties the MAP scan uses")
     p.add_argument("--n", type=int, required=True, help="sequence length")
     p.add_argument("--prior", required=True, help="prior spec (binomial/poisson/rpoisson/custom)")
     p.add_argument("--gamma", type=float, required=True, help="slab-to-noise variance ratio")

@@ -40,6 +40,7 @@ gamma >= 1e-8.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +97,24 @@ def slab_log_odds(sigma: float, tau: float, xi: float) -> float:
     return 0.5 * (gamma - math.log1p(gamma)) - (math.log1p(-xi) - math.log(xi))
 
 
+def _check_magnitudes(y: np.ndarray) -> None:
+    """Raise DomainError unless y is finite and sum(y^2) cannot overflow.
+
+    Checked before squaring: EM works on the squared observations and
+    their sum, and the bound n max(y^2) <= float max / 2 keeps both finite
+    with room for the variance sums built from them.
+    """
+    largest = float(np.max(np.abs(y)))
+    if not math.isfinite(largest):
+        raise DomainError("y must be finite")
+    limit = math.sqrt(sys.float_info.max / (2.0 * y.size))
+    if largest > limit:
+        raise DomainError(
+            f"|y| up to {limit:.3g} is supported for n = {y.size}: larger values"
+            " overflow when squared; rescale the data"
+        )
+
+
 def init_heuristic(y) -> tuple[float, float, float]:
     """Starting point (sigma0, tau0, xi0) from robust scale and exceedances.
 
@@ -106,6 +125,7 @@ def init_heuristic(y) -> tuple[float, float, float]:
     n = y.size
     if n < 2:
         raise DomainError(f"need at least 2 observations, got {n}")
+    _check_magnitudes(y)
     sigma0 = mad_sigma(y)
     xi0 = max(1.0 / n, float(np.mean(np.abs(y) > universal_threshold(n, sigma0))))
     tau0_sq = max(float(np.mean(y**2)) - sigma0**2, sigma0**2) / max(xi0, 1.0 / n)
@@ -137,8 +157,7 @@ def em_fit(
     n = y.size
     if n < 10:
         raise DomainError(f"EM fitting needs n >= 10, got {n}")
-    if not np.all(np.isfinite(y)):
-        raise DomainError("y must be finite")
+    _check_magnitudes(y)
     if np.all(y == y[0]):
         raise DegenerateDataError("constant data cannot identify the mixture")
     if tol <= 0.0 or max_iter < 1:

@@ -238,6 +238,18 @@ def _log_sum_exp(logs: np.ndarray) -> float:
 # Prior tables
 # --------------------------------------------------------------------------
 
+_FLAT_REFLECTED_WARNING = (
+    "reflected Poisson prior with lam <= sqrt(n log n):"
+    " the pmf is nearly flat and the prior loses its locating effect"
+)
+
+
+def _reflected_is_flat(lam: float, n: int) -> bool:
+    """Whether a reflected Poisson prior of rate ``lam`` on k = 0..n is too
+    weak to locate the size (lam <= sqrt(n log n)); such priors warn."""
+    return lam <= math.sqrt(n * math.log(n))
+
+
 def _check_prior_size(spec: PriorSpec, n: int) -> int:
     """Validate ``spec`` for sequences of length ``n``; returns n as an int.
 
@@ -253,12 +265,8 @@ def _check_prior_size(spec: PriorSpec, n: int) -> int:
     elif isinstance(spec, ReflectedPoissonPrior):
         if spec.lam >= n:
             raise ConfigurationError(f"reflected Poisson prior needs lam < n = {n}, got {spec.lam}")
-        if spec.lam <= math.sqrt(n * math.log(n)):
-            warnings.warn(
-                "reflected Poisson prior with lam <= sqrt(n log n):"
-                " the pmf is nearly flat and the prior loses its locating effect",
-                stacklevel=3,
-            )
+        if _reflected_is_flat(spec.lam, n):
+            warnings.warn(_FLAT_REFLECTED_WARNING, stacklevel=3)
     elif isinstance(spec, CustomLogWeightsPrior):
         if spec.log_weights.size != n + 1:
             raise ConfigurationError(

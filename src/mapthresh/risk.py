@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import re
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -31,6 +33,8 @@ from .priors import (
     StrongLpBall,
     TruncatedPoissonPrior,
     WeakLpBall,
+    _FLAT_REFLECTED_WARNING,
+    _reflected_is_flat,
 )
 
 __all__ = [
@@ -180,13 +184,18 @@ class RiskReport:
     """AMSE per (method, xi, tau) cell plus the config that produced it.
 
     ``em_nonconverged`` counts, per (xi, tau) cell, the EM fits that hit
-    the iteration budget; their estimates are used as returned.  It is
-    not part of the CSV.
+    the iteration budget; their estimates are used as returned.
+    ``flat_reflected_priors`` counts, per cell, the ``pois2`` estimates
+    whose reflected Poisson prior was nearly flat (lam <= sqrt(n log n)).
+    ``map_estimate`` warns once per such call; the benchmark silences that
+    warning and counts the calls here instead.  Neither count is part of
+    the CSV.
     """
 
     config: ExperimentConfig
     cells: dict[tuple[str, float, float], CellResult]
     em_nonconverged: dict[tuple[float, float], int] = field(default_factory=dict)
+    flat_reflected_priors: dict[tuple[float, float], int] = field(default_factory=dict)
 
     def write_csv(self, fh) -> None:
         fh.write("method,xi,tau,amse,std_err,replications,seed\n")
@@ -206,9 +215,10 @@ def _map_methods(methods: Sequence[str]) -> bool:
 
 def _one_replication(
     config: ExperimentConfig, xi: float, tau: float, rng
-) -> tuple[dict[str, float], bool]:
-    """Squared error per method on one draw, and whether an EM fit ran
-    without converging."""
+) -> tuple[dict[str, float], bool, bool]:
+    """Squared error per method on one draw, whether an EM fit ran
+    without converging, and whether a nearly flat reflected Poisson prior
+    was used."""
     n, sigma = config.n, config.sigma
     signal = rng.random(n) < xi
     mu = np.where(signal, tau * rng.standard_normal(n), 0.0)
@@ -226,12 +236,14 @@ def _one_replication(
         xi_hat = xi
 
     out: dict[str, float] = {}
+    flat = False
     for method in config.methods:
         if method == "bin":
             est = map_estimate(ranked, hyper, BinomialPrior(xi_hat))
         elif method == "pois1":
             est = map_estimate(ranked, hyper, TruncatedPoissonPrior(n * xi_hat))
         elif method == "pois2":
+            flat = _reflected_is_flat(n * xi_hat, n)
             est = map_estimate(ranked, hyper, ReflectedPoissonPrior(n * xi_hat))
         elif method == "universal":
             if config.universal_scale == "mad_raw":
@@ -247,23 +259,28 @@ def _one_replication(
         else:  # pragma: no cover - guarded by config validation
             raise ConfigurationError(f"unknown method {method!r}")
         out[method] = float(np.sum((est.mu_hat - mu) ** 2)) / n
-    return out, nonconverged
+    return out, nonconverged, flat
 
 
-def _run_cell(args) -> tuple[int, dict[str, np.ndarray], int]:
+def _run_cell(args) -> tuple[int, dict[str, np.ndarray], int, int]:
     config, cell_index, xi, tau = args
     reps = config.replications
     errors = {m: np.empty(reps) for m in config.methods}
     nonconverged = 0
-    for rep in range(reps):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([config.master_seed, cell_index, rep])
-        )
-        values, missed = _one_replication(config, xi, tau, rng)
-        nonconverged += missed
-        for m, v in values.items():
-            errors[m][rep] = v
-    return cell_index, errors, nonconverged
+    flat = 0
+    with warnings.catch_warnings():
+        # counted per cell in ``flat`` instead of warned per replication
+        warnings.filterwarnings("ignore", message=re.escape(_FLAT_REFLECTED_WARNING))
+        for rep in range(reps):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([config.master_seed, cell_index, rep])
+            )
+            values, missed, was_flat = _one_replication(config, xi, tau, rng)
+            nonconverged += missed
+            flat += was_flat
+            for m, v in values.items():
+                errors[m][rep] = v
+    return cell_index, errors, nonconverged, flat
 
 
 def monte_carlo_amse(config: ExperimentConfig) -> RiskReport:
@@ -285,12 +302,13 @@ def monte_carlo_amse(config: ExperimentConfig) -> RiskReport:
             outputs = pool.map(_run_cell, tasks)
     else:
         outputs = list(map(_run_cell, tasks))
-    results = {idx: (errors, missed) for idx, errors, missed in outputs}
+    results = {idx: rest for idx, *rest in outputs}
 
     cells: dict[tuple[str, float, float], CellResult] = {}
     nonconverged: dict[tuple[float, float], int] = {}
+    flat: dict[tuple[float, float], int] = {}
     for idx, xi, tau in grid:
-        errors, nonconverged[(xi, tau)] = results[idx]
+        errors, nonconverged[(xi, tau)], flat[(xi, tau)] = results[idx]
         for method in config.methods:
             e = errors[method]
             amse = float(np.mean(e))
@@ -299,7 +317,9 @@ def monte_carlo_amse(config: ExperimentConfig) -> RiskReport:
             else:
                 std_err = 0.0
             cells[(method, xi, tau)] = CellResult(amse=amse, std_err=std_err)
-    return RiskReport(config=config, cells=cells, em_nonconverged=nonconverged)
+    return RiskReport(
+        config=config, cells=cells, em_nonconverged=nonconverged, flat_reflected_priors=flat
+    )
 
 
 # --------------------------------------------------------------------------

@@ -10,9 +10,12 @@ import pytest
 from mapthresh import (
     BinomialPrior,
     HyperParams,
+    ReflectedPoissonPrior,
+    TruncatedPoissonPrior,
     build_prior_table,
     em_fit,
     map_estimate,
+    penalty_increments,
     penalty_table,
 )
 from mapthresh import risk
@@ -228,6 +231,25 @@ def test_penalty_csv_structure(capsys, tmp_path):
     assert np.allclose(ps, ref.penalty, rtol=1e-15)
 
 
+@pytest.mark.parametrize(
+    "prior, spec",
+    [
+        ("binomial:xi=0.05", BinomialPrior(0.05)),
+        ("poisson:lambda=50", TruncatedPoissonPrior(50.0)),
+        ("rpoisson:lambda=500", ReflectedPoissonPrior(500.0)),
+    ],
+)
+def test_penalty_prints_what_the_scan_uses(capsys, prior, spec):
+    rc, out, _ = run(capsys, "penalty", "--n", "1000", "--prior", prior,
+                     "--gamma", "9", "--sigma", "2")
+    assert rc == 0
+    rows = np.array([[float(v) for v in line.split(",")] for line in out.split()[1:]])
+    increments = penalty_increments(spec, 1000, HyperParams(2.0, 6.0))
+    assert np.array_equal(rows[:, 0], np.arange(1001))
+    assert np.array_equal(rows[:, 1], np.cumsum(increments))
+    assert np.array_equal(rows[:, 2], increments)
+
+
 def test_penalty_degenerate_size(capsys):
     rc, out, _ = run(capsys, "penalty", "--n", "0", "--prior", "binomial:xi=0.1",
                      "--gamma", "1")
@@ -331,6 +353,17 @@ def test_simulate_reports_unconverged_fits_on_stderr(capsys, tmp_path, monkeypat
     assert len(lines) == 1
     assert lines[0].startswith("warning: 3 EM fits did not converge")
     assert "xi=0.1 tau=4: 3" in lines[0]
+
+
+def test_simulate_reports_flat_reflected_priors_on_stderr(capsys, tmp_path):
+    # n = 50: lam = n xi = 5 is below sqrt(n log n) = 14 in every replication
+    cfg = write_config(tmp_path, dict(TINY, methods=["pois2", "oracle"]))
+    rc, _, err = run(capsys, "simulate", "--config", cfg)
+    assert rc == 0
+    lines = err.strip().split("\n")
+    assert len(lines) == 1
+    assert lines[0].startswith("warning: 3 pois2 estimates used a nearly flat")
+    assert lines[0].endswith("(xi=0.1 tau=4: 3)")
 
 
 def test_simulate_seed_override(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Mixture likelihood, EM updates, and the starting-point heuristic."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -233,6 +234,29 @@ def test_fit_validation():
         em_fit(y, tol=0.0)
     with pytest.raises(DomainError):
         em_fit(y, max_iter=0)
+
+
+@pytest.mark.parametrize("outlier", [1e10, 1e12])
+def test_one_huge_outlier_leaves_the_noise_fit(outlier):
+    # the outlier's square dwarfs the rest of sum(y^2); the noise variance
+    # must come from the other 999 draws, not from a difference of totals
+    y = np.random.default_rng(31).standard_normal(1000)
+    y[0] = outlier
+    fit = em_fit(y)
+    assert fit.converged
+    assert fit.sigma_hat == pytest.approx(1.0, abs=0.1)
+    assert fit.tau_hat == pytest.approx(outlier, rel=1e-3)
+    assert np.all(np.diff(fit.loglik_trace) >= -1e-10)
+
+
+def test_overflowing_squares_are_a_domain_error():
+    y = 1e155 * np.random.default_rng(32).standard_normal(100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="overflow"):
+            em_fit(y)
+        with pytest.raises(DomainError, match="overflow"):
+            init_heuristic(y)
 
 
 def test_xi_stays_clamped():

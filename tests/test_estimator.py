@@ -302,6 +302,12 @@ def test_single_coordinate_kept_above_increment():
     assert result.mu_hat[0] == 3.3
 
 
+def test_binomial_map_keeps_the_two_large_values():
+    y = np.array([9.0, -0.5, 0.2, 4.0, 0.1])
+    result = map_estimate(y, HyperParams(1.0, 3.0), BinomialPrior(0.2))
+    assert result.k_hat == 2
+
+
 def test_zero_vector_selects_nothing():
     result = map_estimate(np.zeros(12), UNIT_HYPER, BinomialPrior(0.1))
     assert result.k_hat == 0

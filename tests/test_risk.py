@@ -17,12 +17,14 @@ from mapthresh import (
     ExperimentConfig,
     HyperParams,
     L0Ball,
+    ReflectedPoissonPrior,
     StrongLpBall,
     UnsupportedBallError,
     WeakLpBall,
     ball_contains,
     em_fit,
     least_favorable_mu,
+    map_estimate,
     minimax_rate,
     monte_carlo_amse,
     oracle_risk,
@@ -356,6 +358,26 @@ def test_unconverged_fits_are_counted_not_written(monkeypatch):
     report = small_report()
     assert report.em_nonconverged == {cell: 4 for cell in baseline.em_nonconverged}
     assert report_bytes(report) == report_bytes(baseline)
+
+
+def test_flat_reflected_priors_are_counted_not_warned(monkeypatch):
+    # n = 100, sqrt(n log n) = 21.5: lam = n xi is flat at xi = 0.05, not at 0.3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = small_report(use_em=False, methods=("pois2", "oracle"))
+    assert report.flat_reflected_priors == {
+        (0.05, 3.0): 4, (0.05, 5.0): 4, (0.3, 3.0): 0, (0.3, 5.0): 0
+    }
+
+    monkeypatch.setattr(risk, "_reflected_is_flat", lambda lam, n: True)
+    everywhere = small_report(use_em=False, methods=("pois2", "oracle"))
+    assert everywhere.flat_reflected_priors == {cell: 4 for cell in report.flat_reflected_priors}
+    assert report_bytes(everywhere) == report_bytes(report)
+
+    # outside the benchmark a flat prior still warns on each call
+    y = np.random.default_rng(0).standard_normal(100)
+    with pytest.warns(UserWarning, match="nearly flat"):
+        map_estimate(y, HyperParams(1.0, 3.0), ReflectedPoissonPrior(5.0))
 
 
 # ---------------------------------------------------------------------------
