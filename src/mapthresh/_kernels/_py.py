@@ -10,26 +10,31 @@ import math
 
 import numpy as np
 
+from ..errors import DegenerateDataError
+
 __all__ = ["penalized_scan", "em_loop"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def penalized_scan(sorted_sq, penalty):
+def penalized_scan(sorted_sq, penalty, rest=0.0):
     """Minimize tail-sum-of-squares plus penalty over model sizes.
 
-    ``sorted_sq`` holds the n squared observations in non-increasing order,
-    ``penalty`` the n+1 per-size penalties.  Returns (k_hat, objective)
-    where objective[k] = sum(sorted_sq[k:]) + penalty[k].  Every candidate
-    is scanned (penalty increments may be negative, so no early exit), and
-    exact ties go to the smaller size.
+    ``sorted_sq`` holds the K largest squared observations in
+    non-increasing order, ``penalty`` the K+1 per-size penalties and
+    ``rest`` the sum of the squares left out (0 when all n are ranked).
+    Returns (k_hat, objective) where objective[k] = rest +
+    sum(sorted_sq[k:]) + penalty[k], the tail summed from the smallest
+    square up.  Every candidate is scanned (penalty increments may be
+    negative, so no early exit), and exact ties go to the smaller size.
     """
-    sorted_sq = np.ascontiguousarray(sorted_sq, dtype=np.float64)
-    penalty = np.ascontiguousarray(penalty, dtype=np.float64)
+    sorted_sq = np.asarray(sorted_sq, dtype=np.float64)
     n = sorted_sq.shape[0]
     objective = np.empty(n + 1)
-    objective[n] = 0.0
-    np.cumsum(sorted_sq[::-1], out=objective[:n][::-1])
+    objective[:n] = sorted_sq
+    objective[n] = rest
+    tail = objective[::-1]
+    np.cumsum(tail, out=tail)
     objective += penalty
     return int(np.argmin(objective)), objective
 
@@ -86,7 +91,9 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter, xi_lo, xi_hi, tau_floor):
     directly (c y^2, not sum(y^2) - r y^2), so one huge observation cannot
     cancel the noise sum to zero.  ``e`` cannot overflow: xi_lo = 1/n keeps
     log((1 - xi)/xi) <= log(n - 1), and log(1 + gamma)/2 < 355 for any
-    finite gamma, so d < 710.
+    finite gamma, so d < 710.  When every noise responsibility underflows
+    to 0 (no observation looks like noise), the noise variance is
+    undefined and DegenerateDataError is raised.
 
     The previous parameters are feasible for both steps, so each step
     cannot lower the expected complete-data log-likelihood and the trace
@@ -126,6 +133,10 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter, xi_lo, xi_hi, tau_floor):
         r_y = float(w @ y_sq)
         e *= w
         c_sum = float(e.sum())
+        if c_sum == 0.0:
+            raise DegenerateDataError(
+                "every noise responsibility underflowed: no observation fits the noise component"
+            )
         c_y = float(e @ y_sq)
         sigma_sq = c_y / c_sum
         tau_sq = r_y / r_sum - sigma_sq

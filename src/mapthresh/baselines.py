@@ -14,9 +14,17 @@ from typing import Union
 import numpy as np
 from scipy.special import erfc
 
-from ._kernels import penalized_scan
 from .errors import DegenerateDataError, DomainError
-from .estimator import EstimateResult, GaussianSequence, RankedSequence, rank_sequence
+from .estimator import (
+    EstimateResult,
+    GaussianSequence,
+    RankedSequence,
+    _keep_largest,
+    _objective_later,
+    _rank,
+    _scan_largest,
+    _values,
+)
 
 __all__ = [
     "FixedThreshold",
@@ -128,19 +136,29 @@ def fixed_threshold_estimate(
 ) -> EstimateResult:
     """Keep y_i whenever |y_i| >= lam (boundary kept).
 
-    The objective records tail-sum-of-squares plus k * lam^2 for each size;
-    at boundary ties its minimum is still attained at the returned size.
-    ``y`` may be a ``RankedSequence``, whose ranking is then reused.
+    Only the kept coordinates are ranked, unless ``y`` is a
+    ``RankedSequence``, whose ranking is then reused.  The objective
+    records tail-sum-of-squares plus k * lam^2 for each size, computed on
+    first access; at boundary ties its minimum is still attained at the
+    returned size.
     """
     lam = rule.lam if isinstance(rule, FixedThreshold) else FixedThreshold(float(rule)).lam
-    ranked = rank_sequence(y)
-    n = ranked.y.size
-    k_hat = int(np.count_nonzero(np.abs(ranked.y) >= lam))
-    # size-0 entry set directly so lam = +inf cannot produce inf * 0 = nan
-    penalty = np.zeros(n + 1)
-    penalty[1:] = lam**2 * np.arange(1, n + 1, dtype=float)
-    _, objective = penalized_scan(ranked.sorted_sq, penalty)
-    return ranked.keep_largest(k_hat, objective)
+    values = _values(y)
+    n = values.size
+    if isinstance(y, RankedSequence):
+        order = y.order
+        k_hat = int(np.count_nonzero(np.abs(values) >= lam))
+    else:
+        order = _rank(values, np.flatnonzero(np.abs(values) >= lam))
+        k_hat = order.size
+
+    def penalty() -> np.ndarray:
+        # size-0 entry set directly so lam = +inf cannot produce inf * 0 = nan
+        penalty = np.zeros(n + 1)
+        penalty[1:] = lam**2 * np.arange(1, n + 1, dtype=float)
+        return penalty
+
+    return _keep_largest(values, order, k_hat, _objective_later(y, penalty))
 
 
 def variable_threshold_estimate(
@@ -150,17 +168,22 @@ def variable_threshold_estimate(
 
     Minimizes sum of squares past rank k plus sum of lams[i]^2 for
     i <= k (the size-zero term contributes nothing); ties go to the
-    smaller size, and the k_hat largest magnitudes are kept.  ``y`` may
-    be a ``RankedSequence``, whose ranking is then reused.
+    smaller size, and the k_hat largest magnitudes are kept.  From raw
+    data only the candidates are ranked (``mapthresh.estimator`` docstring);
+    ``y`` may be a ``RankedSequence``, whose ranking is then reused.
     """
     lams = rule.lams if isinstance(rule, VariableThreshold) else VariableThreshold(np.asarray(rule)).lams
-    ranked = rank_sequence(y)
-    n = ranked.y.size
+    n = _values(y).size
     if lams.size != n:
         raise DomainError(f"lams must have length n = {n}, got {lams.size}")
-    penalty = np.concatenate(([0.0], np.cumsum(lams**2)))
-    k_hat, objective = penalized_scan(ranked.sorted_sq, penalty)
-    return ranked.keep_largest(k_hat, objective)
+
+    def increments() -> np.ndarray:
+        inc = np.empty(n + 1)
+        inc[0] = 0.0
+        np.square(lams, out=inc[1:])
+        return inc
+
+    return _scan_largest(y, increments)
 
 
 def mad_sigma(y) -> float:

@@ -98,11 +98,14 @@ def slab_log_odds(sigma: float, tau: float, xi: float) -> float:
 
 
 def _check_magnitudes(y: np.ndarray) -> None:
-    """Raise DomainError unless y is finite and sum(y^2) cannot overflow.
+    """Raise DomainError unless y is finite and its squares neither
+    overflow nor underflow.
 
     Checked before squaring: EM works on the squared observations and
-    their sum, and the bound n max(y^2) <= float max / 2 keeps both finite
-    with room for the variance sums built from them.
+    their sum.  The bound n max(y^2) <= float max / 2 keeps both finite
+    with room for the variance sums built from them; its mirror
+    max(y^2) >= 2 n float min keeps the mean square, and so the fitted
+    variances, normal floats.
     """
     largest = float(np.max(np.abs(y)))
     if not math.isfinite(largest):
@@ -113,13 +116,36 @@ def _check_magnitudes(y: np.ndarray) -> None:
             f"|y| up to {limit:.3g} is supported for n = {y.size}: larger values"
             " overflow when squared; rescale the data"
         )
+    floor = math.sqrt(2.0 * y.size * sys.float_info.min)
+    if largest < floor:
+        raise DomainError(
+            f"max |y| must be at least {floor:.3g} for n = {y.size}: smaller values"
+            " underflow when squared; rescale the data"
+        )
+
+
+def _check_init(sigma0: float, tau0: float, xi0: float) -> None:
+    """Raise DomainError unless the EM starting point is usable.
+
+    sigma0 and tau0 must be positive with positive, finite squares whose
+    sum and ratio are finite; xi0 must lie in (0, 1).
+    """
+    v0, v_slab = sigma0 * sigma0, tau0 * tau0
+    usable = sigma0 > 0.0 and tau0 > 0.0 and v0 > 0.0 and v_slab > 0.0
+    if not (usable and math.isfinite(v0 + v_slab) and math.isfinite(v_slab / v0)):
+        raise DomainError(
+            f"init sigma and tau must be positive with finite, nonzero squares, got {sigma0!r}, {tau0!r}"
+        )
+    if not 0.0 < xi0 < 1.0:
+        raise DomainError(f"init xi must lie in (0, 1), got {xi0!r}")
 
 
 def init_heuristic(y) -> tuple[float, float, float]:
     """Starting point (sigma0, tau0, xi0) from robust scale and exceedances.
 
-    xi0 is the fraction of magnitudes above the universal cutoff (at least
-    1/n), and tau0^2 spreads the excess second moment over that fraction.
+    xi0 is the fraction of magnitudes above the universal cutoff, kept
+    within [1/n, 1 - 1/n] as EM keeps xi, and tau0^2 spreads the excess
+    second moment over that fraction.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
@@ -127,8 +153,8 @@ def init_heuristic(y) -> tuple[float, float, float]:
         raise DomainError(f"need at least 2 observations, got {n}")
     _check_magnitudes(y)
     sigma0 = mad_sigma(y)
-    xi0 = max(1.0 / n, float(np.mean(np.abs(y) > universal_threshold(n, sigma0))))
-    tau0_sq = max(float(np.mean(y**2)) - sigma0**2, sigma0**2) / max(xi0, 1.0 / n)
+    xi0 = min(max(1.0 / n, float(np.mean(np.abs(y) > universal_threshold(n, sigma0)))), 1.0 - 1.0 / n)
+    tau0_sq = max(float(np.mean(y**2)) - sigma0**2, sigma0**2) / xi0
     tau0_sq = max(tau0_sq, 1e-4 * sigma0**2)
     return sigma0, math.sqrt(tau0_sq), xi0
 
@@ -152,6 +178,9 @@ def em_fit(
     ``init`` is an optional (sigma0, tau0, xi0) triple; by default it comes
     from ``init_heuristic``.  ``tol`` is a relative log-likelihood change;
     hitting ``max_iter`` first returns converged=False rather than raising.
+    Raises DomainError for data whose squares overflow or underflow and
+    for an unusable ``init``, and DegenerateDataError when no observation
+    fits the noise component.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
@@ -164,9 +193,8 @@ def em_fit(
         raise DomainError("tol must be positive and max_iter >= 1")
     if init is None:
         init = init_heuristic(y)
-    sigma0, tau0, xi0 = init
-    if sigma0 <= 0.0 or tau0 <= 0.0:
-        raise DomainError("init sigma and tau must be positive")
+    sigma0, tau0, xi0 = (float(v) for v in init)
+    _check_init(sigma0, tau0, xi0)
     xi_lo, xi_hi = 1.0 / n, 1.0 - 1.0 / n
     xi0 = min(max(xi0, xi_lo), xi_hi)
     sigma_sq, tau_sq, xi, trace, iterations, converged = em_loop(

@@ -28,12 +28,38 @@ gamma function, so that sum_{k<=n} x^k/k! = e^x Q(n+1, x):
     with m = n - lam:     inc[0] = r (m + log Q(n+1, m) - n log m + log n!)
 
 A custom prior takes the differences of its normalized log weights.
+
+Only the observations a minimizer can keep are ranked.  The criterion is
+obj[k] = sum of the n - k smallest squares + P[k].  Pick a cut t > 0, let
+K = #{y_i^2 > t} and let S be the sum of the squares <= t.  A size k > K
+drops k - K more squares, none above t and together at most S, so
+
+    obj[k] - obj[K] >= (P[k] - P[K]) - min((k - K) t, S).
+
+When that lower bound is >= 0 for every k > K, the argmin lies in
+[0, K] (ties still go to the smaller size), and only the K candidates
+need ranking: stable-sorting the indices with y_i^2 > t, taken in index
+order, by -|y| gives exactly the first K entries of the full stable
+order.  Sorting by -|y| rather than -y^2 matters, since two magnitudes
+one ulp apart can square to the same float.  The scan over [0, K] then
+starts its tail sums from S.  The cut is t = min(inc[1 .. ceil(n/2)]).
+When t <= 0, or the bound fails (as it does for a custom prior that
+favors large sizes), t = -inf: every observation is a candidate, which
+is the full ranking and scan.  A ``RankedSequence`` already carries the
+full order and is always scanned over all sizes.  Under the binomial
+prior the increments inc[1..n] are one constant c, so the steps
+c - y_(k)^2 change sign once and the rule is the fixed threshold
+y_i^2 > c, with no scan at all.  ``EstimateResult.objective`` needs every
+size; results built from candidates compute it, by one full ranking and
+scan, on first access.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaincc, gammaln
@@ -119,14 +145,27 @@ class Configuration:
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """Selected size, realized threshold, kept indices, estimate, and the
-    scanned objective (length n+1)."""
+    """Selected size, realized threshold, kept indices and estimate.
+
+    ``objective`` (length n+1) is the criterion at every size.
+    ``objective_source`` is that array, or a function that computes it;
+    the function runs on the first access of ``objective`` (or when the
+    result is pickled) and its result is kept.
+    """
 
     k_hat: int
     threshold: float
     kept: np.ndarray
     mu_hat: np.ndarray
-    objective: np.ndarray = field(repr=False)
+    objective_source: np.ndarray | Callable[[], np.ndarray] = field(repr=False)
+
+    @cached_property
+    def objective(self) -> np.ndarray:
+        source = self.objective_source
+        return source() if callable(source) else source
+
+    def __reduce__(self):
+        return type(self), (self.k_hat, self.threshold, self.kept, self.mu_hat, self.objective)
 
 
 @dataclass(frozen=True)
@@ -144,31 +183,110 @@ class RankedSequence:
     sorted_sq: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        y = self.y.y if isinstance(self.y, GaussianSequence) else GaussianSequence(self.y).y
-        order = np.argsort(-np.abs(y), kind="stable")
+        y = _values(self.y)
+        order, sorted_sq, _ = _rank_above(y, -math.inf)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "order", order)
-        object.__setattr__(self, "sorted_sq", np.abs(y[order]) ** 2)
-
-    def keep_largest(self, k_hat: int, objective: np.ndarray) -> EstimateResult:
-        """Estimate keeping the k_hat largest magnitudes as they are.
-
-        The realized threshold is the smallest kept magnitude, +inf when
-        nothing is kept.
-        """
-        y = self.y
-        kept = self.order[:k_hat].copy()
-        mu_hat = np.zeros(y.size)
-        mu_hat[kept] = y[kept]
-        threshold = float(np.abs(y[kept[-1]])) if k_hat > 0 else math.inf
-        return EstimateResult(
-            k_hat=k_hat, threshold=threshold, kept=kept, mu_hat=mu_hat, objective=objective
-        )
+        object.__setattr__(self, "sorted_sq", sorted_sq)
 
 
 def rank_sequence(data: RankedSequence | GaussianSequence | np.ndarray) -> RankedSequence:
     """The ranked view of ``data``; a view passed in is returned as is."""
     return data if isinstance(data, RankedSequence) else RankedSequence(data)
+
+
+def _values(data: RankedSequence | GaussianSequence | np.ndarray) -> np.ndarray:
+    """The validated observations of raw data, a sequence or a ranked view."""
+    return data.y if isinstance(data, (GaussianSequence, RankedSequence)) else GaussianSequence(data).y
+
+
+def _rank(y: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """``indices`` (in increasing order) stable-sorted by decreasing |y|."""
+    return indices[np.argsort(-np.abs(y[indices]), kind="stable")]
+
+
+def _rank_above(y: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(order, sorted_sq, rest) for the observations with y^2 > cut.
+
+    ``order`` ranks them by decreasing |y|, ties in index order, and is the
+    head of the full stable order; ``sorted_sq`` holds their squares in
+    that order and ``rest`` sums the other squares.  A cut of -inf ranks
+    every observation.
+    """
+    if cut == -math.inf:
+        order = np.argsort(-np.abs(y), kind="stable")
+        return order, np.abs(y[order]) ** 2, 0.0
+    sq = y * y
+    candidates = np.flatnonzero(sq > cut)
+    order = _rank(y, candidates)
+    sorted_sq = sq[order]
+    sq[candidates] = 0.0
+    return order, sorted_sq, float(sq.sum())
+
+
+def _keep_largest(
+    y: np.ndarray, order: np.ndarray, k_hat: int, objective: np.ndarray | Callable[[], np.ndarray]
+) -> EstimateResult:
+    """Estimate keeping y[order[:k_hat]] as they are.
+
+    The realized threshold is the smallest kept magnitude, +inf when
+    nothing is kept.
+    """
+    kept = order[:k_hat].copy()
+    mu_hat = np.zeros(y.size)
+    mu_hat[kept] = y[kept]
+    threshold = float(np.abs(y[kept[-1]])) if k_hat > 0 else math.inf
+    return EstimateResult(
+        k_hat=k_hat, threshold=threshold, kept=kept, mu_hat=mu_hat, objective_source=objective
+    )
+
+
+def _objective_later(
+    data: RankedSequence | np.ndarray, penalty: Callable[[], np.ndarray]
+) -> Callable[[], np.ndarray]:
+    """A function giving the full criterion of ``data`` under ``penalty()``."""
+    return lambda: penalized_scan(rank_sequence(data).sorted_sq, penalty())[1]
+
+
+def _scan_largest(
+    data: RankedSequence | GaussianSequence | np.ndarray, increments: Callable[[], np.ndarray]
+) -> EstimateResult:
+    """Keep the k largest magnitudes, for the k that minimizes the tail sum
+    of squares plus the penalty cumsum(increments()); ties go to the
+    smaller size.
+
+    A ``RankedSequence`` is scanned over all n+1 sizes.  Raw data are
+    ranked only above the certified cut of the module docstring, and the
+    result's ``objective`` is then computed on first access.
+    """
+    inc = increments()
+    if isinstance(data, RankedSequence):
+        y, order, sorted_sq, rest = data.y, data.order, data.sorted_sq, 0.0
+    else:
+        y = _values(data)
+        cut = float(inc[1 : (y.size + 1) // 2 + 1].min())
+        order, sorted_sq, rest = _rank_above(y, cut if cut > 0.0 else -math.inf)
+        if order.size < y.size and not _certifies(inc, order.size, rest, cut):
+            order, sorted_sq, rest = _rank_above(y, -math.inf)
+    k = order.size
+    penalty = np.cumsum(inc, out=inc)
+    k_hat, objective = penalized_scan(sorted_sq, penalty[: k + 1], rest)
+    if k < y.size:
+        objective = _objective_later(y, lambda: np.cumsum(increments()))
+    return _keep_largest(y, order, k_hat, objective)
+
+
+def _certifies(inc: np.ndarray, k: int, rest: float, cut: float) -> bool:
+    """Whether obj[k'] >= obj[k] for every k' > k, by the module docstring's bound.
+
+    ``k`` squares exceed ``cut`` and the others sum to ``rest``.
+    """
+    m = min(inc.size - 1 - k, int(rest // cut))  # the j cut term is the smaller up to j = m
+    bound = inc[k + 1 :].copy()
+    bound[:m] -= cut
+    # bound[j - 1] = P[k + j] - P[k] - min(j, m) cut
+    np.cumsum(bound, out=bound)
+    return bool(bound[:m].min(initial=0.0) >= 0.0 and bound[m:].min(initial=math.inf) >= rest - m * cut)
 
 
 def bayes_factor(y_i: float, hyper: HyperParams) -> float:
@@ -210,7 +328,16 @@ def penalty_increments(spec: PriorSpec, n: int, hyper: HyperParams) -> np.ndarra
     prior table; a custom prior is normalized first.  Raises and warns as
     ``build_prior_table`` does.
     """
-    n = _check_prior_size(spec, n)
+    return _increments(spec, _check_prior_size(spec, n), hyper)
+
+
+def _binomial_step(xi: float, half_log_1pg: float) -> float:
+    """inc[i] / r for i >= 1 under the binomial prior."""
+    return math.log1p(-xi) - math.log(xi) + half_log_1pg
+
+
+def _increments(spec: PriorSpec, n: int, hyper: HyperParams) -> np.ndarray:
+    """``penalty_increments`` for a spec already checked against n."""
     rate, half_log_1pg = _rate(hyper)
     if isinstance(spec, CustomLogWeightsPrior):
         return _table_increments(build_prior_table(spec, n).log_pmf, rate, half_log_1pg)
@@ -218,7 +345,7 @@ def penalty_increments(spec: PriorSpec, n: int, hyper: HyperParams) -> np.ndarra
     i = np.arange(1, n + 1, dtype=float)
     if isinstance(spec, BinomialPrior):
         inc[0] = -n * math.log1p(-spec.xi)
-        inc[1:] = math.log1p(-spec.xi) - math.log(spec.xi) + half_log_1pg
+        inc[1:] = _binomial_step(spec.xi, half_log_1pg)
     elif isinstance(spec, TruncatedPoissonPrior):
         lam = spec.lam
         inc[0] = lam + math.log(gammaincc(n + 1, lam))
@@ -266,16 +393,26 @@ def map_estimate(
 ) -> EstimateResult:
     """MAP support estimate and hard-threshold fit for one sequence.
 
-    Magnitudes are ranked with a stable sort (ties keep input order)
-    unless ``data`` is already a ``RankedSequence``; the prior-driven
-    penalties are scanned over all sizes, and the k_hat largest
-    coordinates are kept as-is.  The realized threshold is the smallest
-    kept magnitude, +inf when nothing is kept.
+    The k_hat largest coordinates, in the stable order of magnitude (ties
+    keep input order), are kept as-is.  A ``RankedSequence`` is scanned
+    over all sizes; from raw data only the candidates are ranked, and the
+    binomial prior keeps exactly y_i^2 > inc[1] (module docstring).  The
+    realized threshold is the smallest kept magnitude, +inf when nothing
+    is kept.
     """
-    ranked = rank_sequence(data)
-    penalty = np.cumsum(penalty_increments(spec, ranked.y.size, hyper))
-    k_hat, objective = penalized_scan(ranked.sorted_sq, penalty)
-    return ranked.keep_largest(k_hat, objective)
+    y = _values(data)
+    n = _check_prior_size(spec, y.size)
+
+    def increments() -> np.ndarray:
+        return _increments(spec, n, hyper)
+
+    if isinstance(spec, BinomialPrior) and not isinstance(data, RankedSequence):
+        rate, half_log_1pg = _rate(hyper)
+        # + 0.0 as in the increments, so the cut is inc[1] to the bit
+        order, _, _ = _rank_above(y, rate * _binomial_step(spec.xi, half_log_1pg) + 0.0)
+        objective = _objective_later(y, lambda: np.cumsum(increments()))
+        return _keep_largest(y, order, order.size, objective)
+    return _scan_largest(data, increments)
 
 
 def posterior_log_score(

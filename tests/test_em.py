@@ -259,6 +259,38 @@ def test_overflowing_squares_are_a_domain_error():
             init_heuristic(y)
 
 
+@pytest.mark.parametrize(
+    "init",
+    [(1.0, math.inf, 0.1), (1.0, 2.0, math.nan), (1.0, 1e155, 0.1)],
+    ids=["infinite-tau", "nan-xi", "tau-squared-overflows"],
+)
+def test_unusable_init_is_a_domain_error(init):
+    y = mixture_dataset(100, 0.1, 3.0, 1.0, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="init"):
+            em_fit(y, init=init)
+
+
+def test_data_with_no_noise_is_degenerate():
+    # every noise responsibility underflows to 0 on the first E-step
+    with pytest.raises(DegenerateDataError, match="noise"):
+        em_fit(1e6 + np.arange(100.0))
+
+
+def test_underflowing_squares_are_a_domain_error():
+    y = 1e-160 * np.random.default_rng(33).standard_normal(100)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="underflow"):
+            em_fit(y)
+        with pytest.raises(DomainError, match="underflow"):
+            init_heuristic(y)
+        fit = em_fit(1e10 * y)  # rescaled, the same data fit
+    assert fit.converged
+    assert 1e-151 < fit.sigma_hat < 1e-149
+
+
 def test_xi_stays_clamped():
     # all-noise data pushes xi toward zero; the estimate must stay >= 1/n
     y = np.random.default_rng(30).standard_normal(200)

@@ -1,6 +1,7 @@
 """Penalty construction, the penalized scan, and the selection estimate."""
 
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from mapthresh import (
     build_prior_table,
     fdr_sequence,
     fixed_threshold_estimate,
+    foster_stine_sequence,
     log_choose,
     map_estimate,
     penalty_increments,
@@ -282,6 +284,155 @@ def test_results_from_one_view_do_not_share_kept():
     a.kept[0] = 2
     assert ranked.order[0] == 0
     assert b.kept[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# candidate selection from raw data against the full ranking
+
+
+def rules_on(y, hyper, specs):
+    """Each rule as a function of the data: MAP per spec, fixed, FDR and Foster-Stine."""
+    n = y.size
+    rules = [lambda d, spec=spec: map_estimate(d, hyper, spec) for spec in specs]
+    rules.append(lambda d: fixed_threshold_estimate(d, 1.5 * hyper.sigma))
+    rules.append(lambda d: variable_threshold_estimate(d, fdr_sequence(n, hyper.sigma, 0.1)))
+    rules.append(lambda d: variable_threshold_estimate(d, foster_stine_sequence(n, hyper.sigma)))
+    return rules
+
+
+def assert_candidates_match_full(y, hyper, specs):
+    # a ranked view is scanned over every size: today's full path
+    ranked = rank_sequence(y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small-lambda reflected priors warn
+        for rule in rules_on(y, hyper, specs):
+            assert_same_result(rule(y), rule(ranked))
+
+
+def named_specs(n):
+    specs = [BinomialPrior(0.05), BinomialPrior(0.3), TruncatedPoissonPrior(max(0.05 * n, 0.5))]
+    if n > 1:
+        specs.append(ReflectedPoissonPrior(0.5 * n))
+    return specs
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 200, 5000])
+def test_candidates_match_the_full_ranking_on_random_data(n):
+    rng = np.random.default_rng(n)
+    for xi, tau in ((0.01, 5.0), (0.1, 3.0), (0.5, 2.0)):
+        y = np.where(rng.random(n) < xi, tau * rng.standard_normal(n), 0.0) + rng.standard_normal(n)
+        assert_candidates_match_full(y, HyperParams(1.0, tau), named_specs(n))
+
+
+def test_candidates_match_the_full_ranking_on_tied_magnitudes():
+    rng = np.random.default_rng(12)
+    y = np.round(3.0 * rng.standard_normal(400)) * rng.choice([-1.0, 1.0], 400)
+    assert_candidates_match_full(y, HyperParams(1.0, 3.0), named_specs(400))
+
+
+def test_candidates_order_by_magnitude_when_squares_tie():
+    # squares this small are subnormal: a magnitude and the next float up
+    # square to the same value, so only |y| orders them
+    base = np.array([3e-161, 2e-161, 5e-161, 1e-161, 4e-161])
+    y = np.concatenate([base, np.nextafter(base, 1.0), -base, np.zeros(3)])
+    assert np.array_equal(y[:5] ** 2, y[5:10] ** 2)
+    hyper = HyperParams(1e-161, 3e-161)
+    result = map_estimate(y, hyper, TruncatedPoissonPrior(3.0))
+    assert result.k_hat == 9
+    assert np.array_equal(result.kept[:2], [7, 2])  # next float up first
+    assert_candidates_match_full(y, hyper, [BinomialPrior(0.2), TruncatedPoissonPrior(3.0)])
+
+
+def test_candidates_match_the_full_ranking_on_degenerate_data():
+    assert_candidates_match_full(np.array([2.5]), UNIT_HYPER, named_specs(1))
+    assert_candidates_match_full(np.array([-0.2]), UNIT_HYPER, named_specs(1))
+    assert_candidates_match_full(np.zeros(50), UNIT_HYPER, named_specs(50))
+
+
+def test_binomial_with_nonpositive_increment_matches_the_full_ranking():
+    hyper = HyperParams(1.0, 2.0)
+    inc = penalty_increments(BinomialPrior(0.9), 300, hyper)
+    assert inc[1] < 0.0
+    y = np.random.default_rng(8).standard_normal(300)
+    y[::7] = 0.0
+    result = map_estimate(y, hyper, BinomialPrior(0.9))
+    assert result.k_hat == 300  # every y_i^2 >= 0 > inc[1], zeros included
+    assert_candidates_match_full(y, hyper, [BinomialPrior(0.9), BinomialPrior(0.6)])
+
+
+def test_binomial_drops_a_square_equal_to_the_increment():
+    # y^2 == inc[1] exactly: keeping it ties, and ties go to the smaller size
+    c = penalty_increments(BinomialPrior(0.1), 1, UNIT_HYPER)[1]
+    y = math.sqrt(c)
+    assert y * y == c
+    assert_candidates_match_full(np.array([y]), UNIT_HYPER, [BinomialPrior(0.1)])
+    assert map_estimate(np.array([y]), UNIT_HYPER, BinomialPrior(0.1)).k_hat == 0
+    # at n = 3 the full scan's rounded tail sums break the tie the other
+    # way; the threshold rule is exact
+    result = map_estimate(np.array([-y, 0.5 * y, 2.0 * y]), UNIT_HYPER, BinomialPrior(0.1))
+    assert np.array_equal(result.kept, [2])
+
+
+class ArgsortSizes(list):
+    """Records the length of every array np.argsort is called on."""
+
+    def __init__(self, monkeypatch):
+        super().__init__()
+        argsort = np.argsort
+
+        def recording(a, *args, **kwargs):
+            self.append(np.asarray(a).size)
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", recording)
+
+
+def test_custom_priors_fall_back_to_the_full_ranking(monkeypatch):
+    n = 400
+    y = np.random.default_rng(13).standard_normal(n) * 2.0
+    k = np.arange(n + 1, dtype=float)
+    hyper = make_hyper(1.0, 9.0)
+    # increasing weights make every increment negative, so there is no cut
+    # and all n are ranked at once; a spike at k = n keeps the cut positive,
+    # and the candidates are ranked before the bound fails at k = n
+    spike = np.zeros(n + 1)
+    spike[n] = 1000.0
+    for weights, ranked_sizes in ((5.0 * k, [n]), (spike, [175, n])):
+        spec = CustomLogWeightsPrior(weights)
+        sizes = ArgsortSizes(monkeypatch)
+        result = map_estimate(y, hyper, spec)
+        assert sizes == ranked_sizes
+        assert result.k_hat == n
+        assert_same_result(result, map_estimate(rank_sequence(y), hyper, spec))
+
+
+def test_raw_selection_sorts_only_candidates(monkeypatch):
+    n = 100_000
+    rng = np.random.default_rng(14)
+    y = np.where(rng.random(n) < 0.01, 5.0 * rng.standard_normal(n), 0.0) + rng.standard_normal(n)
+    hyper = HyperParams(1.0, 5.0)
+    sizes = ArgsortSizes(monkeypatch)
+    results = [
+        map_estimate(y, hyper, BinomialPrior(0.01)),
+        map_estimate(y, hyper, ReflectedPoissonPrior(0.05 * n)),
+        fixed_threshold_estimate(y, math.sqrt(2.0 * math.log(n))),
+    ]
+    assert len(sizes) == 3
+    assert max(sizes) < n // 10
+    # the objective is filled on first access by one full ranking, then kept
+    for result in results:
+        first = result.objective
+        assert sizes[-1] == n
+        assert result.objective is first
+        assert first[result.k_hat] == first.min()
+    assert len(sizes) == 6
+
+
+def test_results_pickle_with_their_objective():
+    y = np.random.default_rng(15).standard_normal(300) * 2.0
+    result = map_estimate(y, make_hyper(1.0, 9.0), TruncatedPoissonPrior(10.0))
+    copy = pickle.loads(pickle.dumps(result))
+    assert_same_result(copy, map_estimate(rank_sequence(y), make_hyper(1.0, 9.0), TruncatedPoissonPrior(10.0)))
 
 
 # ---------------------------------------------------------------------------
