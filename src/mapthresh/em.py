@@ -134,7 +134,8 @@ def _check_init(sigma0: float, tau0: float, xi0: float) -> None:
     usable = sigma0 > 0.0 and tau0 > 0.0 and v0 > 0.0 and v_slab > 0.0
     if not (usable and math.isfinite(v0 + v_slab) and math.isfinite(v_slab / v0)):
         raise DomainError(
-            f"init sigma and tau must be positive with finite, nonzero squares, got {sigma0!r}, {tau0!r}"
+            "init sigma and tau must be positive with finite, nonzero squares,"
+            f" got {sigma0!r}, {tau0!r}"
         )
     if not 0.0 < xi0 < 1.0:
         raise DomainError(f"init xi must lie in (0, 1), got {xi0!r}")
@@ -153,7 +154,8 @@ def init_heuristic(y) -> tuple[float, float, float]:
         raise DomainError(f"need at least 2 observations, got {n}")
     _check_magnitudes(y)
     sigma0 = mad_sigma(y)
-    xi0 = min(max(1.0 / n, float(np.mean(np.abs(y) > universal_threshold(n, sigma0)))), 1.0 - 1.0 / n)
+    exceed = float(np.mean(np.abs(y) > universal_threshold(n, sigma0)))
+    xi0 = min(max(1.0 / n, exceed), 1.0 - 1.0 / n)
     tau0_sq = max(float(np.mean(y**2)) - sigma0**2, sigma0**2) / xi0
     tau0_sq = max(tau0_sq, 1e-4 * sigma0**2)
     return sigma0, math.sqrt(tau0_sq), xi0

@@ -286,7 +286,9 @@ def _certifies(inc: np.ndarray, k: int, rest: float, cut: float) -> bool:
     bound[:m] -= cut
     # bound[j - 1] = P[k + j] - P[k] - min(j, m) cut
     np.cumsum(bound, out=bound)
-    return bool(bound[:m].min(initial=0.0) >= 0.0 and bound[m:].min(initial=math.inf) >= rest - m * cut)
+    return bool(
+        bound[:m].min(initial=0.0) >= 0.0 and bound[m:].min(initial=math.inf) >= rest - m * cut
+    )
 
 
 def bayes_factor(y_i: float, hyper: HyperParams) -> float:

@@ -430,9 +430,9 @@ def test_raw_selection_sorts_only_candidates(monkeypatch):
 
 def test_results_pickle_with_their_objective():
     y = np.random.default_rng(15).standard_normal(300) * 2.0
-    result = map_estimate(y, make_hyper(1.0, 9.0), TruncatedPoissonPrior(10.0))
-    copy = pickle.loads(pickle.dumps(result))
-    assert_same_result(copy, map_estimate(rank_sequence(y), make_hyper(1.0, 9.0), TruncatedPoissonPrior(10.0)))
+    hyper, spec = make_hyper(1.0, 9.0), TruncatedPoissonPrior(10.0)
+    copy = pickle.loads(pickle.dumps(map_estimate(y, hyper, spec)))
+    assert_same_result(copy, map_estimate(rank_sequence(y), hyper, spec))
 
 
 # ---------------------------------------------------------------------------
