@@ -19,9 +19,7 @@ from .estimator import (
     EstimateResult,
     GaussianSequence,
     RankedSequence,
-    _keep_largest,
-    _objective_later,
-    _rank,
+    _keep_flagged,
     _scan_largest,
     _values,
 )
@@ -137,28 +135,13 @@ def fixed_threshold_estimate(
     """Keep y_i whenever |y_i| >= lam (boundary kept).
 
     Only the kept coordinates are ranked, unless ``y`` is a
-    ``RankedSequence``, whose ranking is then reused.  The objective
-    records tail-sum-of-squares plus k * lam^2 for each size, computed on
-    first access; at boundary ties its minimum is still attained at the
-    returned size.
+    ``RankedSequence``, whose ranking is then reused.  The kept size
+    minimizes the tail sum of squares plus k * lam^2; at boundary ties it
+    is the larger of the tied sizes.
     """
     lam = rule.lam if isinstance(rule, FixedThreshold) else FixedThreshold(float(rule)).lam
     values = _values(y)
-    n = values.size
-    if isinstance(y, RankedSequence):
-        order = y.order
-        k_hat = int(np.count_nonzero(np.abs(values) >= lam))
-    else:
-        order = _rank(values, np.flatnonzero(np.abs(values) >= lam))
-        k_hat = order.size
-
-    def penalty() -> np.ndarray:
-        # size-0 entry set directly so lam = +inf cannot produce inf * 0 = nan
-        penalty = np.zeros(n + 1)
-        penalty[1:] = lam**2 * np.arange(1, n + 1, dtype=float)
-        return penalty
-
-    return _keep_largest(values, order, k_hat, _objective_later(y, penalty))
+    return _keep_flagged(y, values, np.abs(values) >= lam)
 
 
 def variable_threshold_estimate(
@@ -173,17 +156,13 @@ def variable_threshold_estimate(
     ``y`` may be a ``RankedSequence``, whose ranking is then reused.
     """
     lams = rule.lams if isinstance(rule, VariableThreshold) else VariableThreshold(np.asarray(rule)).lams
-    n = _values(y).size
-    if lams.size != n:
-        raise DomainError(f"lams must have length n = {n}, got {lams.size}")
-
-    def increments() -> np.ndarray:
-        inc = np.empty(n + 1)
-        inc[0] = 0.0
-        np.square(lams, out=inc[1:])
-        return inc
-
-    return _scan_largest(y, increments)
+    values = _values(y)
+    if lams.size != values.size:
+        raise DomainError(f"lams must have length n = {values.size}, got {lams.size}")
+    inc = np.empty(values.size + 1)
+    inc[0] = 0.0
+    np.square(lams, out=inc[1:])
+    return _scan_largest(y, values, inc)
 
 
 def mad_sigma(y) -> float:

@@ -43,19 +43,28 @@ from .risk import ExperimentConfig, monte_carlo_amse
 MAP_PRIOR_KINDS = ("binomial", "poisson", "rpoisson", "custom")
 RULE_KINDS = ("universal", "fixed", "fdr", "foster-stine")
 
+# JSON type of each config key; (list, t) is a list of t
 _CONFIG_REQUIRED = {
     "n": int,
-    "sigma": (int, float),
-    "xi_grid": list,
-    "tau_grid": list,
+    "sigma": float,
+    "xi_grid": (list, float),
+    "tau_grid": (list, float),
     "replications": int,
-    "methods": list,
+    "methods": (list, str),
     "use_em": bool,
 }
 _CONFIG_OPTIONAL = {
     "master_seed": int,
     "universal_scale": str,
     "jobs": int,
+}
+_TYPE_NAMES = {
+    int: "an integer",
+    float: "a number",
+    bool: "true or false",
+    str: "a string",
+    (list, float): "a list of numbers",
+    (list, str): "a list of strings",
 }
 
 
@@ -259,6 +268,16 @@ def cmd_check_prior(args) -> int:
     return 0
 
 
+def _has_type(value, declared) -> bool:
+    """Whether a JSON value has its declared type: bool is neither int nor
+    float, and an int is also a float."""
+    if isinstance(declared, tuple):
+        return isinstance(value, list) and all(_has_type(v, declared[1]) for v in value)
+    if isinstance(value, bool):
+        return declared is bool
+    return isinstance(value, (int, float) if declared is float else declared)
+
+
 def _load_config(path: str, seed: int | None) -> ExperimentConfig:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -276,9 +295,12 @@ def _load_config(path: str, seed: int | None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         _fail("config must be a JSON object")
 
-    for key in raw:
-        if key not in _CONFIG_REQUIRED and key not in _CONFIG_OPTIONAL:
+    for key, value in raw.items():
+        declared = _CONFIG_REQUIRED.get(key, _CONFIG_OPTIONAL.get(key))
+        if declared is None:
             _fail(f"unknown config key {key!r}")
+        if not _has_type(value, declared):
+            _fail(f"config key {key!r} must be {_TYPE_NAMES[declared]}, got {json.dumps(value)}")
     for key in _CONFIG_REQUIRED:
         if key not in raw:
             _fail(f"missing config key {key!r}")
@@ -286,21 +308,7 @@ def _load_config(path: str, seed: int | None) -> ExperimentConfig:
         _fail("missing config key 'master_seed' (or pass --seed)")
     if seed is not None:
         raw["master_seed"] = seed
-    try:
-        return ExperimentConfig(
-            n=raw["n"],
-            sigma=raw["sigma"],
-            xi_grid=tuple(raw["xi_grid"]),
-            tau_grid=tuple(raw["tau_grid"]),
-            replications=raw["replications"],
-            methods=tuple(raw["methods"]),
-            use_em=bool(raw["use_em"]),
-            master_seed=raw["master_seed"],
-            universal_scale=raw.get("universal_scale", "mad_raw"),
-            jobs=raw.get("jobs", 1),
-        )
-    except TypeError as exc:
-        _fail(f"malformed config: {exc}")
+    return ExperimentConfig(**raw)
 
 
 def cmd_simulate(args) -> int:

@@ -46,20 +46,23 @@ starts its tail sums from S.  The cut is t = min(inc[1 .. ceil(n/2)]).
 When t <= 0, or the bound fails (as it does for a custom prior that
 favors large sizes), t = -inf: every observation is a candidate, which
 is the full ranking and scan.  A ``RankedSequence`` already carries the
-full order and is always scanned over all sizes.  Under the binomial
-prior the increments inc[1..n] are one constant c, so the steps
-c - y_(k)^2 change sign once and the rule is the fixed threshold
-y_i^2 > c, with no scan at all.  ``EstimateResult.objective`` needs every
-size; results built from candidates compute it, by one full ranking and
-scan, on first access.
+full order and is scanned over all sizes.
+
+Under the binomial prior the increments inc[1..n] are one constant c, so
+the steps c - y_(k)^2 change sign once and the rule is the fixed
+threshold y_i^2 > c, with no scan at all; a square equal to c ties and
+is dropped.  It shares one step with the fixed rule |y_i| >= lam of
+``baselines``: the kept set is closed upward in |y|, so from raw data
+only its members are ranked, and on a ranked view it is a prefix of the
+order.  Results carry only the estimate; the criterion at every size is
+
+    select_k(rank_sequence(y).sorted_sq, np.cumsum(penalty_increments(spec, n, hyper))).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaincc, gammaln
@@ -147,25 +150,16 @@ class Configuration:
 class EstimateResult:
     """Selected size, realized threshold, kept indices and estimate.
 
-    ``objective`` (length n+1) is the criterion at every size.
-    ``objective_source`` is that array, or a function that computes it;
-    the function runs on the first access of ``objective`` (or when the
-    result is pickled) and its result is kept.
+    ``kept`` lists the kept indices by decreasing magnitude and
+    ``threshold`` is the smallest kept magnitude, +inf when nothing is
+    kept.  The criterion behind a MAP result comes from ``select_k``
+    (module docstring).
     """
 
     k_hat: int
     threshold: float
     kept: np.ndarray
     mu_hat: np.ndarray
-    objective_source: np.ndarray | Callable[[], np.ndarray] = field(repr=False)
-
-    @cached_property
-    def objective(self) -> np.ndarray:
-        source = self.objective_source
-        return source() if callable(source) else source
-
-    def __reduce__(self):
-        return type(self), (self.k_hat, self.threshold, self.kept, self.mu_hat, self.objective)
 
 
 @dataclass(frozen=True)
@@ -224,56 +218,50 @@ def _rank_above(y: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray, floa
     return order, sorted_sq, float(sq.sum())
 
 
-def _keep_largest(
-    y: np.ndarray, order: np.ndarray, k_hat: int, objective: np.ndarray | Callable[[], np.ndarray]
-) -> EstimateResult:
-    """Estimate keeping y[order[:k_hat]] as they are.
-
-    The realized threshold is the smallest kept magnitude, +inf when
-    nothing is kept.
-    """
+def _keep_largest(y: np.ndarray, order: np.ndarray, k_hat: int) -> EstimateResult:
+    """Estimate keeping y[order[:k_hat]] as they are."""
     kept = order[:k_hat].copy()
     mu_hat = np.zeros(y.size)
     mu_hat[kept] = y[kept]
     threshold = float(np.abs(y[kept[-1]])) if k_hat > 0 else math.inf
-    return EstimateResult(
-        k_hat=k_hat, threshold=threshold, kept=kept, mu_hat=mu_hat, objective_source=objective
-    )
+    return EstimateResult(k_hat=k_hat, threshold=threshold, kept=kept, mu_hat=mu_hat)
 
 
-def _objective_later(
-    data: RankedSequence | np.ndarray, penalty: Callable[[], np.ndarray]
-) -> Callable[[], np.ndarray]:
-    """A function giving the full criterion of ``data`` under ``penalty()``."""
-    return lambda: penalized_scan(rank_sequence(data).sorted_sq, penalty())[1]
+def _keep_flagged(
+    data: RankedSequence | GaussianSequence | np.ndarray, y: np.ndarray, flagged: np.ndarray
+) -> EstimateResult:
+    """Keep the observations of ``y`` that ``flagged`` marks.
+
+    The flagged set must be closed upward in |y|, so it is the head of the
+    stable order: a ranked view ``data`` is sliced, and from raw data only
+    the flagged entries are ranked.  ``y`` holds the validated
+    observations of ``data``.
+    """
+    if isinstance(data, RankedSequence):
+        return _keep_largest(y, data.order, int(np.count_nonzero(flagged)))
+    order = _rank(y, np.flatnonzero(flagged))
+    return _keep_largest(y, order, order.size)
 
 
 def _scan_largest(
-    data: RankedSequence | GaussianSequence | np.ndarray, increments: Callable[[], np.ndarray]
+    data: RankedSequence | GaussianSequence | np.ndarray, y: np.ndarray, inc: np.ndarray
 ) -> EstimateResult:
     """Keep the k largest magnitudes, for the k that minimizes the tail sum
-    of squares plus the penalty cumsum(increments()); ties go to the
-    smaller size.
+    of squares plus the penalty cumsum(inc); ties go to the smaller size.
 
-    A ``RankedSequence`` is scanned over all n+1 sizes.  Raw data are
-    ranked only above the certified cut of the module docstring, and the
-    result's ``objective`` is then computed on first access.
+    A ranked view ``data`` is scanned over all n+1 sizes; raw data are
+    ranked only above the certified cut of the module docstring.  ``y``
+    holds the validated observations of ``data``.
     """
-    inc = increments()
     if isinstance(data, RankedSequence):
-        y, order, sorted_sq, rest = data.y, data.order, data.sorted_sq, 0.0
+        order, sorted_sq, rest = data.order, data.sorted_sq, 0.0
     else:
-        y = _values(data)
         cut = float(inc[1 : (y.size + 1) // 2 + 1].min())
         order, sorted_sq, rest = _rank_above(y, cut if cut > 0.0 else -math.inf)
         if order.size < y.size and not _certifies(inc, order.size, rest, cut):
             order, sorted_sq, rest = _rank_above(y, -math.inf)
-    k = order.size
-    penalty = np.cumsum(inc, out=inc)
-    k_hat, objective = penalized_scan(sorted_sq, penalty[: k + 1], rest)
-    if k < y.size:
-        objective = _objective_later(y, lambda: np.cumsum(increments()))
-    return _keep_largest(y, order, k_hat, objective)
+    k_hat, _ = penalized_scan(sorted_sq, np.cumsum(inc[: order.size + 1]), rest)
+    return _keep_largest(y, order, k_hat)
 
 
 def _certifies(inc: np.ndarray, k: int, rest: float, cut: float) -> bool:
@@ -396,25 +384,19 @@ def map_estimate(
     """MAP support estimate and hard-threshold fit for one sequence.
 
     The k_hat largest coordinates, in the stable order of magnitude (ties
-    keep input order), are kept as-is.  A ``RankedSequence`` is scanned
-    over all sizes; from raw data only the candidates are ranked, and the
-    binomial prior keeps exactly y_i^2 > inc[1] (module docstring).  The
-    realized threshold is the smallest kept magnitude, +inf when nothing
-    is kept.
+    keep input order), are kept as-is.  The binomial prior keeps exactly
+    y_i^2 > inc[1]; the other priors are scanned, a ``RankedSequence``
+    over all sizes and raw data over the candidates only (module
+    docstring).  The realized threshold is the smallest kept magnitude,
+    +inf when nothing is kept.
     """
     y = _values(data)
     n = _check_prior_size(spec, y.size)
-
-    def increments() -> np.ndarray:
-        return _increments(spec, n, hyper)
-
-    if isinstance(spec, BinomialPrior) and not isinstance(data, RankedSequence):
+    if isinstance(spec, BinomialPrior):
         rate, half_log_1pg = _rate(hyper)
         # + 0.0 as in the increments, so the cut is inc[1] to the bit
-        order, _, _ = _rank_above(y, rate * _binomial_step(spec.xi, half_log_1pg) + 0.0)
-        objective = _objective_later(y, lambda: np.cumsum(increments()))
-        return _keep_largest(y, order, order.size, objective)
-    return _scan_largest(data, increments)
+        return _keep_flagged(data, y, y * y > rate * _binomial_step(spec.xi, half_log_1pg) + 0.0)
+    return _scan_largest(data, y, _increments(spec, n, hyper))
 
 
 def posterior_log_score(

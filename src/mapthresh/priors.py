@@ -333,13 +333,18 @@ def complexity_weights(table: PriorTable) -> tuple[np.ndarray, float]:
 def sample_mu(spec: PriorSpec, n: int, hyper: HyperParams, seed=None) -> np.ndarray:
     """Draw a mean vector: size k from the prior, support uniform given k,
     nonzero values N(0, tau^2)."""
-    table = build_prior_table(spec, n)
-    rng = np.random.default_rng(seed)
-    k = int(rng.choice(n + 1, p=table.pmf()))
+    pmf = build_prior_table(spec, n).pmf()
+    return _draw_mu(np.random.default_rng(seed), pmf, hyper.tau)
+
+
+def _draw_mu(rng: np.random.Generator, pmf: np.ndarray, tau: float) -> np.ndarray:
+    """One ``sample_mu`` draw from ``rng``, with size pmf over k = 0..n."""
+    n = pmf.size - 1
+    k = int(rng.choice(n + 1, p=pmf))
     mu = np.zeros(n)
     if k > 0:
         support = rng.choice(n, size=k, replace=False)
-        mu[support] = hyper.tau * rng.standard_normal(k)
+        mu[support] = tau * rng.standard_normal(k)
     return mu
 
 
@@ -369,17 +374,9 @@ def prior_ball_mass(
     """
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
-    table = build_prior_table(spec, n)
-    pmf = table.pmf()
+    pmf = build_prior_table(spec, n).pmf()
     rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(reps):
-        k = int(rng.choice(n + 1, p=pmf))
-        mu = np.zeros(n)
-        if k > 0:
-            support = rng.choice(n, size=k, replace=False)
-            mu[support] = hyper.tau * rng.standard_normal(k)
-        hits += ball_contains(ball, mu)
+    hits = sum(ball_contains(ball, _draw_mu(rng, pmf, hyper.tau)) for _ in range(reps))
     p_hat = hits / reps
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / reps)
     return p_hat, std_err

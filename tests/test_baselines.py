@@ -18,7 +18,9 @@ from mapthresh import (
     foster_stine_sequence,
     mad_sigma,
     normal_quantile,
+    rank_sequence,
     ric_threshold,
+    select_k,
     tk_sequence,
     universal_threshold,
     variable_threshold_estimate,
@@ -76,8 +78,9 @@ def test_variable_threshold_worked_example():
     y = np.array([3.0, 2.0, 0.1])  # squares 9, 4, 0.01
     lams = np.sqrt(np.array([5.0, 5.0, 5.0]))
     result = variable_threshold_estimate(y, lams)
-    assert np.allclose(result.objective, [13.01, 9.01, 10.01, 15.0], atol=1e-12)
-    assert result.k_hat == 1
+    k_hat, objective = select_k(rank_sequence(y).sorted_sq, np.cumsum(np.r_[0.0, lams**2]))
+    assert np.allclose(objective, [13.01, 9.01, 10.01, 15.0], atol=1e-12)
+    assert result.k_hat == k_hat == 1
     assert np.array_equal(result.mu_hat, [3.0, 0.0, 0.0])
 
 
@@ -100,7 +103,9 @@ def test_variable_foster_stine_matches_quadratic_rescan():
     sq = np.sort(y**2)[::-1]
     slow = [sq[k:].sum() + (lams[:k] ** 2).sum() for k in range(101)]
     assert result.k_hat == int(np.argmin(slow))
-    assert np.allclose(result.objective, slow, rtol=1e-10, atol=1e-10)
+    k_hat, objective = select_k(sq, np.cumsum(np.r_[0.0, lams**2]))
+    assert k_hat == result.k_hat
+    assert np.allclose(objective, slow, rtol=1e-10, atol=1e-10)
 
 
 def test_variable_threshold_validation():

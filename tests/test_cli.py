@@ -398,6 +398,23 @@ def test_simulate_unknown_key_named(capsys, tmp_path):
     assert "replicatons" in err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("use_em", "false"),
+    ("replications", 2.0),
+    ("n", 1000.0),
+    ("sigma", True),
+    ("master_seed", True),
+    ("xi_grid", ["0.1"]),
+])
+def test_simulate_wrong_type_named(capsys, tmp_path, key, value):
+    cfg = write_config(tmp_path, {**TINY, key: value})
+    rc, out, err = run(capsys, "simulate", "--config", cfg)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: config key {key!r} must be ")
+    assert err.count("\n") == 1
+
+
 def test_simulate_invalid_json(capsys, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text("{not json")

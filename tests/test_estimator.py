@@ -244,7 +244,6 @@ def assert_same_result(a, b):
     assert a.threshold == b.threshold
     assert np.array_equal(a.kept, b.kept)
     assert np.array_equal(a.mu_hat, b.mu_hat)
-    assert np.array_equal(a.objective, b.objective)
 
 
 def test_ranked_view_gives_the_same_estimates():
@@ -367,10 +366,11 @@ def test_binomial_drops_a_square_equal_to_the_increment():
     assert y * y == c
     assert_candidates_match_full(np.array([y]), UNIT_HYPER, [BinomialPrior(0.1)])
     assert map_estimate(np.array([y]), UNIT_HYPER, BinomialPrior(0.1)).k_hat == 0
-    # at n = 3 the full scan's rounded tail sums break the tie the other
-    # way; the threshold rule is exact
-    result = map_estimate(np.array([-y, 0.5 * y, 2.0 * y]), UNIT_HYPER, BinomialPrior(0.1))
-    assert np.array_equal(result.kept, [2])
+    # at n = 3 a full scan's rounded tail sums break the tie the other way;
+    # the threshold rule is exact, from raw data and from a ranked view
+    y3 = np.array([-y, 0.5 * y, 2.0 * y])
+    for data in (y3, rank_sequence(y3)):
+        assert np.array_equal(map_estimate(data, UNIT_HYPER, BinomialPrior(0.1)).kept, [2])
 
 
 class ArgsortSizes(list):
@@ -412,23 +412,21 @@ def test_raw_selection_sorts_only_candidates(monkeypatch):
     y = np.where(rng.random(n) < 0.01, 5.0 * rng.standard_normal(n), 0.0) + rng.standard_normal(n)
     hyper = HyperParams(1.0, 5.0)
     sizes = ArgsortSizes(monkeypatch)
-    results = [
-        map_estimate(y, hyper, BinomialPrior(0.01)),
-        map_estimate(y, hyper, ReflectedPoissonPrior(0.05 * n)),
-        fixed_threshold_estimate(y, math.sqrt(2.0 * math.log(n))),
-    ]
+    specs = [BinomialPrior(0.01), ReflectedPoissonPrior(0.05 * n)]
+    lam = math.sqrt(2.0 * math.log(n))
+    results = [map_estimate(y, hyper, spec) for spec in specs]
+    results.append(fixed_threshold_estimate(y, lam))
     assert len(sizes) == 3
     assert max(sizes) < n // 10
-    # the objective is filled on first access by one full ranking, then kept
-    for result in results:
-        first = result.objective
-        assert sizes[-1] == n
-        assert result.objective is first
-        assert first[result.k_hat] == first.min()
-    assert len(sizes) == 6
+    penalties = [np.cumsum(penalty_increments(spec, n, hyper)) for spec in specs]
+    penalties.append(lam**2 * np.arange(n + 1.0))
+    sorted_sq = rank_sequence(y).sorted_sq
+    for result, penalty in zip(results, penalties):
+        _, objective = select_k(sorted_sq, penalty)
+        assert objective[result.k_hat] == objective.min()
 
 
-def test_results_pickle_with_their_objective():
+def test_results_pickle():
     y = np.random.default_rng(15).standard_normal(300) * 2.0
     hyper, spec = make_hyper(1.0, 9.0), TruncatedPoissonPrior(10.0)
     copy = pickle.loads(pickle.dumps(map_estimate(y, hyper, spec)))
@@ -468,8 +466,8 @@ def test_zero_vector_selects_nothing():
 def test_estimate_structure():
     rng = np.random.default_rng(5)
     y = rng.standard_normal(40) * 3
-    result = map_estimate(GaussianSequence(y, 1.0), make_hyper(1.0, 4.0),
-                          TruncatedPoissonPrior(3.0))
+    hyper, spec = make_hyper(1.0, 4.0), TruncatedPoissonPrior(3.0)
+    result = map_estimate(GaussianSequence(y, 1.0), hyper, spec)
     absy = np.abs(y)
     expected_kept = np.argsort(-absy, kind="stable")[: result.k_hat]
     assert np.array_equal(np.sort(result.kept), np.sort(expected_kept))
@@ -479,7 +477,9 @@ def test_estimate_structure():
     assert np.all(result.mu_hat[mask] == 0.0)
     assert result.threshold == absy[result.kept].min()
     assert np.all(absy[mask] <= result.threshold)
-    assert result.objective[result.k_hat] == result.objective.min()
+    penalty = np.cumsum(penalty_increments(spec, 40, hyper))
+    _, objective = select_k(rank_sequence(y).sorted_sq, penalty)
+    assert objective[result.k_hat] == objective.min()
 
 
 def test_array_and_wrapper_inputs_agree():
@@ -620,8 +620,13 @@ def test_brute_force_agrees_with_scan_smoke():
         spec = priors[trial % 3]
         if isinstance(spec, ReflectedPoissonPrior) and spec.lam >= n:
             spec = ReflectedPoissonPrior(n - 1.5)
-        est = map_estimate(y, hyper, spec)
-        config = brute_force_map(y, hyper, spec)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            est = map_estimate(y, hyper, spec)
+            config = brute_force_map(y, hyper, spec)
+        # a reflected prior with lam <= sqrt(n log n) warns in both calls
+        flat = isinstance(spec, ReflectedPoissonPrior) and spec.lam <= math.sqrt(n * math.log(n))
+        assert ["nearly flat" in str(w.message) for w in caught] == ([True, True] if flat else [])
         assert np.array_equal(np.sort(est.kept), np.flatnonzero(config.x))
         agreements += 1
     assert agreements == 60
