@@ -168,16 +168,58 @@ def variable_threshold_estimate(
 def mad_sigma(y) -> float:
     """Robust noise scale: median absolute deviation over 0.6745.
 
-    Raises if the deviations have zero median, since a zero scale breaks
-    every downstream user.
+    Both medians are exact order statistics from ``_median``: below
+    50,000 values a single partition, above it a partition of only the
+    values inside a bracket taken from a sample, or of every value when
+    the bracket misses.  Raises DegenerateDataError if the deviations have
+    zero median, since a zero scale breaks every downstream user, and
+    DomainError if the scale overflows.
     """
     y = GaussianSequence(y).y
     if y.size < 2:
         raise DomainError(f"need at least 2 observations, got {y.size}")
-    mad = float(np.median(np.abs(y - np.median(y))))
+    with np.errstate(over="ignore"):  # an infinite deviation only moves the median to +inf
+        deviations = y - _median(y)
+    mad = _median(np.abs(deviations, out=deviations))
     if mad == 0.0:
         raise DegenerateDataError("median absolute deviation is zero")
-    return mad / 0.6745
+    scale = mad / 0.6745
+    if not math.isfinite(scale):
+        raise DomainError("the robust scale overflows; rescale the data")
+    return scale
+
+
+def _median(a: np.ndarray) -> float:
+    """``np.median`` of a 1-D array without NaNs, to the bit wherever that is finite.
+
+    Arrays of fewer than 50,000 values are partitioned directly.  Larger
+    ones are first narrowed (Floyd & Rivest 1975): sort the sample
+    a[::n // ceil(n^(2/3))] and take the bracket [lo, hi] of the sample
+    values 3 sqrt(sample size) ranks either side of the middle rank.  When
+    the middle ranks of ``a`` fall among the values inside the bracket,
+    counted from the values below lo, only those values are partitioned;
+    otherwise all of ``a`` is.  For even n the result is the mean of the
+    two middle values, (lower + upper) / 2 as in ``np.median``, or
+    lower / 2 + upper / 2 where that sum overflows.
+    """
+    n = a.size
+    rank = n // 2  # the upper middle rank; the lower one is rank - 1 when n is even
+    if n >= 50_000:
+        sample = np.sort(a[:: n // math.ceil(n ** (2.0 / 3.0))])
+        centre, width = sample.size * rank // n, 3 * math.isqrt(sample.size)
+        lo = sample[max(centre - width, 0)]
+        hi = sample[min(centre + width, sample.size - 1)]
+        below = int(np.count_nonzero(a < lo))
+        inside = a[(a >= lo) & (a <= hi)]
+        if below <= rank - 1 + n % 2 and rank < below + inside.size:
+            a, rank = inside, rank - below
+    part = np.partition(a, rank)
+    upper = float(part[rank])
+    if n % 2:
+        return upper
+    lower = float(part[:rank].max())
+    middle = (lower + upper) / 2
+    return middle if math.isfinite(middle) else lower / 2 + upper / 2
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,7 @@ failures (including EM non-convergence) exit 1; success exits 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -400,9 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on first use and reused by later calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -38,10 +38,13 @@ drops k - K more squares, none above t and together at most S, so
 
 When that lower bound is >= 0 for every k > K, the argmin lies in
 [0, K] (ties still go to the smaller size), and only the K candidates
-need ranking: stable-sorting the indices with y_i^2 > t, taken in index
-order, by -|y| gives exactly the first K entries of the full stable
-order.  Sorting by -|y| rather than -y^2 matters, since two magnitudes
-one ulp apart can square to the same float.  The scan over [0, K] then
+need ranking: sorting the indices with y_i^2 > t, taken in index order,
+by -|y| gives exactly the first K entries of the full stable order.
+Every ranking sorts with NumPy's default (SIMD) sort, whose order is
+unique, and so stable, when no two keys tie; only when two sorted keys
+are equal does it sort again with the stable sort.  Sorting by -|y|
+rather than -y^2 matters, since two magnitudes one ulp apart can square
+to the same float.  The scan over [0, K] then
 starts its tail sums from S.  The cut is t = min(inc[1 .. ceil(n/2)]).
 When t <= 0, or the bound fails (as it does for a custom prior that
 favors large sizes), t = -inf: every observation is a candidate, which
@@ -194,9 +197,24 @@ def _values(data: RankedSequence | GaussianSequence | np.ndarray) -> np.ndarray:
     return data.y if isinstance(data, (GaussianSequence, RankedSequence)) else GaussianSequence(data).y
 
 
+def _argsort_stable(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, keys[order]) with order = np.argsort(keys, kind="stable").
+
+    NumPy's default (SIMD) sort ranks first.  Without ties the order is
+    unique, so it is the stable order; only when two sorted keys are equal
+    are the keys ranked again with the stable sort.
+    """
+    order = np.argsort(keys)
+    ranked = keys[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
+    return order, ranked
+
+
 def _rank(y: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """``indices`` (in increasing order) stable-sorted by decreasing |y|."""
-    return indices[np.argsort(-np.abs(y[indices]), kind="stable")]
+    return indices[_argsort_stable(-np.abs(y[indices]))[0]]
 
 
 def _rank_above(y: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray, float]:
@@ -208,8 +226,8 @@ def _rank_above(y: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray, floa
     every observation.
     """
     if cut == -math.inf:
-        order = np.argsort(-np.abs(y), kind="stable")
-        return order, np.abs(y[order]) ** 2, 0.0
+        order, ranked = _argsort_stable(-np.abs(y))
+        return order, ranked * ranked, 0.0
     sq = y * y
     candidates = np.flatnonzero(sq > cut)
     order = _rank(y, candidates)
@@ -331,21 +349,30 @@ def _increments(spec: PriorSpec, n: int, hyper: HyperParams) -> np.ndarray:
     rate, half_log_1pg = _rate(hyper)
     if isinstance(spec, CustomLogWeightsPrior):
         return _table_increments(build_prior_table(spec, n).log_pmf, rate, half_log_1pg)
-    inc = np.empty(n + 1)
-    i = np.arange(1, n + 1, dtype=float)
+    # inc[1:] starts as i = 1..n and is transformed in place
+    inc = np.arange(n + 1, dtype=float)
+    body = inc[1:]
     if isinstance(spec, BinomialPrior):
         inc[0] = -n * math.log1p(-spec.xi)
-        inc[1:] = _binomial_step(spec.xi, half_log_1pg)
+        body.fill(_binomial_step(spec.xi, half_log_1pg))
     elif isinstance(spec, TruncatedPoissonPrior):
         lam = spec.lam
         inc[0] = lam + math.log(gammaincc(n + 1, lam))
-        inc[1:] = np.log((n - i + 1.0) / lam) + half_log_1pg
+        np.subtract(n, body, out=body)
+        body += 1.0
+        body /= lam
+        np.log(body, out=body)
+        body += half_log_1pg
     else:  # ReflectedPoissonPrior
         m = n - spec.lam
         inc[0] = m + math.log(gammaincc(n + 1, m)) - n * math.log(m) + gammaln(n + 1.0)
-        inc[1:] = np.log(m / i) + half_log_1pg
+        np.divide(m, body, out=body)
+        np.log(body, out=body)
+        body += half_log_1pg
+    inc *= rate
     # + 0.0 drops the signed zero of the binomial inc[0] at n = 0
-    return rate * inc + 0.0
+    inc += 0.0
+    return inc
 
 
 def penalty_table(table: PriorTable, hyper: HyperParams) -> PenaltyTable:

@@ -1,6 +1,7 @@
 """Threshold rules, the robust scale estimate, and the normal quantile."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from mapthresh import (
     universal_threshold,
     variable_threshold_estimate,
 )
+from mapthresh import baselines
 
 # ---------------------------------------------------------------------------
 # fixed cutoffs
@@ -186,6 +188,105 @@ def test_mad_sigma_degenerate():
     with pytest.raises(DegenerateDataError):
         # more than half the entries at the median still gives MAD = 0
         mad_sigma(np.array([5.0, 5.0, 5.0, 5.0, 1.0, 9.0]))
+
+
+def test_mad_sigma_even_midpoint_does_not_overflow():
+    y = np.array([1.7e308, 1.6e308, 1.5e308, 1.4e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scale = mad_sigma(y)
+    assert math.isfinite(scale)
+    assert scale == pytest.approx(1e308 * mad_sigma(y / 1e308), rel=1e-12)
+
+
+def test_mad_sigma_overflowing_scale_is_a_domain_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            mad_sigma(np.array([1.7e308, -1.7e308, 1.6e308, -1.6e308, 0.0]))
+
+
+def test_mad_sigma_overflowing_deviation_does_not_warn():
+    # the deviation of -1.7e308 from the median 1e308 overflows, but the
+    # median deviation is 1.7e308 - 1e308
+    y = np.array([-1.7e308, -1.7e308, 1e308, 1.7e308, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mad_sigma(y) == (1.7e308 - 1e308) / 0.6745
+
+
+class PartitionSizes(list):
+    """Records the length of every array np.partition is called on."""
+
+    def __init__(self, monkeypatch):
+        super().__init__()
+        partition = np.partition
+
+        def recording(a, *args, **kwargs):
+            self.append(np.asarray(a).size)
+            return partition(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "partition", recording)
+
+
+def median_inputs(n):
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(n)
+    zeros = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    zeros[rng.random(n) < 0.2] = rng.standard_normal()
+    return {
+        "random": values,
+        "tied": np.round(values * 2.0),
+        "signed zeros": zeros,
+        "sorted": np.sort(values),
+        "reverse sorted": np.sort(values)[::-1],
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 11, 1000, 1001, 49_999, 50_000, 50_001, 100_000, 100_001])
+def test_median_helper_equals_np_median(n):
+    for name, a in median_inputs(n).items():
+        assert baselines._median(a) == np.median(a), name
+
+
+def misleading_inputs(n):
+    """Inputs whose strided sample (``_median`` docstring) is all one value."""
+    step = n // math.ceil(n ** (2.0 / 3.0))
+    rng = np.random.default_rng(19)
+    # every sampled value is the smallest, so the bracket holds the
+    # sampled positions alone and misses the middle ranks
+    smallest = rng.random(n) + 1.0
+    smallest[::step] = 0.0
+    # exactly n/2 values lie below the sampled ones: the bracket holds the
+    # upper middle rank but not the lower one
+    halves = np.empty(n)
+    others = np.ones(n, dtype=bool)
+    others[::step] = False
+    halves[::step] = 1.0
+    below = np.flatnonzero(others)[: n // 2]
+    halves[others] = 2.0 + rng.random(others.sum())
+    halves[below] = rng.random(below.size)
+    return {"smallest": smallest, "halves": halves}
+
+
+@pytest.mark.parametrize("name", ["smallest", "halves"])
+def test_median_helper_falls_back_when_the_sample_misleads(monkeypatch, name):
+    n = 100_000
+    a = misleading_inputs(n)[name]
+    expected = np.median(a)
+    sizes = PartitionSizes(monkeypatch)
+    assert baselines._median(a) == expected
+    assert sizes == [n]
+
+
+def test_mad_sigma_partitions_only_a_bracket(monkeypatch):
+    n = 100_000
+    y = np.random.default_rng(20).standard_normal(n)
+    sizes = PartitionSizes(monkeypatch)
+    mad_sigma(y)
+    # 3 sqrt(2155) = 138 sample ranks either side of the middle: about 13% of n
+    assert len(sizes) == 2
+    assert max(sizes) < n // 5
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mapthresh
 from mapthresh import (
     BinomialPrior,
     HyperParams,
@@ -464,3 +469,33 @@ def test_em_fit_rejects_short_input(capsys, tmp_path):
     rc, _, err = run(capsys, "em-fit", "--input", path)
     assert rc == 2
     assert err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# one process, several calls
+
+
+def exit_code_and_stdout(capsys, argv):
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    return rc, capsys.readouterr().out
+
+
+def test_calls_in_one_process_match_calls_alone(capsys, tmp_path, noisy_input):
+    _, path = noisy_input
+    calls = [
+        ["estimate", "--prior", "universal"],  # argparse: --input is missing
+        ["estimate", "--input", path, "--prior", "binomial:xi=0.1"],  # no scales
+        ["estimate", "--input", path, "--prior", "poisson:lambda=6", "--sigma", "1", "--tau", "4"],
+        ["simulate", "--config", write_config(tmp_path, TINY), "--out", "-"],
+        ["estimate", "--prior", "universal"],
+    ]
+    together = [exit_code_and_stdout(capsys, argv) for argv in calls]
+    env = dict(os.environ, PYTHONPATH=str(Path(mapthresh.__file__).parents[1]))
+    for argv, (rc, out) in zip(calls, together):
+        alone = subprocess.run([sys.executable, "-m", "mapthresh.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (rc, out) == (alone.returncode, alone.stdout), argv
+    assert [rc for rc, _ in together] == [2, 2, 0, 0, 2]

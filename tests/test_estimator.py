@@ -433,6 +433,42 @@ def test_results_pickle():
     assert_same_result(copy, map_estimate(rank_sequence(y), hyper, spec))
 
 
+class ArgsortKinds(list):
+    """Records the ``kind`` of every np.argsort call (None for the default)."""
+
+    def __init__(self, monkeypatch):
+        super().__init__()
+        argsort = np.argsort
+
+        def recording(a, *args, **kwargs):
+            self.append(kwargs.get("kind"))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", recording)
+
+
+RANKING_KEYS = {
+    "distinct": -np.abs(np.random.default_rng(16).standard_normal(1000)),
+    "distinct, long": -np.abs(np.random.default_rng(18).standard_normal(100_000)),
+    "tied magnitudes": -np.abs(np.round(np.random.default_rng(17).standard_normal(1000) * 4.0)),
+    "signed zeros": np.array([0.0, -0.0, -1.0, 0.0, -0.0, -2.0, -0.0]),
+    "one": np.array([-3.0]),
+    "none": np.array([]),
+}
+
+
+@pytest.mark.parametrize("name", RANKING_KEYS)
+def test_ranking_helper_is_the_stable_argsort(monkeypatch, name):
+    keys = RANKING_KEYS[name]
+    expected = np.argsort(keys, kind="stable")
+    kinds = ArgsortKinds(monkeypatch)
+    order, ranked = estimator._argsort_stable(keys)
+    assert np.array_equal(order, expected)
+    assert ranked.tobytes() == keys[expected].tobytes()
+    ties = name in ("tied magnitudes", "signed zeros")
+    assert kinds == ([None, "stable"] if ties else [None])
+
+
 # ---------------------------------------------------------------------------
 # map_estimate
 
