@@ -353,7 +353,9 @@ def cmd_em_fit(args) -> int:
 # Entry point
 # --------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="mapthresh",
         description="Hard thresholding for sparse normal means via MAP model-size selection.",
@@ -401,14 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of ``main``, built on first use and reused by later calls."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

@@ -41,15 +41,16 @@ When that lower bound is >= 0 for every k > K, the argmin lies in
 need ranking: sorting the indices with y_i^2 > t, taken in index order,
 by -|y| gives exactly the first K entries of the full stable order.
 Every ranking sorts with NumPy's default (SIMD) sort, whose order is
-unique, and so stable, when no two keys tie; only when two sorted keys
-are equal does it sort again with the stable sort.  Sorting by -|y|
-rather than -y^2 matters, since two magnitudes one ulp apart can square
-to the same float.  The scan over [0, K] then
-starts its tail sums from S.  The cut is t = min(inc[1 .. ceil(n/2)]).
-When t <= 0, or the bound fails (as it does for a custom prior that
-favors large sizes), t = -inf: every observation is a candidate, which
-is the full ranking and scan.  A ``RankedSequence`` already carries the
-full order and is scanned over all sizes.
+unique, and so stable, when no two keys tie; when two sorted keys are
+equal, a second default sort puts the indices of every run of equal keys
+in increasing order.  Sorting by -|y| rather than -y^2 matters, since
+two magnitudes one ulp apart can square to the same float.  The scan
+over [0, K] then starts its tail sums from S.  The cut is
+t = min(inc[1 .. ceil(n/2)]).  When t <= 0, or the bound fails (as it
+does for a custom prior that favors large sizes), t = -inf: every
+observation is a candidate, which is the full ranking and scan.  A
+``RankedSequence`` already carries the full order and is scanned over
+all sizes.
 
 Under the binomial prior the increments inc[1..n] are one constant c, so
 the steps c - y_(k)^2 change sign once and the rule is the fixed
@@ -200,14 +201,20 @@ def _values(data: RankedSequence | GaussianSequence | np.ndarray) -> np.ndarray:
 def _argsort_stable(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, keys[order]) with order = np.argsort(keys, kind="stable").
 
-    NumPy's default (SIMD) sort ranks first.  Without ties the order is
-    unique, so it is the stable order; only when two sorted keys are equal
-    are the keys ranked again with the stable sort.
+    NumPy's default (SIMD) sort ranks first.  Its order can differ from
+    the stable one only within runs of equal keys, whose indices the
+    stable order takes in increasing order.  When two sorted keys are
+    equal, one more default sort of run * n + index, with the runs
+    numbered in sorted order, puts every run's indices in that order.
     """
     order = np.argsort(keys)
     ranked = keys[order]
-    if np.any(ranked[1:] == ranked[:-1]):
-        order = np.argsort(keys, kind="stable")
+    same = ranked[1:] == ranked[:-1]
+    if same.any():
+        run = np.zeros(keys.size, dtype=np.int64)
+        np.cumsum(~same, out=run[1:])
+        run *= keys.size
+        order = np.sort(order + run) - run
         ranked = keys[order]
     return order, ranked
 

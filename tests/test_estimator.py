@@ -447,11 +447,21 @@ class ArgsortKinds(list):
         monkeypatch.setattr(np, "argsort", recording)
 
 
+def one_tie(n):
+    keys = -np.abs(np.random.default_rng(21).standard_normal(n))
+    keys[7] = keys[n // 2]
+    return keys
+
+
 RANKING_KEYS = {
     "distinct": -np.abs(np.random.default_rng(16).standard_normal(1000)),
     "distinct, long": -np.abs(np.random.default_rng(18).standard_normal(100_000)),
     "tied magnitudes": -np.abs(np.round(np.random.default_rng(17).standard_normal(1000) * 4.0)),
+    "tied magnitudes, long": -np.abs(np.round(np.random.default_rng(19).standard_normal(100_000), 2)),
+    "one tie": one_tie(1000),
+    "all equal": np.full(1000, -2.5),
     "signed zeros": np.array([0.0, -0.0, -1.0, 0.0, -0.0, -2.0, -0.0]),
+    "two, tied": np.array([-0.0, 0.0]),
     "one": np.array([-3.0]),
     "none": np.array([]),
 }
@@ -465,8 +475,7 @@ def test_ranking_helper_is_the_stable_argsort(monkeypatch, name):
     order, ranked = estimator._argsort_stable(keys)
     assert np.array_equal(order, expected)
     assert ranked.tobytes() == keys[expected].tobytes()
-    ties = name in ("tied magnitudes", "signed zeros")
-    assert kinds == ([None, "stable"] if ties else [None])
+    assert kinds == [None]
 
 
 # ---------------------------------------------------------------------------
