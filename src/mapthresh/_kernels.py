@@ -1,20 +1,24 @@
-"""NumPy implementations of the hot kernels.
+"""Hot-loop kernels: the penalized size scan and the EM iteration.
 
 ``penalized_scan`` is a reversed cumulative sum and one ``argmin``.
 ``em_loop`` makes one fused pass over the data per EM iteration: every
 E-step quantity comes from a single vector of per-observation odds, held
-in buffers allocated once per fit.
+in buffers allocated once per fit.  It keeps the mixture weight in
+[1/n, 1 - 1/n] and the variance ratio at or above ``TAU_SQ_FLOOR``.
 """
 
 import math
 
 import numpy as np
 
-from ..errors import DegenerateDataError
+from .errors import DegenerateDataError
 
-__all__ = ["penalized_scan", "em_loop"]
+__all__ = ["TAU_SQ_FLOOR", "penalized_scan", "slab_floor", "weight_floor", "em_loop"]
 
-_LOG_2PI = float(np.log(2.0 * np.pi))
+# Absolute floor on the variance ratio gamma = tau^2 / sigma^2.
+TAU_SQ_FLOOR = 1e-8
+
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 def penalized_scan(sorted_sq, penalty, rest=0.0):
@@ -28,7 +32,6 @@ def penalized_scan(sorted_sq, penalty, rest=0.0):
     square up.  Every candidate is scanned (penalty increments may be
     negative, so no early exit), and exact ties go to the smaller size.
     """
-    sorted_sq = np.asarray(sorted_sq, dtype=np.float64)
     n = sorted_sq.shape[0]
     objective = np.empty(n + 1)
     objective[:n] = sorted_sq
@@ -64,20 +67,22 @@ def weight_floor(gamma):
     return e / (1.0 + e)
 
 
-def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter, xi_lo, xi_hi, tau_floor):
+def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
     """EM iterations for the two-component scale mixture of centered normals.
 
-    ``y_sq`` are squared observations.  Each pass computes responsibilities
-    for the wide component and the log-likelihood at the current
-    parameters, then updates the parameters under the constraint
-    gamma - log(1 + gamma) >= 2 log((1 - xi) / xi), gamma = tau_sq /
-    sigma_sq, with gamma also at least ``tau_floor``:
+    ``y_sq`` are the n squared observations, a float64 array.  The weight
+    stays in [1/n, 1 - 1/n]: the starting ``xi`` is clamped to it, and so
+    is every update.  Each pass computes responsibilities for the wide
+    component and the log-likelihood at the current parameters, then
+    updates the parameters under the constraint gamma - log(1 + gamma) >=
+    2 log((1 - xi) / xi), gamma = tau_sq / sigma_sq, with gamma also at
+    least ``TAU_SQ_FLOOR``:
 
     * the variances take their closed-form update, or, when that breaks
       the bound on gamma at the current ``xi``, the constrained maximizer
-      with gamma = max(tau_floor, slab_floor(xi));
+      with gamma = max(TAU_SQ_FLOOR, slab_floor(xi));
     * ``xi`` takes its closed-form update, raised to ``weight_floor`` of
-      the new gamma and clamped to [xi_lo, xi_hi].
+      the new gamma and clamped to [1/n, 1 - 1/n].
 
     The E-step is fused around the noise log-odds of each observation,
     with v0 = sigma_sq, v1 = sigma_sq + tau_sq:
@@ -89,7 +94,7 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter, xi_lo, xi_hi, tau_floor):
     closed form, plus sum(log1p(e)); the wide responsibility is
     r = 1/(1 + e) and the noise one c = e r.  Both variance sums are taken
     directly (c y^2, not sum(y^2) - r y^2), so one huge observation cannot
-    cancel the noise sum to zero.  ``e`` cannot overflow: xi_lo = 1/n keeps
+    cancel the noise sum to zero.  ``e`` cannot overflow: xi >= 1/n keeps
     log((1 - xi)/xi) <= log(n - 1), and log(1 + gamma)/2 < 355 for any
     finite gamma, so d < 710.  When every noise responsibility underflows
     to 0 (no observation looks like noise), the noise variance is
@@ -101,8 +106,9 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter, xi_lo, xi_hi, tau_floor):
     once the relative log-likelihood change drops below ``tol``.  Returns
     (sigma_sq, tau_sq, xi, trace, iterations, converged).
     """
-    y_sq = np.ascontiguousarray(y_sq, dtype=np.float64)
     n = y_sq.shape[0]
+    xi_lo, xi_hi = 1.0 / n, 1.0 - 1.0 / n
+    xi = min(max(xi, xi_lo), xi_hi)
     y_total = float(y_sq.sum())
     e = np.empty(n)
     w = np.empty(n)
@@ -141,8 +147,8 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter, xi_lo, xi_hi, tau_floor):
         sigma_sq = c_y / c_sum
         tau_sq = r_y / r_sum - sigma_sq
         gamma = tau_sq / sigma_sq
-        if gamma < tau_floor or gamma - math.log1p(gamma) < 2.0 * log_odds:
-            gamma = max(tau_floor, slab_floor(xi))
+        if gamma < TAU_SQ_FLOOR or gamma - math.log1p(gamma) < 2.0 * log_odds:
+            gamma = max(TAU_SQ_FLOOR, slab_floor(xi))
             sigma_sq = (c_y + r_y / (1.0 + gamma)) / n
             tau_sq = gamma * sigma_sq
         xi = min(max(r_sum / n, xi_lo, weight_floor(gamma)), xi_hi)

@@ -407,18 +407,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
+    except (NumericError, OverflowError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MapThreshError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OverflowError, FloatingPointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """Hyperparameter fitting for the marginal two-normal scale mixture.
 
 Marginally y_i ~ (1 - xi) N(0, sigma^2) + xi N(0, sigma^2 + tau^2); EM
-alternates responsibilities with closed-form variance and weight updates.
-The mixture weight stays inside [1/n, 1 - 1/n].
+alternates responsibilities with closed-form variance and weight updates
+in ``_kernels.em_loop``, which keeps the mixture weight inside
+[1/n, 1 - 1/n].
 
 The fit is constrained so that the slab stays identifiable as signal.
 Unconstrained, the likelihood has a ridge along which the slab narrows
@@ -33,8 +34,8 @@ without it.  Very sparse, weak slabs can break it at their generating
 parameters (xi = 0.005, tau = 3 sigma gives E_slab[log O] = -1.9); the
 fit then often sits on the bound, and since the MAP threshold is nearly
 flat in gamma at large gamma, the plug-in threshold stays close to the
-generating one.  The variance ratio also keeps the absolute floor
-gamma >= 1e-8.
+generating one.  ``em_loop`` also keeps the variance ratio at or
+above the absolute floor TAU_SQ_FLOOR = 1e-8.
 """
 
 from __future__ import annotations
@@ -45,15 +46,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import em_loop
+from ._kernels import _LOG_2PI, TAU_SQ_FLOOR, em_loop
 from .errors import DegenerateDataError, DomainError
 from .baselines import mad_sigma, universal_threshold
+from .estimator import GaussianSequence
 
 __all__ = ["EmEstimates", "marginal_loglik", "slab_log_odds", "init_heuristic", "em_fit"]
-
-TAU_SQ_FLOOR = 1e-8
-
-_LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -70,14 +68,22 @@ class EmEstimates:
 
 
 def marginal_loglik(y, sigma: float, tau: float, xi: float) -> float:
-    """Log-likelihood of the two-component marginal at the given parameters."""
-    y = np.asarray(y, dtype=float)
+    """Log-likelihood of the two-component marginal at the given parameters.
+
+    Raises DomainError unless y is a non-empty, finite 1-D vector and the
+    variances sigma^2 and sigma^2 + tau^2 are positive and finite.
+    """
+    y = GaussianSequence(y).y
     if sigma <= 0.0 or tau <= 0.0:
         raise DomainError("sigma and tau must be positive")
     if not (0.0 < xi < 1.0):
         raise DomainError(f"xi must lie in (0, 1), got {xi}")
-    v0 = sigma**2
-    v1 = sigma**2 + tau**2
+    v0 = sigma * sigma
+    v1 = v0 + tau * tau
+    if not (v0 > 0.0 and math.isfinite(v1)):
+        raise DomainError(
+            f"sigma^2 and sigma^2 + tau^2 must be positive and finite, got {sigma!r}, {tau!r}"
+        )
     l0 = math.log1p(-xi) - 0.5 * (_LOG_2PI + math.log(v0)) - 0.5 * y**2 / v0
     l1 = math.log(xi) - 0.5 * (_LOG_2PI + math.log(v1)) - 0.5 * y**2 / v1
     return float(np.sum(np.logaddexp(l0, l1)))
@@ -157,7 +163,6 @@ def init_heuristic(y) -> tuple[float, float, float]:
     exceed = float(np.mean(np.abs(y) > universal_threshold(n, sigma0)))
     xi0 = min(max(1.0 / n, exceed), 1.0 - 1.0 / n)
     tau0_sq = max(float(np.mean(y**2)) - sigma0**2, sigma0**2) / xi0
-    tau0_sq = max(tau0_sq, 1e-4 * sigma0**2)
     return sigma0, math.sqrt(tau0_sq), xi0
 
 
@@ -197,10 +202,8 @@ def em_fit(
         init = init_heuristic(y)
     sigma0, tau0, xi0 = (float(v) for v in init)
     _check_init(sigma0, tau0, xi0)
-    xi_lo, xi_hi = 1.0 / n, 1.0 - 1.0 / n
-    xi0 = min(max(xi0, xi_lo), xi_hi)
     sigma_sq, tau_sq, xi, trace, iterations, converged = em_loop(
-        y**2, sigma0**2, tau0**2, xi0, tol, max_iter, xi_lo, xi_hi, TAU_SQ_FLOOR
+        y**2, sigma0**2, tau0**2, xi0, tol, max_iter
     )
     return EmEstimates(
         sigma_hat=math.sqrt(sigma_sq),

@@ -312,9 +312,9 @@ def bayes_factor(y_i: float, hyper: HyperParams) -> float:
     """
     if not math.isfinite(y_i):
         raise DomainError(f"y_i must be finite, got {y_i}")
-    gamma = hyper.gamma
-    denom = 2.0 * hyper.sigma**2 * (1.0 + 1.0 / gamma)
-    return math.sqrt(1.0 + gamma) * math.exp(-(y_i**2) / denom)
+    rate, _ = _rate(hyper)
+    # y_i * y_i is +inf rather than OverflowError for huge y_i: the limit 0.0
+    return math.sqrt(1.0 + hyper.gamma) * math.exp(-(y_i * y_i) / rate)
 
 
 def _rate(hyper: HyperParams) -> tuple[float, float]:
@@ -405,6 +405,8 @@ def select_k(sorted_sq: np.ndarray, penalties: PenaltyTable | np.ndarray) -> tup
         raise DomainError("sorted_sq must be 1-D")
     if penalty.shape != (sorted_sq.size + 1,):
         raise DomainError("penalty must have length n + 1")
+    if not (np.isfinite(sorted_sq).all() and np.isfinite(penalty).all()):
+        raise DomainError("sorted_sq and penalty must be finite")
     if np.any(sorted_sq < 0.0):
         raise DomainError("sorted_sq must be nonnegative")
     if np.any(np.diff(sorted_sq) > 0.0):
@@ -440,16 +442,15 @@ def posterior_log_score(
 
     log pi_n(k) - log C(n,k) + sum over kept coordinates of -log B_i.
     """
-    y = np.asarray(y, dtype=float)
+    y = _values(y)
     x = config.x if isinstance(config, Configuration) else np.asarray(config, dtype=bool)
     if x.shape != y.shape:
         raise DomainError("configuration mask must match y in length")
     if y.size != table.n:
         raise DomainError(f"table was built for n = {table.n}, got {y.size} observations")
     k = int(np.count_nonzero(x))
-    gamma = hyper.gamma
-    denom = 2.0 * hyper.sigma**2 * (1.0 + 1.0 / gamma)
-    neg_log_b = y[x] ** 2 / denom - 0.5 * math.log1p(gamma)
+    rate, half_log_1pg = _rate(hyper)
+    neg_log_b = y[x] ** 2 / rate - half_log_1pg
     return float(table.log_pmf[k] - log_choose(table.n, k) + np.sum(neg_log_b))
 
 
@@ -466,9 +467,8 @@ def brute_force_map(
     if n > 20:
         raise SizeError(f"brute force is limited to n <= 20, got {n}")
     table = build_prior_table(spec, n)
-    gamma = hyper.gamma
-    denom = 2.0 * hyper.sigma**2 * (1.0 + 1.0 / gamma)
-    contrib = y**2 / denom - 0.5 * math.log1p(gamma)
+    rate, half_log_1pg = _rate(hyper)
+    contrib = y**2 / rate - half_log_1pg
 
     masks = np.arange(2**n, dtype=np.uint32)
     bits = ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(bool)

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baselines import fixed_threshold_estimate, mad_sigma, universal_threshold
-from .em import em_fit
+from .em import em_fit, init_heuristic
 from .errors import ConfigurationError, DomainError, UnsupportedBallError
 from .estimator import map_estimate, rank_sequence
 from .priors import (
@@ -226,8 +226,11 @@ def _one_replication(
     ranked = rank_sequence(y)
 
     nonconverged = False
+    mad = None  # mad_sigma(y) once computed: init_heuristic's sigma0 under EM
     if config.use_em and _map_methods(config.methods):
-        fit = em_fit(y)
+        init = init_heuristic(y)
+        mad = init[0]
+        fit = em_fit(y, init=init)
         nonconverged = not fit.converged
         hyper = HyperParams(sigma=fit.sigma_hat, tau=fit.tau_hat)
         xi_hat = fit.xi_hat
@@ -246,12 +249,11 @@ def _one_replication(
             flat = _reflected_is_flat(n * xi_hat, n)
             est = map_estimate(ranked, hyper, ReflectedPoissonPrior(n * xi_hat))
         elif method == "universal":
-            if config.universal_scale == "mad_raw":
-                scale = 0.6745 * mad_sigma(y)
-            elif config.universal_scale == "mad":
-                scale = mad_sigma(y)
-            else:
+            if config.universal_scale == "true":
                 scale = sigma
+            else:
+                mad = mad_sigma(y) if mad is None else mad
+                scale = 0.6745 * mad if config.universal_scale == "mad_raw" else mad
             est = fixed_threshold_estimate(ranked, universal_threshold(n, scale))
         elif method == "oracle":
             out[method] = oracle_risk(mu, sigma) / n

@@ -347,8 +347,8 @@ def test_simulate_reports_unconverged_fits_on_stderr(capsys, tmp_path, monkeypat
     rc, clean_out, clean_err = run(capsys, "simulate", "--config", cfg)
     assert rc == 0 and clean_err == ""
 
-    def unconverged_fit(y):
-        return dataclasses.replace(em_fit(y), converged=False)
+    def unconverged_fit(y, init=None):
+        return dataclasses.replace(em_fit(y, init=init), converged=False)
 
     monkeypatch.setattr(risk, "em_fit", unconverged_fit)
     rc, out, err = run(capsys, "simulate", "--config", cfg)

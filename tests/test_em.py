@@ -65,6 +65,12 @@ def test_loglik_validation():
         marginal_loglik(FIXTURE5, -1.0, 2.0, 0.1)
     with pytest.raises(DomainError):
         marginal_loglik(FIXTURE5, 1.0, 2.0, 1.5)
+    with pytest.raises(DomainError):
+        marginal_loglik(np.array([np.nan, 1.0]), 1.0, 2.0, 0.1)
+    with pytest.raises(DomainError):
+        marginal_loglik(np.array([]), 1.0, 2.0, 0.1)
+    with pytest.raises(DomainError):  # tau^2 overflows
+        marginal_loglik(FIXTURE5, 1.0, 1e200, 0.1)
 
 
 # ---------------------------------------------------------------------------

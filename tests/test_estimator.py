@@ -62,6 +62,7 @@ def test_bayes_factor_decreasing_in_magnitude():
     values = [bayes_factor(y, make_hyper(1.3, 2.0)) for y in np.linspace(0, 6, 40)]
     assert all(a > b for a, b in zip(values, values[1:]))
     assert bayes_factor(-2.0, UNIT_HYPER) == bayes_factor(2.0, UNIT_HYPER)
+    assert bayes_factor(1e200, UNIT_HYPER) == 0.0  # y^2 overflows to its limit
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +155,8 @@ def test_select_k_rejects_unsorted():
         select_k(np.array([1.0, 2.0]), np.zeros(3))
     with pytest.raises(DomainError):
         select_k(np.array([-1.0, -2.0]), np.zeros(3))
+    with pytest.raises(DomainError):  # NaN passes both the sign and the order check
+        select_k(np.array([np.nan, 1.0]), np.zeros(3))
 
 
 def test_select_k_matches_quadratic_rescan():
@@ -591,6 +594,13 @@ def test_score_of_empty_configuration():
     assert posterior_log_score(y, empty, UNIT_HYPER, table) == pytest.approx(
         table.log_pmf[0], rel=1e-12
     )
+
+
+def test_score_rejects_non_finite_y():
+    table = build_prior_table(BinomialPrior(0.3), 2)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            posterior_log_score(np.array([bad, 1.0]), np.array([True, False]), UNIT_HYPER, table)
 
 
 def test_score_flip_adds_negative_log_bayes_factor():

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import mapthresh.em
+import mapthresh.estimator
 import mapthresh._kernels
-from mapthresh import marginal_loglik
-from mapthresh._kernels import _py
+from mapthresh import _kernels, marginal_loglik
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -41,10 +41,10 @@ def reference_em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter, xi_lo, xi_hi, t
         gamma = tau_sq / sigma_sq
         log_odds = math.log1p(-xi) - math.log(xi)
         if gamma < tau_floor or gamma - math.log1p(gamma) < 2.0 * log_odds:
-            gamma = max(tau_floor, _py.slab_floor(xi))
+            gamma = max(tau_floor, _kernels.slab_floor(xi))
             sigma_sq = (c_y + r_y / (1.0 + gamma)) / n
             tau_sq = gamma * sigma_sq
-        xi = min(max(r_sum / n, xi_lo, _py.weight_floor(gamma)), xi_hi)
+        xi = min(max(r_sum / n, xi_lo, _kernels.weight_floor(gamma)), xi_hi)
         iterations += 1
     return sigma_sq, tau_sq, xi, np.asarray(trace), iterations, converged
 
@@ -72,9 +72,11 @@ def test_fused_em_matches_reference(name):
     y = CASES[name]
     n = y.size
     scale_sq = float(np.median(y**2)) / 0.4549  # median of chi^2_1
-    args = (y**2, 1.1 * scale_sq, 4.0 * scale_sq, 0.1, 1e-8, 500, 1.0 / n, 1.0 - 1.0 / n, 1e-8)
-    s, t, x, trace, it, conv = _py.em_loop(*args)
-    s_ref, t_ref, x_ref, trace_ref, it_ref, conv_ref = reference_em_loop(*args)
+    args = (y**2, 1.1 * scale_sq, 4.0 * scale_sq, 0.1, 1e-8, 500)
+    s, t, x, trace, it, conv = _kernels.em_loop(*args)
+    s_ref, t_ref, x_ref, trace_ref, it_ref, conv_ref = reference_em_loop(
+        *args, 1.0 / n, 1.0 - 1.0 / n, 1e-8
+    )
     assert (it, conv) == (it_ref, conv_ref)
     assert s == pytest.approx(s_ref, rel=1e-12)
     assert t == pytest.approx(t_ref, rel=1e-12)
@@ -87,16 +89,17 @@ def test_fused_em_matches_reference(name):
 
 
 def test_em_calls_the_kernel_by_its_package_binding():
-    # callers and per-layer timers look the kernel up under this name
+    # callers and per-layer timers look the kernels up under these names
     assert mapthresh.em.em_loop is mapthresh._kernels.em_loop
+    assert mapthresh.estimator.penalized_scan is mapthresh._kernels.penalized_scan
 
 
 def test_identifiability_floors_are_inverse():
     for xi in (1e-6, 0.005, 0.05, 0.3, 0.49):
-        gamma = _py.slab_floor(xi)
+        gamma = _kernels.slab_floor(xi)
         log_odds = math.log((1 - xi) / xi)
         assert gamma - math.log1p(gamma) == pytest.approx(2 * log_odds, rel=1e-10)
-        assert _py.weight_floor(gamma) == pytest.approx(xi, rel=1e-8)
-    assert _py.slab_floor(0.5) == 0.0
-    assert _py.slab_floor(0.8) == 0.0
-    assert _py.weight_floor(0.0) == 0.5
+        assert _kernels.weight_floor(gamma) == pytest.approx(xi, rel=1e-8)
+    assert _kernels.slab_floor(0.5) == 0.0
+    assert _kernels.slab_floor(0.8) == 0.0
+    assert _kernels.weight_floor(0.0) == 0.5

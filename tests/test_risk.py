@@ -351,8 +351,8 @@ def test_unconverged_fits_are_counted_not_written(monkeypatch):
     baseline = small_report()
     assert baseline.em_nonconverged == {(xi, tau): 0 for xi in (0.05, 0.3) for tau in (3.0, 5.0)}
 
-    def unconverged_fit(y):
-        return dataclasses.replace(em_fit(y), converged=False)
+    def unconverged_fit(y, init=None):
+        return dataclasses.replace(em_fit(y, init=init), converged=False)
 
     monkeypatch.setattr(risk, "em_fit", unconverged_fit)
     report = small_report()
