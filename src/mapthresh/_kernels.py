@@ -1,6 +1,7 @@
 """Hot-loop kernels: the penalized size scan and the EM iteration.
 
-``penalized_scan`` is a reversed cumulative sum and one ``argmin``.
+``penalized_scan`` is a reversed cumulative sum and one ``argmin``, along
+the last axis, so one call scans every row of a matrix.
 ``em_loop`` makes one fused pass over the data per EM iteration: every
 E-step quantity comes from a single vector of per-observation odds, held
 in buffers allocated once per fit.  It keeps the mixture weight in
@@ -31,15 +32,21 @@ def penalized_scan(sorted_sq, penalty, rest=0.0):
     sum(sorted_sq[k:]) + penalty[k], the tail summed from the smallest
     square up.  Every candidate is scanned (penalty increments may be
     negative, so no early exit), and exact ties go to the smaller size.
+
+    The scan runs along the last axis: a matrix ``sorted_sq`` holds one
+    sequence per row, ``penalty`` is shared or given per row, ``rest`` is
+    a scalar or one value per row, and ``k_hat`` is then an integer array.
+    Each row gets the same sums as a 1-D call on it.
     """
-    n = sorted_sq.shape[0]
-    objective = np.empty(n + 1)
-    objective[:n] = sorted_sq
-    objective[n] = rest
-    tail = objective[::-1]
-    np.cumsum(tail, out=tail)
+    n = sorted_sq.shape[-1]
+    objective = np.empty(sorted_sq.shape[:-1] + (n + 1,))
+    objective[..., :n] = sorted_sq
+    objective[..., n] = rest
+    tail = objective[..., ::-1]
+    np.cumsum(tail, axis=-1, out=tail)
     objective += penalty
-    return int(np.argmin(objective)), objective
+    k_hat = np.argmin(objective, axis=-1)
+    return (int(k_hat) if objective.ndim == 1 else k_hat), objective
 
 
 def slab_floor(xi):

@@ -178,33 +178,47 @@ def mad_sigma(y) -> float:
     y = GaussianSequence(y).y
     if y.size < 2:
         raise DomainError(f"need at least 2 observations, got {y.size}")
-    with np.errstate(over="ignore"):  # an infinite deviation only moves the median to +inf
-        deviations = y - _median(y)
-    mad = _median(np.abs(deviations, out=deviations))
-    if mad == 0.0:
+    return float(_mad_scale(y))
+
+
+def _mad_scale(y: np.ndarray) -> np.ndarray:
+    """``mad_sigma`` along the last axis of finite data, one scale per row.
+
+    Raises as ``mad_sigma`` does when any row's scale is zero or overflows.
+    """
+    # an infinite deviation only moves the median to +inf, and an infinite
+    # scale is refused below
+    with np.errstate(over="ignore"):
+        deviations = y - _median(y)[..., None]
+        mad = _median(np.abs(deviations, out=deviations))
+        scale = mad / 0.6745
+    if (mad == 0.0).any():
         raise DegenerateDataError("median absolute deviation is zero")
-    scale = mad / 0.6745
-    if not math.isfinite(scale):
+    if not np.isfinite(scale).all():
         raise DomainError("the robust scale overflows; rescale the data")
     return scale
 
 
-def _median(a: np.ndarray) -> float:
-    """``np.median`` of a 1-D array without NaNs, to the bit wherever that is finite.
+def _median(a: np.ndarray) -> np.ndarray:
+    """``np.median(a, axis=-1)`` of an array without NaNs, to the bit
+    wherever that is finite.
 
-    Arrays of fewer than 50,000 values are partitioned directly.  Larger
-    ones are first narrowed (Floyd & Rivest 1975): sort the sample
-    a[::n // ceil(n^(2/3))] and take the bracket [lo, hi] of the sample
-    values 3 sqrt(sample size) ranks either side of the middle rank.  When
-    the middle ranks of ``a`` fall among the values inside the bracket,
-    counted from the values below lo, only those values are partitioned;
-    otherwise all of ``a`` is.  For even n the result is the mean of the
-    two middle values, (lower + upper) / 2 as in ``np.median``, or
-    lower / 2 + upper / 2 where that sum overflows.
+    Rows of fewer than 50,000 values are partitioned directly, all rows
+    in one call.  Longer rows are taken one at a time and first narrowed
+    (Floyd & Rivest 1975): sort the sample a[::n // ceil(n^(2/3))] and
+    take the bracket [lo, hi] of the sample values 3 sqrt(sample size)
+    ranks either side of the middle rank.  When the middle ranks of ``a``
+    fall among the values inside the bracket, counted from the values
+    below lo, only those values are partitioned; otherwise all of ``a``
+    is.  For even n the result is the mean of the two middle values,
+    (lower + upper) / 2 as in ``np.median``, or lower / 2 + upper / 2
+    where that sum overflows.
     """
-    n = a.size
+    n = a.shape[-1]
     rank = n // 2  # the upper middle rank; the lower one is rank - 1 when n is even
     if n >= 50_000:
+        if a.ndim > 1:
+            return np.array([_median(row) for row in a])
         sample = np.sort(a[:: n // math.ceil(n ** (2.0 / 3.0))])
         centre, width = sample.size * rank // n, 3 * math.isqrt(sample.size)
         lo = sample[max(centre - width, 0)]
@@ -213,13 +227,17 @@ def _median(a: np.ndarray) -> float:
         inside = a[(a >= lo) & (a <= hi)]
         if below <= rank - 1 + n % 2 and rank < below + inside.size:
             a, rank = inside, rank - below
-    part = np.partition(a, rank)
-    upper = float(part[rank])
+    part = np.partition(a, rank, axis=-1)
+    upper = part[..., rank]
     if n % 2:
         return upper
-    lower = float(part[:rank].max())
-    middle = (lower + upper) / 2
-    return middle if math.isfinite(middle) else lower / 2 + upper / 2
+    lower = part[..., :rank].max(axis=-1)
+    with np.errstate(over="ignore"):
+        middle = (lower + upper) / 2
+    overflowed = np.isinf(middle)
+    if overflowed.any():
+        middle = np.where(overflowed, lower / 2 + upper / 2, middle)
+    return middle
 
 
 # --------------------------------------------------------------------------

@@ -71,7 +71,9 @@ def marginal_loglik(y, sigma: float, tau: float, xi: float) -> float:
     """Log-likelihood of the two-component marginal at the given parameters.
 
     Raises DomainError unless y is a non-empty, finite 1-D vector and the
-    variances sigma^2 and sigma^2 + tau^2 are positive and finite.
+    variances sigma^2 and sigma^2 + tau^2 are positive and finite.  An
+    observation whose square overflows gives the limit -inf, without a
+    warning.
     """
     y = GaussianSequence(y).y
     if sigma <= 0.0 or tau <= 0.0:
@@ -84,8 +86,10 @@ def marginal_loglik(y, sigma: float, tau: float, xi: float) -> float:
         raise DomainError(
             f"sigma^2 and sigma^2 + tau^2 must be positive and finite, got {sigma!r}, {tau!r}"
         )
-    l0 = math.log1p(-xi) - 0.5 * (_LOG_2PI + math.log(v0)) - 0.5 * y**2 / v0
-    l1 = math.log(xi) - 0.5 * (_LOG_2PI + math.log(v1)) - 0.5 * y**2 / v1
+    with np.errstate(over="ignore"):  # an infinite square is the -inf limit
+        y_sq = y**2
+    l0 = math.log1p(-xi) - 0.5 * (_LOG_2PI + math.log(v0)) - 0.5 * y_sq / v0
+    l1 = math.log(xi) - 0.5 * (_LOG_2PI + math.log(v1)) - 0.5 * y_sq / v1
     return float(np.sum(np.logaddexp(l0, l1)))
 
 

@@ -41,9 +41,9 @@ When that lower bound is >= 0 for every k > K, the argmin lies in
 need ranking: sorting the indices with y_i^2 > t, taken in index order,
 by -|y| gives exactly the first K entries of the full stable order.
 Every ranking sorts with NumPy's default (SIMD) sort, whose order is
-unique, and so stable, when no two keys tie; when two sorted keys are
-equal, a second default sort puts the indices of every run of equal keys
-in increasing order.  Sorting by -|y| rather than -y^2 matters, since
+unique, and so stable, when no two keys tie; when two equal sorted keys
+come out with decreasing indices, a second default sort puts the indices
+of every run of equal keys in increasing order.  Sorting by -|y| rather than -y^2 matters, since
 two magnitudes one ulp apart can square to the same float.  The scan
 over [0, K] then starts its tail sums from S.  The cut is
 t = min(inc[1 .. ceil(n/2)]).  When t <= 0, or the bound fails (as it
@@ -199,23 +199,29 @@ def _values(data: RankedSequence | GaussianSequence | np.ndarray) -> np.ndarray:
 
 
 def _argsort_stable(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(order, keys[order]) with order = np.argsort(keys, kind="stable").
+    """(order, sorted keys) with order = np.argsort(keys, axis=-1, kind="stable").
 
-    NumPy's default (SIMD) sort ranks first.  Its order can differ from
-    the stable one only within runs of equal keys, whose indices the
-    stable order takes in increasing order.  When two sorted keys are
-    equal, one more default sort of run * n + index, with the runs
-    numbered in sorted order, puts every run's indices in that order.
+    Works along the last axis, so a matrix is ranked row by row.  NumPy's
+    default (SIMD) sort ranks first.  Its order can differ from the stable
+    one only within runs of equal keys, whose indices the stable order
+    takes in increasing order.  Only a row where two equal sorted keys
+    have decreasing indices is fixed up: one more default sort of
+    run * n + index, with the runs numbered in sorted order, puts every
+    run's indices in that order.
     """
-    order = np.argsort(keys)
-    ranked = keys[order]
-    same = ranked[1:] == ranked[:-1]
-    if same.any():
-        run = np.zeros(keys.size, dtype=np.int64)
-        np.cumsum(~same, out=run[1:])
-        run *= keys.size
-        order = np.sort(order + run) - run
-        ranked = keys[order]
+    order = np.argsort(keys, axis=-1)
+    ranked = np.take_along_axis(keys, order, axis=-1)
+    same = ranked[..., 1:] == ranked[..., :-1]
+    swapped = (same & (order[..., 1:] < order[..., :-1])).any(axis=-1)
+    if swapped.any():
+        rows = np.flatnonzero(swapped) if keys.ndim > 1 else ...  # a 1-D array is one row
+        run = np.zeros(order[rows].shape, dtype=np.int64)
+        np.cumsum(~same[rows], axis=-1, out=run[..., 1:])
+        run *= keys.shape[-1]
+        fixed = np.sort(order[rows] + run, axis=-1)
+        fixed -= run
+        order[rows] = fixed
+        ranked[rows] = np.take_along_axis(keys[rows], fixed, axis=-1)
     return order, ranked
 
 
@@ -230,7 +236,7 @@ def _rank_above(y: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray, floa
     ``order`` ranks them by decreasing |y|, ties in index order, and is the
     head of the full stable order; ``sorted_sq`` holds their squares in
     that order and ``rest`` sums the other squares.  A cut of -inf ranks
-    every observation.
+    every observation, and ranks each row of a matrix ``y``.
     """
     if cut == -math.inf:
         order, ranked = _argsort_stable(-np.abs(y))
@@ -351,6 +357,13 @@ def _binomial_step(xi: float, half_log_1pg: float) -> float:
     return math.log1p(-xi) - math.log(xi) + half_log_1pg
 
 
+def _binomial_cut(xi: float, hyper: HyperParams) -> float:
+    """inc[1] under the binomial prior, to the bit: the MAP keeps y^2 above it."""
+    rate, half_log_1pg = _rate(hyper)
+    # + 0.0 as in the increments
+    return rate * _binomial_step(xi, half_log_1pg) + 0.0
+
+
 def _increments(spec: PriorSpec, n: int, hyper: HyperParams) -> np.ndarray:
     """``penalty_increments`` for a spec already checked against n."""
     rate, half_log_1pg = _rate(hyper)
@@ -429,9 +442,7 @@ def map_estimate(
     y = _values(data)
     n = _check_prior_size(spec, y.size)
     if isinstance(spec, BinomialPrior):
-        rate, half_log_1pg = _rate(hyper)
-        # + 0.0 as in the increments, so the cut is inc[1] to the bit
-        return _keep_flagged(data, y, y * y > rate * _binomial_step(spec.xi, half_log_1pg) + 0.0)
+        return _keep_flagged(data, y, y * y > _binomial_cut(spec.xi, hyper))
     return _scan_largest(data, y, _increments(spec, n, hyper))
 
 
@@ -441,6 +452,8 @@ def posterior_log_score(
     """Log posterior (up to an additive constant) of one support configuration.
 
     log pi_n(k) - log C(n,k) + sum over kept coordinates of -log B_i.
+    A kept observation whose square overflows gives the limit +inf,
+    without a warning.
     """
     y = _values(y)
     x = config.x if isinstance(config, Configuration) else np.asarray(config, dtype=bool)
@@ -450,7 +463,8 @@ def posterior_log_score(
         raise DomainError(f"table was built for n = {table.n}, got {y.size} observations")
     k = int(np.count_nonzero(x))
     rate, half_log_1pg = _rate(hyper)
-    neg_log_b = y[x] ** 2 / rate - half_log_1pg
+    with np.errstate(over="ignore"):  # an infinite square is the +inf limit
+        neg_log_b = y[x] ** 2 / rate - half_log_1pg
     return float(table.log_pmf[k] - log_choose(table.n, k) + np.sum(neg_log_b))
 
 

@@ -122,7 +122,12 @@ class PriorTable:
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Noise scale sigma and slab scale tau; gamma is the variance ratio."""
+    """Noise scale sigma and slab scale tau; gamma is the variance ratio.
+
+    Both sigma^2 and gamma must be positive finite floats: scales whose
+    squares overflow or underflow are rejected here rather than failing
+    in the penalty arithmetic.
+    """
 
     sigma: float
     tau: float
@@ -132,6 +137,15 @@ class HyperParams:
             raise DomainError(f"sigma must be a positive real, got {self.sigma}")
         if self.tau <= 0.0 or not math.isfinite(self.tau):
             raise DomainError(f"tau must be a positive real, got {self.tau}")
+        try:  # ** raises OverflowError where a square overflows
+            usable = self.sigma**2 > 0.0 and 0.0 < self.gamma < math.inf
+        except OverflowError:
+            usable = False
+        if not usable:
+            raise DomainError(
+                "sigma^2 and gamma = tau^2 / sigma^2 must be positive finite floats,"
+                f" got sigma = {self.sigma}, tau = {self.tau}; rescale the data"
+            )
 
     @property
     def gamma(self) -> float:

@@ -6,6 +6,19 @@ runs each configured method on the same draws, and reports per-coordinate
 average squared errors.  Replication streams are keyed by
 (master seed, cell index, replication), so results do not depend on
 execution order or worker count.
+
+A cell's replications are stacked into matrices ``mu`` and ``y`` with one
+row per replication, and every method scores all rows with row-wise
+NumPy calls: the binomial prior and the universal rule are threshold
+compares on the whole matrix, the Poisson priors share one ranking of
+every row and one scan per prior, and the robust scale takes one
+partition per median.  Each row gets the same arithmetic as the
+single-sequence estimators (``map_estimate``, ``fixed_threshold_estimate``,
+``oracle_risk``), so the errors match them to the bit.  Rows are taken
+in blocks of at most ``BLOCK_VALUES`` values, one row at a time once n
+exceeds it, so memory stays bounded for any n.  EM stays per row: each
+row is fitted by its own ``em_fit`` call, and that fit's starting scale
+is the row's robust scale.
 """
 
 from __future__ import annotations
@@ -19,13 +32,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .baselines import fixed_threshold_estimate, mad_sigma, universal_threshold
+from ._kernels import penalized_scan
+from .baselines import _mad_scale, universal_threshold
 from .em import em_fit, init_heuristic
 from .errors import ConfigurationError, DomainError, UnsupportedBallError
-from .estimator import map_estimate, rank_sequence
+from .estimator import _binomial_cut, _rank_above, map_estimate, penalty_increments
 from .priors import (
     BallSpec,
-    BinomialPrior,
     HyperParams,
     L0Ball,
     PriorSpec,
@@ -67,7 +80,12 @@ def oracle_risk(mu, sigma: float) -> float:
     mu = np.asarray(mu, dtype=float)
     if sigma <= 0.0 or not math.isfinite(sigma):
         raise DomainError(f"sigma must be a positive real, got {sigma}")
-    return float(np.sum(np.minimum(mu**2, sigma**2)))
+    return float(_ideal_risk(mu, sigma))
+
+
+def _ideal_risk(mu: np.ndarray, sigma: float) -> np.ndarray:
+    """``oracle_risk`` along the last axis, without the checks."""
+    return np.sum(np.minimum(mu**2, sigma**2), axis=-1)
 
 
 def minimax_rate(ball: BallSpec, n: int, sigma: float) -> float:
@@ -213,54 +231,91 @@ def _map_methods(methods: Sequence[str]) -> bool:
     return any(m in ("bin", "pois1", "pois2") for m in methods)
 
 
-def _one_replication(
-    config: ExperimentConfig, xi: float, tau: float, rng
-) -> tuple[dict[str, float], bool, bool]:
-    """Squared error per method on one draw, whether an EM fit ran
-    without converging, and whether a nearly flat reflected Poisson prior
-    was used."""
+# The MAP methods that scan, by the prior they put on n * xi.
+_SCANNED_PRIORS = {"pois1": TruncatedPoissonPrior, "pois2": ReflectedPoissonPrior}
+
+# Most values in one block of a cell's replication matrix: its rows are
+# BLOCK_VALUES // n replications, or one when n is larger.
+BLOCK_VALUES = 2**17
+
+
+def _draw_block(
+    config: ExperimentConfig, cell_index: int, xi: float, tau: float, reps: range
+) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, y), one row per replication in ``reps``, each drawn from its
+    own (master seed, cell, replication) stream."""
     n, sigma = config.n, config.sigma
-    signal = rng.random(n) < xi
-    mu = np.where(signal, tau * rng.standard_normal(n), 0.0)
-    y = mu + sigma * rng.standard_normal(n)
-    ranked = rank_sequence(y)
+    mu = np.empty((len(reps), n))
+    y = np.empty_like(mu)
+    for row, rep in enumerate(reps):
+        rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, cell_index, rep]))
+        signal = rng.random(n) < xi
+        mu[row] = np.where(signal, tau * rng.standard_normal(n), 0.0)
+        y[row] = mu[row] + sigma * rng.standard_normal(n)
+    if not np.all(np.isfinite(y)):
+        raise DomainError("y must be finite")
+    return mu, y
 
-    nonconverged = False
-    mad = None  # mad_sigma(y) once computed: init_heuristic's sigma0 under EM
+
+def _score_block(
+    config: ExperimentConfig, xi: float, tau: float, mu: np.ndarray, y: np.ndarray
+) -> tuple[dict[str, np.ndarray], int, int]:
+    """Squared error per method and row, the number of EM fits that ran
+    without converging, and the number of rows whose reflected Poisson
+    prior was nearly flat."""
+    rows, n = y.shape
+    sigma = config.sigma
+    nonconverged = 0
+    mad = None  # one robust scale per row once computed: init_heuristic's sigma0 under EM
     if config.use_em and _map_methods(config.methods):
-        init = init_heuristic(y)
-        mad = init[0]
-        fit = em_fit(y, init=init)
-        nonconverged = not fit.converged
-        hyper = HyperParams(sigma=fit.sigma_hat, tau=fit.tau_hat)
-        xi_hat = fit.xi_hat
+        fitted = []
+        mad = np.empty(rows)
+        for row in range(rows):
+            init = init_heuristic(y[row])
+            mad[row] = init[0]
+            fit = em_fit(y[row], init=init)
+            nonconverged += not fit.converged
+            fitted.append((HyperParams(sigma=fit.sigma_hat, tau=fit.tau_hat), fit.xi_hat))
     else:
-        hyper = HyperParams(sigma=sigma, tau=tau)
-        xi_hat = xi
+        fitted = [(HyperParams(sigma=sigma, tau=tau), xi)]  # shared by every row
 
-    out: dict[str, float] = {}
-    flat = False
+    ranking = None  # (order, sorted_sq) of every row, once a scanned prior needs it
+    out: dict[str, np.ndarray] = {}
+    flat = 0
     for method in config.methods:
-        if method == "bin":
-            est = map_estimate(ranked, hyper, BinomialPrior(xi_hat))
-        elif method == "pois1":
-            est = map_estimate(ranked, hyper, TruncatedPoissonPrior(n * xi_hat))
-        elif method == "pois2":
-            flat = _reflected_is_flat(n * xi_hat, n)
-            est = map_estimate(ranked, hyper, ReflectedPoissonPrior(n * xi_hat))
-        elif method == "universal":
-            if config.universal_scale == "true":
-                scale = sigma
-            else:
-                mad = mad_sigma(y) if mad is None else mad
-                scale = 0.6745 * mad if config.universal_scale == "mad_raw" else mad
-            est = fixed_threshold_estimate(ranked, universal_threshold(n, scale))
-        elif method == "oracle":
-            out[method] = oracle_risk(mu, sigma) / n
+        if method == "oracle":
+            out[method] = _ideal_risk(mu, sigma) / n
             continue
+        if method == "universal":
+            if config.universal_scale == "true":
+                lam = universal_threshold(n, sigma)
+            else:
+                mad = _mad_scale(y) if mad is None else mad
+                scale = 0.6745 * mad if config.universal_scale == "mad_raw" else mad
+                # universal_threshold(n, s) is s times the unit cutoff, to the bit
+                lam = scale[:, None] * universal_threshold(n, 1.0)
+            keep = np.abs(y) >= lam
+        elif method == "bin":
+            cuts = [_binomial_cut(xi_hat, hyper) for hyper, xi_hat in fitted]
+            keep = y * y > np.array(cuts)[:, None]
+        elif method in _SCANNED_PRIORS:
+            specs = [_SCANNED_PRIORS[method](n * xi_hat) for _, xi_hat in fitted]
+            if method == "pois2":
+                rows_per_spec = rows // len(specs)
+                flat += rows_per_spec * sum(_reflected_is_flat(spec.lam, n) for spec in specs)
+            if ranking is None:
+                ranking = _rank_above(y, -math.inf)[:2]
+            order, sorted_sq = ranking
+            increments = [
+                penalty_increments(spec, n, hyper) for spec, (hyper, _) in zip(specs, fitted)
+            ]
+            k_hat, _ = penalized_scan(sorted_sq, np.cumsum(increments, axis=-1))
+            top = int(k_hat.max())  # each row keeps its first k_hat ranks
+            keep = np.zeros(y.shape, dtype=bool)
+            np.put_along_axis(keep, order[:, :top], np.arange(top) < k_hat[:, None], axis=-1)
         else:  # pragma: no cover - guarded by config validation
             raise ConfigurationError(f"unknown method {method!r}")
-        out[method] = float(np.sum((est.mu_hat - mu) ** 2)) / n
+        out[method] = np.sum((np.where(keep, y, 0.0) - mu) ** 2, axis=-1) / n
     return out, nonconverged, flat
 
 
@@ -270,18 +325,18 @@ def _run_cell(args) -> tuple[int, dict[str, np.ndarray], int, int]:
     errors = {m: np.empty(reps) for m in config.methods}
     nonconverged = 0
     flat = 0
+    step = max(1, BLOCK_VALUES // config.n)
     with warnings.catch_warnings():
-        # counted per cell in ``flat`` instead of warned per replication
+        # counted per cell in ``flat`` instead of warned per prior
         warnings.filterwarnings("ignore", message=re.escape(_FLAT_REFLECTED_WARNING))
-        for rep in range(reps):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([config.master_seed, cell_index, rep])
-            )
-            values, missed, was_flat = _one_replication(config, xi, tau, rng)
+        for start in range(0, reps, step):
+            block = range(start, min(start + step, reps))
+            mu, y = _draw_block(config, cell_index, xi, tau, block)
+            values, missed, was_flat = _score_block(config, xi, tau, mu, y)
             nonconverged += missed
             flat += was_flat
             for m, v in values.items():
-                errors[m][rep] = v
+                errors[m][block.start : block.stop] = v
     return cell_index, errors, nonconverged, flat
 
 

@@ -249,6 +249,21 @@ def test_median_helper_equals_np_median(n):
         assert baselines._median(a) == np.median(a), name
 
 
+@pytest.mark.parametrize("n", [10, 11, 1000, 1001, 50_000, 50_001])
+def test_mad_scale_of_rows_equals_mad_sigma_of_each(n):
+    rng = np.random.default_rng(23)
+    rows = rng.standard_normal((3, n)) * np.array([[1.0], [1e-150], [1e150]])
+    rows[0, : n // 3] = np.round(rows[0, : n // 3], 1)  # ties
+    scales = baselines._mad_scale(rows)
+    assert [float(s) for s in scales] == [mad_sigma(row) for row in rows]
+
+
+def test_mad_scale_of_rows_raises_for_any_degenerate_row():
+    rows = np.vstack([np.arange(10.0), np.full(10, 3.2)])
+    with pytest.raises(DegenerateDataError):
+        baselines._mad_scale(rows)
+
+
 def misleading_inputs(n):
     """Inputs whose strided sample (``_median`` docstring) is all one value."""
     step = n // math.ceil(n ** (2.0 / 3.0))

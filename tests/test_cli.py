@@ -81,6 +81,15 @@ def test_bad_prior_specs_exit_2(capsys, noisy_input, prior):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("sigma, tau", [("1", "1e-170"), ("1e200", "1e200"), ("1e-170", "1")])
+def test_scales_whose_squares_leave_the_float_range_exit_2(capsys, noisy_input, sigma, tau):
+    _, path = noisy_input
+    rc, _, err = run(capsys, "estimate", "--input", path, "--prior", "binomial:xi=0.3",
+                     "--sigma", sigma, "--tau", tau)
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_missing_scales_exit_2(capsys, noisy_input):
     _, path = noisy_input
     rc, _, err = run(capsys, "estimate", "--input", path, "--prior", "binomial:xi=0.1")

@@ -73,6 +73,12 @@ def test_loglik_validation():
         marginal_loglik(FIXTURE5, 1.0, 1e200, 0.1)
 
 
+def test_loglik_of_an_overflowing_square_is_minus_inf_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert marginal_loglik(np.array([1e200, 1.0]), 1.0, 1.0, 0.5) == -math.inf
+
+
 # ---------------------------------------------------------------------------
 # single update step, mirrored by hand
 

@@ -481,6 +481,43 @@ def test_ranking_helper_is_the_stable_argsort(monkeypatch, name):
     assert kinds == [None]
 
 
+class SortCalls(list):
+    """Records the size of every np.sort call."""
+
+    def __init__(self, monkeypatch):
+        super().__init__()
+        sort = np.sort
+
+        def recording(a, *args, **kwargs):
+            self.append(np.size(a))
+            return sort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "sort", recording)
+
+
+def test_ranking_helper_fixes_up_only_scrambled_ties(monkeypatch):
+    # the default sort leaves equal keys in index order here: nothing to fix up
+    kinds, sorts = ArgsortKinds(monkeypatch), SortCalls(monkeypatch)
+    order, _ = estimator._argsort_stable(np.full(1000, -1.5))
+    assert np.array_equal(order, np.arange(1000))
+    assert kinds == [None]
+    assert sorts == []
+
+
+def test_ranking_helper_ranks_rows_at_once(monkeypatch):
+    names = ["distinct", "tied magnitudes", "one tie", "all equal"]
+    keys = np.stack([RANKING_KEYS[name] for name in names])
+    kinds, sorts = ArgsortKinds(monkeypatch), SortCalls(monkeypatch)
+    order, ranked = estimator._argsort_stable(keys)
+    assert kinds == [None]
+    for row, name in enumerate(names):
+        expected = np.argsort(keys[row], kind="stable")
+        assert np.array_equal(order[row], expected), name
+        assert ranked[row].tobytes() == keys[row][expected].tobytes(), name
+    # only the rows whose equal keys came out of index order were sorted again
+    assert sum(sorts) < keys.size
+
+
 # ---------------------------------------------------------------------------
 # map_estimate
 
@@ -594,6 +631,15 @@ def test_score_of_empty_configuration():
     assert posterior_log_score(y, empty, UNIT_HYPER, table) == pytest.approx(
         table.log_pmf[0], rel=1e-12
     )
+
+
+def test_score_of_an_overflowing_square_is_infinite_without_warning():
+    table = build_prior_table(BinomialPrior(0.3), 2)
+    y = np.array([1e200, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert posterior_log_score(y, np.array([True, False]), UNIT_HYPER, table) == math.inf
+        assert math.isfinite(posterior_log_score(y, np.array([False, True]), UNIT_HYPER, table))
 
 
 def test_score_rejects_non_finite_y():

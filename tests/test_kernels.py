@@ -88,6 +88,24 @@ def test_fused_em_matches_reference(name):
     )
 
 
+def test_scan_of_a_matrix_equals_a_scan_of_each_row():
+    rng = np.random.default_rng(29)
+    n = 203
+    sorted_sq = -np.sort(-rng.standard_normal((6, n)) ** 2, axis=-1)
+    sorted_sq[3] = 1.0  # exact ties between sizes
+    shared = np.cumsum(np.full(n + 1, 1.0))
+    per_row = np.cumsum(rng.uniform(-1.0, 5.0, (6, n + 1)), axis=-1)
+    rest = rng.uniform(0.0, 3.0, 6)
+    for penalty in (shared, per_row):
+        k_hat, objective = _kernels.penalized_scan(sorted_sq, penalty, rest)
+        assert k_hat.shape == (6,)
+        for row in range(6):
+            row_penalty = penalty if penalty.ndim == 1 else penalty[row]
+            k, obj = _kernels.penalized_scan(sorted_sq[row], row_penalty, rest[row])
+            assert type(k) is int and k_hat[row] == k
+            assert objective[row].tobytes() == obj.tobytes()
+
+
 def test_em_calls_the_kernel_by_its_package_binding():
     # callers and per-layer timers look the kernels up under these names
     assert mapthresh.em.em_loop is mapthresh._kernels.em_loop

@@ -173,6 +173,30 @@ def test_prior_validation_errors():
         build_prior_table(CustomLogWeightsPrior((0.0, 0.0)), 5)  # wrong length
 
 
+@pytest.mark.parametrize(
+    "sigma, tau",
+    [
+        (0.0, 1.0),
+        (1.0, -2.0),
+        (math.inf, 1.0),
+        (1.0, math.nan),
+        (1e200, 1e200),  # sigma^2 overflows
+        (1e-170, 1.0),  # sigma^2 underflows to 0
+        (1.0, 1e-170),  # gamma underflows to 0
+        (1.0, 1e200),  # tau^2 overflows
+        (1e-150, 1e150),  # gamma overflows
+    ],
+)
+def test_hyperparams_validation(sigma, tau):
+    with pytest.raises(DomainError):
+        HyperParams(sigma, tau)
+
+
+def test_hyperparams_accept_tiny_and_huge_scales_with_usable_squares():
+    assert HyperParams(1e-161, 3e-161).gamma == pytest.approx(9.0, rel=0.05)  # subnormal squares
+    assert HyperParams(1e150, 2e150).gamma == pytest.approx(4.0, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # decay bound and complexity weights
 

@@ -19,16 +19,20 @@ from mapthresh import (
     L0Ball,
     ReflectedPoissonPrior,
     StrongLpBall,
+    TruncatedPoissonPrior,
     UnsupportedBallError,
     WeakLpBall,
     ball_contains,
     em_fit,
+    fixed_threshold_estimate,
     least_favorable_mu,
+    mad_sigma,
     map_estimate,
     minimax_rate,
     monte_carlo_amse,
     oracle_risk,
     rate_check,
+    universal_threshold,
 )
 from mapthresh import risk
 
@@ -333,7 +337,7 @@ def test_report_matches_golden_csv(use_em):
     assert report_bytes(report) == GOLDEN_CSV[use_em]
 
 
-def test_one_ranking_per_replication(monkeypatch):
+def test_one_ranking_per_cell(monkeypatch):
     calls = []
     argsort = np.argsort
 
@@ -344,7 +348,77 @@ def test_one_ranking_per_replication(monkeypatch):
     monkeypatch.setattr(np, "argsort", counting_argsort)
     report = small_report(use_em=False, methods=("bin", "pois1", "pois2", "universal"))
     cells = len(report.config.xi_grid) * len(report.config.tau_grid)
-    assert len(calls) == cells * report.config.replications
+    assert len(calls) == cells
+
+
+def single_sequence_errors(config, xi, tau, mu, y):
+    """Each method's squared error on one row, from the single-sequence estimators."""
+    n, sigma = config.n, config.sigma
+    if config.use_em:
+        fit = em_fit(y)
+        hyper, xi_hat = HyperParams(fit.sigma_hat, fit.tau_hat), fit.xi_hat
+    else:
+        hyper, xi_hat = HyperParams(sigma, tau), xi
+    scale = {"true": sigma, "mad": mad_sigma(y), "mad_raw": 0.6745 * mad_sigma(y)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # nearly flat reflected priors
+        estimates = {
+            "bin": map_estimate(y, hyper, BinomialPrior(xi_hat)),
+            "pois1": map_estimate(y, hyper, TruncatedPoissonPrior(n * xi_hat)),
+            "pois2": map_estimate(y, hyper, ReflectedPoissonPrior(n * xi_hat)),
+            "universal": fixed_threshold_estimate(
+                y, universal_threshold(n, scale[config.universal_scale])
+            ),
+        }
+    errors = {m: np.sum((est.mu_hat - mu) ** 2) / n for m, est in estimates.items()}
+    errors["oracle"] = oracle_risk(mu, sigma) / n
+    return errors
+
+
+CELL_CASES = {
+    # (n, replications, universal_scale, block rows or None, round y to 1 decimal)
+    "n not a multiple of 8": (203, 5, "mad_raw", None, False),
+    "tied magnitudes": (203, 5, "mad", None, True),
+    "blocks of 2 rows": (203, 5, "true", 2, False),
+    "long rows": (50_001, 2, "mad_raw", None, False),
+}
+
+
+@pytest.mark.parametrize("use_em", [True, False])
+@pytest.mark.parametrize("case", CELL_CASES)
+def test_cell_errors_equal_the_single_sequence_estimators(monkeypatch, case, use_em):
+    n, reps, scale, block_rows, rounded = CELL_CASES[case]
+    xi, tau = 0.05, 4.0
+    config = ExperimentConfig(
+        n=n, sigma=1.0, xi_grid=(xi,), tau_grid=(tau,), replications=reps,
+        methods=risk.KNOWN_METHODS, use_em=use_em, master_seed=31, universal_scale=scale,
+    )
+    draw, score = risk._draw_block, risk._score_block
+    blocks = []
+
+    def rounded_draw(*args):
+        mu, y = draw(*args)
+        return mu, np.round(y, 1)
+
+    def counted_score(*args):
+        blocks.append(args[-1].shape[0])
+        return score(*args)
+
+    if rounded:
+        monkeypatch.setattr(risk, "_draw_block", rounded_draw)
+    if block_rows is not None:
+        monkeypatch.setattr(risk, "BLOCK_VALUES", block_rows * n)
+    monkeypatch.setattr(risk, "_score_block", counted_score)
+    _, errors, _, _ = risk._run_cell((config, 0, xi, tau))
+    assert blocks == ([2, 2, 1] if block_rows else [reps])
+
+    mu, y = risk._draw_block(config, 0, xi, tau, range(reps))
+    if rounded:
+        assert np.unique(np.abs(y)).size < n // 2
+    for row in range(reps):
+        expected = single_sequence_errors(config, xi, tau, mu[row], y[row])
+        for method in risk.KNOWN_METHODS:
+            assert errors[method][row] == expected[method], (method, row)
 
 
 def test_unconverged_fits_are_counted_not_written(monkeypatch):
