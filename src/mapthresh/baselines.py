@@ -181,27 +181,32 @@ def mad_sigma(y) -> float:
     return float(_mad_scale(y))
 
 
-def _mad_scale(y: np.ndarray) -> np.ndarray:
+def _mad_scale(y: np.ndarray) -> np.ndarray | float:
     """``mad_sigma`` along the last axis of finite data, one scale per row.
 
     Raises as ``mad_sigma`` does when any row's scale is zero or overflows.
     """
+    centre = _median(y)
     # an infinite deviation only moves the median to +inf, and an infinite
     # scale is refused below
     with np.errstate(over="ignore"):
-        deviations = y - _median(y)[..., None]
+        deviations = y - (centre if y.ndim == 1 else centre[:, None])
         mad = _median(np.abs(deviations, out=deviations))
         scale = mad / 0.6745
-    if (mad == 0.0).any():
+    if y.ndim == 1:  # one scale: scalar checks, no reductions
+        zero, overflow = mad == 0.0, not math.isfinite(scale)
+    else:
+        zero, overflow = (mad == 0.0).any(), not np.isfinite(scale).all()
+    if zero:
         raise DegenerateDataError("median absolute deviation is zero")
-    if not np.isfinite(scale).all():
+    if overflow:
         raise DomainError("the robust scale overflows; rescale the data")
     return scale
 
 
-def _median(a: np.ndarray) -> np.ndarray:
+def _median(a: np.ndarray) -> np.ndarray | float:
     """``np.median(a, axis=-1)`` of an array without NaNs, to the bit
-    wherever that is finite.
+    wherever that is finite; a float for a 1-D array.
 
     Rows of fewer than 50,000 values are partitioned directly, all rows
     in one call.  Longer rows are taken one at a time and first narrowed
@@ -227,17 +232,21 @@ def _median(a: np.ndarray) -> np.ndarray:
         inside = a[(a >= lo) & (a <= hi)]
         if below <= rank - 1 + n % 2 and rank < below + inside.size:
             a, rank = inside, rank - below
-    part = np.partition(a, rank, axis=-1)
-    upper = part[..., rank]
+    part = np.partition(a, rank)  # along the last axis
+    if a.ndim > 1:
+        upper = part[:, rank]
+        if n % 2:
+            return upper
+        lower = part[:, :rank].max(axis=-1)
+        with np.errstate(over="ignore"):
+            middle = (lower + upper) / 2
+        return np.where(np.isinf(middle), lower / 2 + upper / 2, middle)
+    upper = float(part[rank])
     if n % 2:
         return upper
-    lower = part[..., :rank].max(axis=-1)
-    with np.errstate(over="ignore"):
-        middle = (lower + upper) / 2
-    overflowed = np.isinf(middle)
-    if overflowed.any():
-        middle = np.where(overflowed, lower / 2 + upper / 2, middle)
-    return middle
+    lower = float(part[:rank].max())
+    middle = (lower + upper) / 2  # a float sum overflows to inf without a warning
+    return middle if math.isfinite(middle) else lower / 2 + upper / 2
 
 
 # --------------------------------------------------------------------------

@@ -41,9 +41,9 @@ When that lower bound is >= 0 for every k > K, the argmin lies in
 need ranking: sorting the indices with y_i^2 > t, taken in index order,
 by -|y| gives exactly the first K entries of the full stable order.
 Every ranking sorts with NumPy's default (SIMD) sort, whose order is
-unique, and so stable, when no two keys tie; when two equal sorted keys
-come out with decreasing indices, a second default sort puts the indices
-of every run of equal keys in increasing order.  Sorting by -|y| rather than -y^2 matters, since
+unique, and so stable, when no two keys tie; when two sorted keys are
+equal, a second default sort puts the indices of every run of equal keys
+in increasing order.  Sorting by -|y| rather than -y^2 matters, since
 two magnitudes one ulp apart can square to the same float.  The scan
 over [0, K] then starts its tail sums from S.  The cut is
 t = min(inc[1 .. ceil(n/2)]).  When t <= 0, or the bound fails (as it
@@ -204,17 +204,16 @@ def _argsort_stable(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Works along the last axis, so a matrix is ranked row by row.  NumPy's
     default (SIMD) sort ranks first.  Its order can differ from the stable
     one only within runs of equal keys, whose indices the stable order
-    takes in increasing order.  Only a row where two equal sorted keys
-    have decreasing indices is fixed up: one more default sort of
-    run * n + index, with the runs numbered in sorted order, puts every
-    run's indices in that order.
+    takes in increasing order.  In a row where two sorted keys are equal,
+    one more default sort of run * n + index, with the runs numbered in
+    sorted order, puts every run's indices in that order.
     """
     order = np.argsort(keys, axis=-1)
     ranked = np.take_along_axis(keys, order, axis=-1)
     same = ranked[..., 1:] == ranked[..., :-1]
-    swapped = (same & (order[..., 1:] < order[..., :-1])).any(axis=-1)
-    if swapped.any():
-        rows = np.flatnonzero(swapped) if keys.ndim > 1 else ...  # a 1-D array is one row
+    tied = same.any(axis=-1)
+    if tied.any():
+        rows = np.flatnonzero(tied) if keys.ndim > 1 else ...  # a 1-D array is one row
         run = np.zeros(order[rows].shape, dtype=np.int64)
         np.cumsum(~same[rows], axis=-1, out=run[..., 1:])
         run *= keys.shape[-1]

@@ -18,7 +18,8 @@ single-sequence estimators (``map_estimate``, ``fixed_threshold_estimate``,
 in blocks of at most ``BLOCK_VALUES`` values, one row at a time once n
 exceeds it, so memory stays bounded for any n.  EM stays per row: each
 row is fitted by its own ``em_fit`` call, and that fit's starting scale
-is the row's robust scale.
+is the row's robust scale.  Without EM every row shares the cell's
+hyperparameters, so each prior's penalties are built once per cell.
 """
 
 from __future__ import annotations
@@ -257,31 +258,64 @@ def _draw_block(
     return mu, y
 
 
+@dataclass(frozen=True)
+class _Fits:
+    """The hyperparameters of the MAP methods: one set per row under EM,
+    one set shared by every row without it."""
+
+    hypers: list[tuple[HyperParams, float]]  # (hyper, xi) per set
+    penalties: dict[str, np.ndarray]  # per scanned prior: cumulative penalties, one row per set
+    flat: int  # sets whose reflected Poisson prior is nearly flat
+
+    @classmethod
+    def of(cls, config: ExperimentConfig, hypers: list[tuple[HyperParams, float]]) -> _Fits:
+        n = config.n
+        penalties, flat = {}, 0
+        for method in config.methods:
+            if method in _SCANNED_PRIORS:
+                specs = [_SCANNED_PRIORS[method](n * xi) for _, xi in hypers]
+                if method == "pois2":
+                    flat = sum(_reflected_is_flat(spec.lam, n) for spec in specs)
+                increments = [
+                    penalty_increments(spec, n, hyper) for spec, (hyper, _) in zip(specs, hypers)
+                ]
+                penalties[method] = np.cumsum(increments, axis=-1)
+        return cls(hypers, penalties, flat)
+
+
+def _fit_rows(config: ExperimentConfig, y: np.ndarray) -> tuple[_Fits, np.ndarray, int]:
+    """EM fits of every row, the rows' robust scales (each fit's starting
+    sigma), and the number of fits that ran without converging."""
+    hypers = []
+    mad = np.empty(y.shape[0])
+    nonconverged = 0
+    for row, y_r in enumerate(y):
+        init = init_heuristic(y_r)
+        mad[row] = init[0]
+        fit = em_fit(y_r, init=init)
+        nonconverged += not fit.converged
+        hypers.append((HyperParams(sigma=fit.sigma_hat, tau=fit.tau_hat), fit.xi_hat))
+    return _Fits.of(config, hypers), mad, nonconverged
+
+
 def _score_block(
-    config: ExperimentConfig, xi: float, tau: float, mu: np.ndarray, y: np.ndarray
+    config: ExperimentConfig, shared: _Fits | None, mu: np.ndarray, y: np.ndarray
 ) -> tuple[dict[str, np.ndarray], int, int]:
     """Squared error per method and row, the number of EM fits that ran
     without converging, and the number of rows whose reflected Poisson
-    prior was nearly flat."""
+    prior was nearly flat.  ``shared`` holds the hyperparameters of every
+    row, or is None when each row is fitted by EM."""
     rows, n = y.shape
     sigma = config.sigma
     nonconverged = 0
     mad = None  # one robust scale per row once computed: init_heuristic's sigma0 under EM
-    if config.use_em and _map_methods(config.methods):
-        fitted = []
-        mad = np.empty(rows)
-        for row in range(rows):
-            init = init_heuristic(y[row])
-            mad[row] = init[0]
-            fit = em_fit(y[row], init=init)
-            nonconverged += not fit.converged
-            fitted.append((HyperParams(sigma=fit.sigma_hat, tau=fit.tau_hat), fit.xi_hat))
+    if shared is None:
+        fits, mad, nonconverged = _fit_rows(config, y)
     else:
-        fitted = [(HyperParams(sigma=sigma, tau=tau), xi)]  # shared by every row
+        fits = shared
 
     ranking = None  # (order, sorted_sq) of every row, once a scanned prior needs it
     out: dict[str, np.ndarray] = {}
-    flat = 0
     for method in config.methods:
         if method == "oracle":
             out[method] = _ideal_risk(mu, sigma) / n
@@ -296,26 +330,20 @@ def _score_block(
                 lam = scale[:, None] * universal_threshold(n, 1.0)
             keep = np.abs(y) >= lam
         elif method == "bin":
-            cuts = [_binomial_cut(xi_hat, hyper) for hyper, xi_hat in fitted]
+            cuts = [_binomial_cut(xi_hat, hyper) for hyper, xi_hat in fits.hypers]
             keep = y * y > np.array(cuts)[:, None]
         elif method in _SCANNED_PRIORS:
-            specs = [_SCANNED_PRIORS[method](n * xi_hat) for _, xi_hat in fitted]
-            if method == "pois2":
-                rows_per_spec = rows // len(specs)
-                flat += rows_per_spec * sum(_reflected_is_flat(spec.lam, n) for spec in specs)
             if ranking is None:
                 ranking = _rank_above(y, -math.inf)[:2]
             order, sorted_sq = ranking
-            increments = [
-                penalty_increments(spec, n, hyper) for spec, (hyper, _) in zip(specs, fitted)
-            ]
-            k_hat, _ = penalized_scan(sorted_sq, np.cumsum(increments, axis=-1))
+            k_hat, _ = penalized_scan(sorted_sq, fits.penalties[method])
             top = int(k_hat.max())  # each row keeps its first k_hat ranks
             keep = np.zeros(y.shape, dtype=bool)
             np.put_along_axis(keep, order[:, :top], np.arange(top) < k_hat[:, None], axis=-1)
         else:  # pragma: no cover - guarded by config validation
             raise ConfigurationError(f"unknown method {method!r}")
         out[method] = np.sum((np.where(keep, y, 0.0) - mu) ** 2, axis=-1) / n
+    flat = rows // len(fits.hypers) * fits.flat
     return out, nonconverged, flat
 
 
@@ -329,10 +357,13 @@ def _run_cell(args) -> tuple[int, dict[str, np.ndarray], int, int]:
     with warnings.catch_warnings():
         # counted per cell in ``flat`` instead of warned per prior
         warnings.filterwarnings("ignore", message=re.escape(_FLAT_REFLECTED_WARNING))
+        shared = None
+        if not (config.use_em and _map_methods(config.methods)):
+            shared = _Fits.of(config, [(HyperParams(sigma=config.sigma, tau=tau), xi)])
         for start in range(0, reps, step):
             block = range(start, min(start + step, reps))
             mu, y = _draw_block(config, cell_index, xi, tau, block)
-            values, missed, was_flat = _score_block(config, xi, tau, mu, y)
+            values, missed, was_flat = _score_block(config, shared, mu, y)
             nonconverged += missed
             flat += was_flat
             for m, v in values.items():

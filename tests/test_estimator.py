@@ -495,15 +495,6 @@ class SortCalls(list):
         monkeypatch.setattr(np, "sort", recording)
 
 
-def test_ranking_helper_fixes_up_only_scrambled_ties(monkeypatch):
-    # the default sort leaves equal keys in index order here: nothing to fix up
-    kinds, sorts = ArgsortKinds(monkeypatch), SortCalls(monkeypatch)
-    order, _ = estimator._argsort_stable(np.full(1000, -1.5))
-    assert np.array_equal(order, np.arange(1000))
-    assert kinds == [None]
-    assert sorts == []
-
-
 def test_ranking_helper_ranks_rows_at_once(monkeypatch):
     names = ["distinct", "tied magnitudes", "one tie", "all equal"]
     keys = np.stack([RANKING_KEYS[name] for name in names])
@@ -514,7 +505,7 @@ def test_ranking_helper_ranks_rows_at_once(monkeypatch):
         expected = np.argsort(keys[row], kind="stable")
         assert np.array_equal(order[row], expected), name
         assert ranked[row].tobytes() == keys[row][expected].tobytes(), name
-    # only the rows whose equal keys came out of index order were sorted again
+    # only the rows with equal keys were sorted again
     assert sum(sorts) < keys.size
 
 

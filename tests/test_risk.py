@@ -351,6 +351,23 @@ def test_one_ranking_per_cell(monkeypatch):
     assert len(calls) == cells
 
 
+@pytest.mark.parametrize("use_em", [True, False])
+def test_penalties_once_per_cell_without_em(monkeypatch, use_em):
+    calls = []
+    increments = risk.penalty_increments
+
+    def counting_increments(*args):
+        calls.append(1)
+        return increments(*args)
+
+    monkeypatch.setattr(risk, "penalty_increments", counting_increments)
+    monkeypatch.setattr(risk, "BLOCK_VALUES", 1)  # one row per block
+    report = small_report(use_em=use_em, methods=("pois1", "pois2", "oracle"))
+    cfg = report.config
+    cells = len(cfg.xi_grid) * len(cfg.tau_grid)
+    assert len(calls) == 2 * cells * (cfg.replications if use_em else 1)
+
+
 def single_sequence_errors(config, xi, tau, mu, y):
     """Each method's squared error on one row, from the single-sequence estimators."""
     n, sigma = config.n, config.sigma
