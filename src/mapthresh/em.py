@@ -41,6 +41,7 @@ above the absolute floor TAU_SQ_FLOOR = 1e-8.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -117,7 +118,7 @@ def _check_magnitudes(y: np.ndarray) -> None:
     max(y^2) >= 2 n float min keeps the mean square, and so the fitted
     variances, normal floats.
     """
-    largest = float(np.max(np.abs(y)))
+    largest = float(np.abs(y).max())
     if not math.isfinite(largest):
         raise DomainError("y must be finite")
     limit = math.sqrt(sys.float_info.max / (2.0 * y.size))
@@ -164,9 +165,9 @@ def init_heuristic(y) -> tuple[float, float, float]:
         raise DomainError(f"need at least 2 observations, got {n}")
     _check_magnitudes(y)
     sigma0 = mad_sigma(y)
-    exceed = float(np.mean(np.abs(y) > universal_threshold(n, sigma0)))
+    exceed = np.count_nonzero(np.abs(y) > universal_threshold(n, sigma0)) / n
     xi0 = min(max(1.0 / n, exceed), 1.0 - 1.0 / n)
-    tau0_sq = max(float(np.mean(y**2)) - sigma0**2, sigma0**2) / xi0
+    tau0_sq = max(float(np.add.reduce(y * y)) / n - sigma0**2, sigma0**2) / xi0
     return sigma0, math.sqrt(tau0_sq), xi0
 
 
@@ -189,19 +190,23 @@ def em_fit(
     ``init`` is an optional (sigma0, tau0, xi0) triple; by default it comes
     from ``init_heuristic``.  ``tol`` is a relative log-likelihood change;
     hitting ``max_iter`` first returns converged=False rather than raising.
-    Raises DomainError for data whose squares overflow or underflow and
-    for an unusable ``init``, and DegenerateDataError when no observation
-    fits the noise component.
+    Raises DomainError for data whose squares overflow or underflow, for
+    an unusable ``init``, for a ``tol`` that is not positive (NaN
+    included) and for a ``max_iter`` that is not an integer >= 1 (a bool
+    is not), and DegenerateDataError when no observation fits the noise
+    component.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
     if n < 10:
         raise DomainError(f"EM fitting needs n >= 10, got {n}")
     _check_magnitudes(y)
-    if np.all(y == y[0]):
+    if (y == y[0]).all():
         raise DegenerateDataError("constant data cannot identify the mixture")
-    if tol <= 0.0 or max_iter < 1:
-        raise DomainError("tol must be positive and max_iter >= 1")
+    if not tol > 0.0:  # also false for NaN
+        raise DomainError(f"tol must be positive, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise DomainError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if init is None:
         init = init_heuristic(y)
     sigma0, tau0, xi0 = (float(v) for v in init)

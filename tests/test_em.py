@@ -248,6 +248,35 @@ def test_fit_validation():
         em_fit(y, max_iter=0)
 
 
+@pytest.mark.parametrize(
+    "budget",
+    [
+        {"tol": math.nan},
+        {"tol": -1e-8},
+        {"tol": -math.inf},
+        {"max_iter": 2.5},
+        {"max_iter": 3.0},
+        {"max_iter": True},
+        {"max_iter": -1},
+        {"max_iter": "3"},
+    ],
+    ids=["tol-nan", "tol-negative", "tol-minus-inf", "max-iter-fraction", "max-iter-float",
+         "max-iter-bool", "max-iter-negative", "max-iter-str"],
+)
+def test_unusable_iteration_budget_is_a_domain_error(budget):
+    y = mixture_dataset(100, 0.1, 3.0, 1.0, seed=0)
+    with pytest.raises(DomainError, match="tol" if "tol" in budget else "max_iter"):
+        em_fit(y, **budget)
+
+
+def test_integer_iteration_budgets_are_accepted():
+    y = mixture_dataset(1000, 0.05, 3.0, 1.0, seed=21)
+    fit = em_fit(y, max_iter=np.int64(3))
+    assert (fit.iterations, fit.converged) == (3, False)
+    assert em_fit(y, max_iter=3).loglik_trace.tobytes() == fit.loglik_trace.tobytes()
+    assert em_fit(y, tol=math.inf).iterations == 1  # stops at the first comparison
+
+
 @pytest.mark.parametrize("outlier", [1e10, 1e12])
 def test_one_huge_outlier_leaves_the_noise_fit(outlier):
     # the outlier's square dwarfs the rest of sum(y^2); the noise variance

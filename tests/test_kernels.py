@@ -1,4 +1,5 @@
-"""The fused NumPy EM kernel against a plain, unfused reference loop."""
+"""The fused NumPy EM kernel against a plain, unfused reference loop and,
+bit for bit, against the kernel it replaced."""
 
 import math
 
@@ -8,7 +9,9 @@ import pytest
 import mapthresh.em
 import mapthresh.estimator
 import mapthresh._kernels
-from mapthresh import _kernels, marginal_loglik
+from mapthresh import _kernels, init_heuristic, marginal_loglik
+from mapthresh._kernels import TAU_SQ_FLOOR, slab_floor, weight_floor
+from mapthresh.errors import DegenerateDataError
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -86,6 +89,115 @@ def test_fused_em_matches_reference(name):
     assert trace[-1] == pytest.approx(
         marginal_loglik(y, math.sqrt(s), math.sqrt(t), x), rel=1e-12
     )
+
+
+def previous_em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
+    """``_kernels.em_loop`` as it was before its E-step shared one (2, n)
+    buffer, kept verbatim: the bit-for-bit reference for that kernel."""
+    n = y_sq.shape[0]
+    xi_lo, xi_hi = 1.0 / n, 1.0 - 1.0 / n
+    xi = min(max(xi, xi_lo), xi_hi)
+    y_total = float(y_sq.sum())
+    e = np.empty(n)
+    w = np.empty(n)
+    trace = []
+    converged = False
+    iterations = 0
+    while True:
+        v1 = sigma_sq + tau_sq
+        log_odds = math.log1p(-xi) - math.log(xi)
+        np.multiply(y_sq, -0.5 * (tau_sq / v1) / sigma_sq, out=e)
+        e += log_odds + 0.5 * math.log1p(tau_sq / sigma_sq)
+        np.exp(e, out=e)
+        np.log1p(e, out=w)
+        loglik = (
+            n * (math.log(xi) - 0.5 * (_LOG_2PI + math.log(v1)))
+            - 0.5 * y_total / v1
+            + float(w.sum())
+        )
+        trace.append(loglik)
+        if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-1])):
+            converged = True
+            break
+        if iterations >= max_iter:
+            break
+        np.add(e, 1.0, out=w)
+        np.reciprocal(w, out=w)
+        r_sum = float(w.sum())
+        r_y = float(w @ y_sq)
+        e *= w
+        c_sum = float(e.sum())
+        if c_sum == 0.0:
+            raise DegenerateDataError(
+                "every noise responsibility underflowed: no observation fits the noise component"
+            )
+        c_y = float(e @ y_sq)
+        sigma_sq = c_y / c_sum
+        tau_sq = r_y / r_sum - sigma_sq
+        gamma = tau_sq / sigma_sq
+        if gamma < TAU_SQ_FLOOR or gamma - math.log1p(gamma) < 2.0 * log_odds:
+            gamma = max(TAU_SQ_FLOOR, slab_floor(xi))
+            sigma_sq = (c_y + r_y / (1.0 + gamma)) / n
+            tau_sq = gamma * sigma_sq
+        xi = min(max(r_sum / n, xi_lo, weight_floor(gamma)), xi_hi)
+        iterations += 1
+    return sigma_sq, tau_sq, xi, np.asarray(trace), iterations, converged
+
+
+def fit_args(y, max_iter=500):
+    """em_loop's arguments as em_fit builds them from the default start."""
+    sigma0, tau0, xi0 = init_heuristic(y)
+    return y**2, sigma0**2, tau0**2, xi0, 1e-8, max_iter
+
+
+def sparse_weak_replication():
+    # test_em.py::test_sparse_weak_replication_keeps_slab_as_signal: its fit
+    # ends on the identifiability bound, through the slab_floor branch
+    rng = np.random.default_rng(np.random.SeedSequence([20260815, 0, 10]))
+    signal = rng.random(1000) < 0.005
+    mu = np.where(signal, 3.0 * rng.standard_normal(1000), 0.0)
+    return mu + rng.standard_normal(1000)
+
+
+BIT_CASES = {**CASES, "n50001": mixture(50_001, 0.05, 4.0, 34)}
+
+
+def assert_same_fit(args):
+    got = _kernels.em_loop(*args)
+    want = previous_em_loop(*args)
+    for field in (0, 1, 2, 4, 5):
+        assert got[field] == want[field]
+    assert np.array_equal(got[3], want[3])
+    return got
+
+
+@pytest.mark.parametrize("name", sorted(BIT_CASES))
+def test_em_loop_is_bit_identical_to_the_previous_kernel(name):
+    y = BIT_CASES[name]
+    assert_same_fit(fit_args(y))
+    scale_sq = float(np.median(y**2)) / 0.4549  # the reference test's start
+    assert_same_fit((y**2, 1.1 * scale_sq, 4.0 * scale_sq, 0.1, 1e-8, 500))
+
+
+def test_em_loop_bit_identity_reaches_the_slab_floor():
+    sigma_sq, tau_sq, xi, _, _, converged = assert_same_fit(fit_args(sparse_weak_replication()))
+    assert converged
+    # gamma is slab_floor of the previous xi, which the last step moved a little
+    assert tau_sq / sigma_sq == pytest.approx(slab_floor(xi), rel=1e-4)
+
+
+def test_em_loop_bit_identity_at_an_iteration_cutoff():
+    got = assert_same_fit(fit_args(CASES["n2000"], max_iter=3))
+    assert got[4:] == (3, False)
+
+
+def test_em_loop_raises_as_the_previous_kernel_on_data_with_no_noise():
+    args = fit_args(1e6 + np.arange(100.0))
+    with pytest.raises(DegenerateDataError) as got:
+        _kernels.em_loop(*args)
+    with pytest.raises(DegenerateDataError) as want:
+        previous_em_loop(*args)
+    assert str(got.value) == str(want.value)
 
 
 def test_scan_of_a_matrix_equals_a_scan_of_each_row():
