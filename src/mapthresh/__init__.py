@@ -37,14 +37,12 @@ from .estimator import (
     EstimateResult,
     GaussianSequence,
     PenaltyTable,
-    RankedSequence,
     bayes_factor,
     brute_force_map,
     map_estimate,
     penalty_increments,
     penalty_table,
     posterior_log_score,
-    rank_sequence,
     select_k,
 )
 from .priors import (

@@ -18,7 +18,6 @@ from .errors import DegenerateDataError, DomainError
 from .estimator import (
     EstimateResult,
     GaussianSequence,
-    RankedSequence,
     _keep_flagged,
     _scan_largest,
     _values,
@@ -130,30 +129,28 @@ def tk_sequence(n: int, sigma: float) -> np.ndarray:
 
 
 def fixed_threshold_estimate(
-    y: RankedSequence | GaussianSequence | np.ndarray, rule: FixedThreshold | float
+    y: GaussianSequence | np.ndarray, rule: FixedThreshold | float
 ) -> EstimateResult:
     """Keep y_i whenever |y_i| >= lam (boundary kept).
 
-    Only the kept coordinates are ranked, unless ``y`` is a
-    ``RankedSequence``, whose ranking is then reused.  The kept size
-    minimizes the tail sum of squares plus k * lam^2; at boundary ties it
-    is the larger of the tied sizes.
+    Only the kept coordinates are ranked.  The kept size minimizes the
+    tail sum of squares plus k * lam^2; at boundary ties it is the larger
+    of the tied sizes.
     """
     lam = rule.lam if isinstance(rule, FixedThreshold) else FixedThreshold(float(rule)).lam
     values = _values(y)
-    return _keep_flagged(y, values, np.abs(values) >= lam)
+    return _keep_flagged(values, np.abs(values) >= lam)
 
 
 def variable_threshold_estimate(
-    y: RankedSequence | GaussianSequence | np.ndarray, rule: VariableThreshold | np.ndarray
+    y: GaussianSequence | np.ndarray, rule: VariableThreshold | np.ndarray
 ) -> EstimateResult:
     """Penalized scan with per-rank cutoffs lams[1..n].
 
     Minimizes sum of squares past rank k plus sum of lams[i]^2 for
     i <= k (the size-zero term contributes nothing); ties go to the
-    smaller size, and the k_hat largest magnitudes are kept.  From raw
-    data only the candidates are ranked (``mapthresh.estimator`` docstring);
-    ``y`` may be a ``RankedSequence``, whose ranking is then reused.
+    smaller size, and the k_hat largest magnitudes are kept.  Only the
+    candidates are ranked (``mapthresh.estimator`` docstring).
     """
     lams = rule.lams if isinstance(rule, VariableThreshold) else VariableThreshold(np.asarray(rule)).lams
     values = _values(y)
@@ -162,7 +159,7 @@ def variable_threshold_estimate(
     inc = np.empty(values.size + 1)
     inc[0] = 0.0
     np.square(lams, out=inc[1:])
-    return _scan_largest(y, values, inc)
+    return _scan_largest(values, inc)
 
 
 def mad_sigma(y) -> float:

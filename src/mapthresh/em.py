@@ -49,7 +49,7 @@ import numpy as np
 
 from ._kernels import _LOG_2PI, TAU_SQ_FLOOR, em_loop
 from .errors import DegenerateDataError, DomainError
-from .baselines import mad_sigma, universal_threshold
+from .baselines import _mad_scale, universal_threshold
 from .estimator import GaussianSequence
 
 __all__ = ["EmEstimates", "marginal_loglik", "slab_log_odds", "init_heuristic", "em_fit"]
@@ -109,8 +109,8 @@ def slab_log_odds(sigma: float, tau: float, xi: float) -> float:
 
 
 def _check_magnitudes(y: np.ndarray) -> None:
-    """Raise DomainError unless y is finite and its squares neither
-    overflow nor underflow.
+    """Raise DomainError unless y is a finite 1-D vector whose squares
+    neither overflow nor underflow.
 
     Checked before squaring: EM works on the squared observations and
     their sum.  The bound n max(y^2) <= float max / 2 keeps both finite
@@ -118,6 +118,8 @@ def _check_magnitudes(y: np.ndarray) -> None:
     max(y^2) >= 2 n float min keeps the mean square, and so the fitted
     variances, normal floats.
     """
+    if y.ndim != 1:
+        raise DomainError("y must be a non-empty 1-D vector")
     largest = float(np.abs(y).max())
     if not math.isfinite(largest):
         raise DomainError("y must be finite")
@@ -160,11 +162,16 @@ def init_heuristic(y) -> tuple[float, float, float]:
     second moment over that fraction.
     """
     y = np.asarray(y, dtype=float)
-    n = y.size
-    if n < 2:
-        raise DomainError(f"need at least 2 observations, got {n}")
+    if y.size < 2:
+        raise DomainError(f"need at least 2 observations, got {y.size}")
     _check_magnitudes(y)
-    sigma0 = mad_sigma(y)
+    return _start(y)
+
+
+def _start(y: np.ndarray) -> tuple[float, float, float]:
+    """``init_heuristic`` for at least 2 observations that passed ``_check_magnitudes``."""
+    n = y.size
+    sigma0 = float(_mad_scale(y))
     exceed = np.count_nonzero(np.abs(y) > universal_threshold(n, sigma0)) / n
     xi0 = min(max(1.0 / n, exceed), 1.0 - 1.0 / n)
     tau0_sq = max(float(np.add.reduce(y * y)) / n - sigma0**2, sigma0**2) / xi0
@@ -190,11 +197,11 @@ def em_fit(
     ``init`` is an optional (sigma0, tau0, xi0) triple; by default it comes
     from ``init_heuristic``.  ``tol`` is a relative log-likelihood change;
     hitting ``max_iter`` first returns converged=False rather than raising.
-    Raises DomainError for data whose squares overflow or underflow, for
-    an unusable ``init``, for a ``tol`` that is not positive (NaN
-    included) and for a ``max_iter`` that is not an integer >= 1 (a bool
-    is not), and DegenerateDataError when no observation fits the noise
-    component.
+    Raises DomainError for data that is not 1-D or whose squares overflow
+    or underflow, for an unusable ``init``, for a ``tol`` that is not
+    positive (NaN included) and for a ``max_iter`` that is not an integer
+    >= 1 (a bool is not), and DegenerateDataError when no observation fits
+    the noise component.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
@@ -208,7 +215,7 @@ def em_fit(
     if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
         raise DomainError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if init is None:
-        init = init_heuristic(y)
+        init = _start(y)
     sigma0, tau0, xi0 = (float(v) for v in init)
     _check_init(sigma0, tau0, xi0)
     sigma_sq, tau_sq, xi, trace, iterations, converged = em_loop(

@@ -3,9 +3,6 @@
 The posterior over support configurations collapses onto n+1 candidates
 (keep the k largest magnitudes), so the estimate comes from a single scan
 of a penalized residual criterion over the sequence ranked by magnitude.
-``rank_sequence`` ranks once; every rule here and in ``baselines`` can
-take that ranked view, so one ranking serves all methods run on a
-sequence.
 
 Penalty identity used throughout, with r = 2 sigma^2 (1 + 1/gamma) and
 h = (1/2) log(1 + gamma):
@@ -48,19 +45,17 @@ two magnitudes one ulp apart can square to the same float.  The scan
 over [0, K] then starts its tail sums from S.  The cut is
 t = min(inc[1 .. ceil(n/2)]).  When t <= 0, or the bound fails (as it
 does for a custom prior that favors large sizes), t = -inf: every
-observation is a candidate, which is the full ranking and scan.  A
-``RankedSequence`` already carries the full order and is scanned over
-all sizes.
+observation is a candidate, which is the full ranking and scan.
 
 Under the binomial prior the increments inc[1..n] are one constant c, so
 the steps c - y_(k)^2 change sign once and the rule is the fixed
 threshold y_i^2 > c, with no scan at all; a square equal to c ties and
 is dropped.  It shares one step with the fixed rule |y_i| >= lam of
-``baselines``: the kept set is closed upward in |y|, so from raw data
-only its members are ranked, and on a ranked view it is a prefix of the
-order.  Results carry only the estimate; the criterion at every size is
+``baselines``: the kept set is closed upward in |y|, so only its members
+are ranked.  Results carry only the estimate; the criterion at every
+size is
 
-    select_k(rank_sequence(y).sorted_sq, np.cumsum(penalty_increments(spec, n, hyper))).
+    select_k(np.sort(y * y)[::-1], np.cumsum(penalty_increments(spec, n, hyper))).
 """
 
 from __future__ import annotations
@@ -88,12 +83,10 @@ from .priors import (
 
 __all__ = [
     "GaussianSequence",
-    "RankedSequence",
     "PenaltyTable",
     "Configuration",
     "EstimateResult",
     "bayes_factor",
-    "rank_sequence",
     "penalty_increments",
     "penalty_table",
     "select_k",
@@ -166,36 +159,9 @@ class EstimateResult:
     mu_hat: np.ndarray
 
 
-@dataclass(frozen=True)
-class RankedSequence:
-    """A validated sequence ranked once by magnitude.
-
-    ``order`` is the stable argsort of -|y| (ties keep input order) and
-    ``sorted_sq`` holds the squares in that order.  Construct from raw
-    data or a ``GaussianSequence``; the estimators accept the result in
-    place of raw data and then skip their own ranking.
-    """
-
-    y: np.ndarray
-    order: np.ndarray = field(init=False, repr=False)
-    sorted_sq: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        y = _values(self.y)
-        order, sorted_sq, _ = _rank_above(y, -math.inf)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "sorted_sq", sorted_sq)
-
-
-def rank_sequence(data: RankedSequence | GaussianSequence | np.ndarray) -> RankedSequence:
-    """The ranked view of ``data``; a view passed in is returned as is."""
-    return data if isinstance(data, RankedSequence) else RankedSequence(data)
-
-
-def _values(data: RankedSequence | GaussianSequence | np.ndarray) -> np.ndarray:
-    """The validated observations of raw data, a sequence or a ranked view."""
-    return data.y if isinstance(data, (GaussianSequence, RankedSequence)) else GaussianSequence(data).y
+def _values(data: GaussianSequence | np.ndarray) -> np.ndarray:
+    """The validated observations of raw data or a ``GaussianSequence``."""
+    return data.y if isinstance(data, GaussianSequence) else GaussianSequence(data).y
 
 
 def _argsort_stable(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,39 +223,26 @@ def _keep_largest(y: np.ndarray, order: np.ndarray, k_hat: int) -> EstimateResul
     return EstimateResult(k_hat=k_hat, threshold=threshold, kept=kept, mu_hat=mu_hat)
 
 
-def _keep_flagged(
-    data: RankedSequence | GaussianSequence | np.ndarray, y: np.ndarray, flagged: np.ndarray
-) -> EstimateResult:
-    """Keep the observations of ``y`` that ``flagged`` marks.
+def _keep_flagged(y: np.ndarray, flagged: np.ndarray) -> EstimateResult:
+    """Keep the validated observations ``y`` that ``flagged`` marks.
 
     The flagged set must be closed upward in |y|, so it is the head of the
-    stable order: a ranked view ``data`` is sliced, and from raw data only
-    the flagged entries are ranked.  ``y`` holds the validated
-    observations of ``data``.
+    stable order and only its members are ranked.
     """
-    if isinstance(data, RankedSequence):
-        return _keep_largest(y, data.order, int(np.count_nonzero(flagged)))
     order = _rank(y, np.flatnonzero(flagged))
     return _keep_largest(y, order, order.size)
 
 
-def _scan_largest(
-    data: RankedSequence | GaussianSequence | np.ndarray, y: np.ndarray, inc: np.ndarray
-) -> EstimateResult:
-    """Keep the k largest magnitudes, for the k that minimizes the tail sum
-    of squares plus the penalty cumsum(inc); ties go to the smaller size.
-
-    A ranked view ``data`` is scanned over all n+1 sizes; raw data are
-    ranked only above the certified cut of the module docstring.  ``y``
-    holds the validated observations of ``data``.
+def _scan_largest(y: np.ndarray, inc: np.ndarray) -> EstimateResult:
+    """Keep the k largest magnitudes of the validated ``y``, for the k that
+    minimizes the tail sum of squares plus the penalty cumsum(inc); ties go
+    to the smaller size.  Only the candidates above the certified cut of
+    the module docstring are ranked.
     """
-    if isinstance(data, RankedSequence):
-        order, sorted_sq, rest = data.order, data.sorted_sq, 0.0
-    else:
-        cut = float(inc[1 : (y.size + 1) // 2 + 1].min())
-        order, sorted_sq, rest = _rank_above(y, cut if cut > 0.0 else -math.inf)
-        if order.size < y.size and not _certifies(inc, order.size, rest, cut):
-            order, sorted_sq, rest = _rank_above(y, -math.inf)
+    cut = float(inc[1 : (y.size + 1) // 2 + 1].min())
+    order, sorted_sq, rest = _rank_above(y, cut if cut > 0.0 else -math.inf)
+    if order.size < y.size and not _certifies(inc, order.size, rest, cut):
+        order, sorted_sq, rest = _rank_above(y, -math.inf)
     k_hat, _ = penalized_scan(sorted_sq, np.cumsum(inc[: order.size + 1]), rest)
     return _keep_largest(y, order, k_hat)
 
@@ -427,22 +380,21 @@ def select_k(sorted_sq: np.ndarray, penalties: PenaltyTable | np.ndarray) -> tup
 
 
 def map_estimate(
-    data: RankedSequence | GaussianSequence | np.ndarray, hyper: HyperParams, spec: PriorSpec
+    data: GaussianSequence | np.ndarray, hyper: HyperParams, spec: PriorSpec
 ) -> EstimateResult:
     """MAP support estimate and hard-threshold fit for one sequence.
 
     The k_hat largest coordinates, in the stable order of magnitude (ties
     keep input order), are kept as-is.  The binomial prior keeps exactly
-    y_i^2 > inc[1]; the other priors are scanned, a ``RankedSequence``
-    over all sizes and raw data over the candidates only (module
+    y_i^2 > inc[1]; the other priors scan only the candidates (module
     docstring).  The realized threshold is the smallest kept magnitude,
     +inf when nothing is kept.
     """
     y = _values(data)
     n = _check_prior_size(spec, y.size)
     if isinstance(spec, BinomialPrior):
-        return _keep_flagged(data, y, y * y > _binomial_cut(spec.xi, hyper))
-    return _scan_largest(data, y, _increments(spec, n, hyper))
+        return _keep_flagged(y, y * y > _binomial_cut(spec.xi, hyper))
+    return _scan_largest(y, _increments(spec, n, hyper))
 
 
 def posterior_log_score(
@@ -475,7 +427,7 @@ def brute_force_map(
     Only for n <= 20.  Score ties are broken toward smaller size, then the
     lexicographically smallest mask, so the result is deterministic.
     """
-    y = data.y if isinstance(data, GaussianSequence) else GaussianSequence(np.asarray(data)).y
+    y = _values(data)
     n = y.size
     if n > 20:
         raise SizeError(f"brute force is limited to n <= 20, got {n}")

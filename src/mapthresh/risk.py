@@ -12,9 +12,12 @@ row per replication, and every method scores all rows with row-wise
 NumPy calls: the binomial prior and the universal rule are threshold
 compares on the whole matrix, the Poisson priors share one ranking of
 every row and one scan per prior, and the robust scale takes one
-partition per median.  Each row gets the same arithmetic as the
-single-sequence estimators (``map_estimate``, ``fixed_threshold_estimate``,
-``oracle_risk``), so the errors match them to the bit.  Rows are taken
+partition per median.  The threshold compares and the oracle do the
+same arithmetic per row as ``map_estimate``, ``fixed_threshold_estimate``
+and ``oracle_risk``.  The Poisson priors do not: here every row is ranked
+and scanned over all sizes, while ``map_estimate`` scans only the
+certified candidates and sums the tails from the squares left out.  Both
+give the same errors to the bit on the tested inputs.  Rows are taken
 in blocks of at most ``BLOCK_VALUES`` values, one row at a time once n
 exceeds it, so memory stays bounded for any n.  EM stays per row: each
 row is fitted by its own ``em_fit`` call, and that fit's starting scale

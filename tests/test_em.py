@@ -15,6 +15,7 @@ from mapthresh import (
     slab_log_odds,
     universal_threshold,
 )
+from mapthresh import em
 
 FIXTURE5 = np.array([-1.2, 0.4, 3.5, 0.0, -2.1])
 FIXTURE10 = np.array([-1.2, 0.4, 3.5, 0.0, -2.1, 0.9, -0.3, 5.2, 0.7, -1.6])
@@ -242,6 +243,11 @@ def test_fit_validation():
     with pytest.raises(DegenerateDataError):
         em_fit(np.full(20, 2.0))
     y = mixture_dataset(100, 0.1, 3.0, 1.0, seed=0)
+    for data in (y.reshape(2, 50), y.reshape(1, 100)):
+        with pytest.raises(DomainError, match="1-D"):
+            em_fit(data)
+        with pytest.raises(DomainError, match="1-D"):
+            em_fit(data, init=(1.0, 2.0, 0.1))
     with pytest.raises(DomainError):
         em_fit(y, tol=0.0)
     with pytest.raises(DomainError):
@@ -275,6 +281,19 @@ def test_integer_iteration_budgets_are_accepted():
     assert (fit.iterations, fit.converged) == (3, False)
     assert em_fit(y, max_iter=3).loglik_trace.tobytes() == fit.loglik_trace.tobytes()
     assert em_fit(y, tol=math.inf).iterations == 1  # stops at the first comparison
+
+
+def test_fit_checks_its_data_once(monkeypatch):
+    y = mixture_dataset(1000, 0.05, 3.0, 1.0, seed=21)
+    expected = em_fit(y, init=init_heuristic(y))
+    calls = []
+    check = em._check_magnitudes
+    monkeypatch.setattr(em, "_check_magnitudes", lambda data: calls.append(data) or check(data))
+    fit = em_fit(y)
+    assert len(calls) == 1
+    for name in ("sigma_hat", "tau_hat", "xi_hat", "loglik", "iterations", "converged"):
+        assert getattr(fit, name) == getattr(expected, name), name
+    assert np.array_equal(fit.loglik_trace, expected.loglik_trace)
 
 
 @pytest.mark.parametrize("outlier", [1e10, 1e12])

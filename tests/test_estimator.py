@@ -13,9 +13,9 @@ from mapthresh import (
     ConfigurationError,
     CustomLogWeightsPrior,
     DomainError,
+    EstimateResult,
     GaussianSequence,
     HyperParams,
-    RankedSequence,
     ReflectedPoissonPrior,
     SizeError,
     TruncatedPoissonPrior,
@@ -30,7 +30,6 @@ from mapthresh import (
     penalty_increments,
     penalty_table,
     posterior_log_score,
-    rank_sequence,
     select_k,
     variable_threshold_estimate,
 )
@@ -239,7 +238,7 @@ def test_map_estimate_builds_no_table_for_named_priors(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# ranked view
+# candidate selection from raw data against the full ranking
 
 
 def assert_same_result(a, b):
@@ -249,66 +248,44 @@ def assert_same_result(a, b):
     assert np.array_equal(a.mu_hat, b.mu_hat)
 
 
-def test_ranked_view_gives_the_same_estimates():
-    rng = np.random.default_rng(71)
-    hyper = make_hyper(1.0, 9.0)
-    for n in (1, 7, 300):
-        y = np.where(rng.random(n) < 0.2, 3.0 * rng.standard_normal(n), 0.0) + rng.standard_normal(n)
-        y[: n // 3] = np.round(y[: n // 3])  # tied magnitudes exercise the stable order
-        ranked = rank_sequence(y)
-        specs = [BinomialPrior(0.1), TruncatedPoissonPrior(0.1 * n)]
-        if n > 1:
-            specs.append(ReflectedPoissonPrior(0.5 * n))
-        for spec in specs:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                assert_same_result(map_estimate(y, hyper, spec), map_estimate(ranked, hyper, spec))
-        for lam in (0.0, 1.5, math.inf):
-            assert_same_result(fixed_threshold_estimate(y, lam), fixed_threshold_estimate(ranked, lam))
-        lams = fdr_sequence(n, 1.0, 0.1)
-        assert_same_result(variable_threshold_estimate(y, lams), variable_threshold_estimate(ranked, lams))
+def full_ranking_estimate(y, k_hat):
+    """The k_hat largest magnitudes of y, by the full stable ranking, kept as they are."""
+    kept = np.argsort(-np.abs(y), kind="stable")[:k_hat]
+    mu_hat = np.zeros(y.size)
+    mu_hat[kept] = y[kept]
+    threshold = float(np.abs(y[kept[-1]])) if k_hat > 0 else math.inf
+    return EstimateResult(k_hat=k_hat, threshold=threshold, kept=kept, mu_hat=mu_hat)
 
 
-def test_ranked_view_fields():
-    y = np.array([1.0, -3.0, 3.0, 0.5])
-    ranked = RankedSequence(GaussianSequence(y, 1.0))
-    assert np.array_equal(ranked.order, [1, 2, 0, 3])
-    assert np.array_equal(ranked.sorted_sq, [9.0, 9.0, 1.0, 0.25])
-    assert rank_sequence(ranked) is ranked
-    with pytest.raises(DomainError):
-        rank_sequence(np.array([1.0, math.nan]))
+def full_scan_k(y, inc):
+    """The size ``select_k`` picks over every size of the full stable ranking."""
+    order = np.argsort(-np.abs(y), kind="stable")
+    return select_k(y[order] ** 2, np.cumsum(inc))[0]
 
 
-def test_results_from_one_view_do_not_share_kept():
-    ranked = rank_sequence(np.array([5.0, -4.0, 0.1]))
-    a = fixed_threshold_estimate(ranked, 1.0)
-    b = map_estimate(ranked, UNIT_HYPER, BinomialPrior(0.4))
-    a.kept[0] = 2
-    assert ranked.order[0] == 0
-    assert b.kept[0] == 0
+def assert_candidates_match_full(y, hyper, specs, lams=None):
+    """Every rule on raw data equals the full-ranking oracle, field for field.
 
-
-# ---------------------------------------------------------------------------
-# candidate selection from raw data against the full ranking
-
-
-def rules_on(y, hyper, specs):
-    """Each rule as a function of the data: MAP per spec, fixed, FDR and Foster-Stine."""
+    The rules are the MAP per spec, the fixed rule per ``lams`` (default
+    1.5 sigma), FDR and Foster-Stine.  The binomial MAP and the fixed rule
+    keep their flagged count; the scanned rules keep ``full_scan_k``.
+    """
     n = y.size
-    rules = [lambda d, spec=spec: map_estimate(d, hyper, spec) for spec in specs]
-    rules.append(lambda d: fixed_threshold_estimate(d, 1.5 * hyper.sigma))
-    rules.append(lambda d: variable_threshold_estimate(d, fdr_sequence(n, hyper.sigma, 0.1)))
-    rules.append(lambda d: variable_threshold_estimate(d, foster_stine_sequence(n, hyper.sigma)))
-    return rules
-
-
-def assert_candidates_match_full(y, hyper, specs):
-    # a ranked view is scanned over every size: today's full path
-    ranked = rank_sequence(y)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # small-lambda reflected priors warn
-        for rule in rules_on(y, hyper, specs):
-            assert_same_result(rule(y), rule(ranked))
+        for spec in specs:
+            inc = penalty_increments(spec, n, hyper)
+            if isinstance(spec, BinomialPrior):
+                k_hat = int(np.count_nonzero(y * y > inc[1]))
+            else:
+                k_hat = full_scan_k(y, inc)
+            assert_same_result(map_estimate(y, hyper, spec), full_ranking_estimate(y, k_hat))
+    for lam in (1.5 * hyper.sigma,) if lams is None else lams:
+        k_hat = int(np.count_nonzero(np.abs(y) >= lam))
+        assert_same_result(fixed_threshold_estimate(y, lam), full_ranking_estimate(y, k_hat))
+    for cutoffs in (fdr_sequence(n, hyper.sigma, 0.1), foster_stine_sequence(n, hyper.sigma)):
+        k_hat = full_scan_k(y, np.r_[0.0, cutoffs**2])
+        assert_same_result(variable_threshold_estimate(y, cutoffs), full_ranking_estimate(y, k_hat))
 
 
 def named_specs(n):
@@ -324,6 +301,36 @@ def test_candidates_match_the_full_ranking_on_random_data(n):
     for xi, tau in ((0.01, 5.0), (0.1, 3.0), (0.5, 2.0)):
         y = np.where(rng.random(n) < xi, tau * rng.standard_normal(n), 0.0) + rng.standard_normal(n)
         assert_candidates_match_full(y, HyperParams(1.0, tau), named_specs(n))
+
+
+def test_candidates_match_the_full_ranking_on_rounded_data():
+    rng = np.random.default_rng(71)
+    hyper = make_hyper(1.0, 9.0)
+    for n in (1, 7, 300):
+        y = np.where(rng.random(n) < 0.2, 3.0 * rng.standard_normal(n), 0.0) + rng.standard_normal(n)
+        y[: n // 3] = np.round(y[: n // 3])  # tied magnitudes exercise the stable order
+        specs = [BinomialPrior(0.1), TruncatedPoissonPrior(0.1 * n)]
+        if n > 1:
+            specs.append(ReflectedPoissonPrior(0.5 * n))
+        assert_candidates_match_full(y, hyper, specs, lams=(0.0, 1.5, math.inf))
+
+
+def test_results_own_their_kept():
+    # a result never pins the ranking it was sliced from, which can be all n long
+    y = np.array([5.0, -4.0, 0.1])
+    results = [
+        fixed_threshold_estimate(y, 1.0),
+        map_estimate(y, UNIT_HYPER, BinomialPrior(0.4)),
+        map_estimate(y, UNIT_HYPER, TruncatedPoissonPrior(1.0)),
+        variable_threshold_estimate(y, fdr_sequence(3, 1.0, 0.1)),
+    ]
+    spike = np.zeros(401)
+    spike[400] = 1000.0  # the custom prior of the fallback test
+    long_y = np.random.default_rng(13).standard_normal(400) * 2.0
+    fallback = map_estimate(long_y, make_hyper(1.0, 9.0), CustomLogWeightsPrior(spike))
+    assert fallback.k_hat == 400
+    for result in results + [fallback]:
+        assert result.kept.base is None
 
 
 def test_candidates_match_the_full_ranking_on_tied_magnitudes():
@@ -370,10 +377,10 @@ def test_binomial_drops_a_square_equal_to_the_increment():
     assert_candidates_match_full(np.array([y]), UNIT_HYPER, [BinomialPrior(0.1)])
     assert map_estimate(np.array([y]), UNIT_HYPER, BinomialPrior(0.1)).k_hat == 0
     # at n = 3 a full scan's rounded tail sums break the tie the other way;
-    # the threshold rule is exact, from raw data and from a ranked view
+    # the threshold rule is exact, as is the oracle's flagged count
     y3 = np.array([-y, 0.5 * y, 2.0 * y])
-    for data in (y3, rank_sequence(y3)):
-        assert np.array_equal(map_estimate(data, UNIT_HYPER, BinomialPrior(0.1)).kept, [2])
+    assert np.array_equal(map_estimate(y3, UNIT_HYPER, BinomialPrior(0.1)).kept, [2])
+    assert_candidates_match_full(y3, UNIT_HYPER, [BinomialPrior(0.1)])
 
 
 class ArgsortSizes(list):
@@ -406,7 +413,8 @@ def test_custom_priors_fall_back_to_the_full_ranking(monkeypatch):
         result = map_estimate(y, hyper, spec)
         assert sizes == ranked_sizes
         assert result.k_hat == n
-        assert_same_result(result, map_estimate(rank_sequence(y), hyper, spec))
+        inc = penalty_increments(spec, n, hyper)
+        assert_same_result(result, full_ranking_estimate(y, full_scan_k(y, inc)))
 
 
 def test_raw_selection_sorts_only_candidates(monkeypatch):
@@ -423,7 +431,7 @@ def test_raw_selection_sorts_only_candidates(monkeypatch):
     assert max(sizes) < n // 10
     penalties = [np.cumsum(penalty_increments(spec, n, hyper)) for spec in specs]
     penalties.append(lam**2 * np.arange(n + 1.0))
-    sorted_sq = rank_sequence(y).sorted_sq
+    sorted_sq = -np.sort(-(y * y))
     for result, penalty in zip(results, penalties):
         _, objective = select_k(sorted_sq, penalty)
         assert objective[result.k_hat] == objective.min()
@@ -433,7 +441,8 @@ def test_results_pickle():
     y = np.random.default_rng(15).standard_normal(300) * 2.0
     hyper, spec = make_hyper(1.0, 9.0), TruncatedPoissonPrior(10.0)
     copy = pickle.loads(pickle.dumps(map_estimate(y, hyper, spec)))
-    assert_same_result(copy, map_estimate(rank_sequence(y), hyper, spec))
+    k_hat = full_scan_k(y, penalty_increments(spec, 300, hyper))
+    assert_same_result(copy, full_ranking_estimate(y, k_hat))
 
 
 class ArgsortKinds(list):
@@ -554,7 +563,7 @@ def test_estimate_structure():
     assert result.threshold == absy[result.kept].min()
     assert np.all(absy[mask] <= result.threshold)
     penalty = np.cumsum(penalty_increments(spec, 40, hyper))
-    _, objective = select_k(rank_sequence(y).sorted_sq, penalty)
+    _, objective = select_k(-np.sort(-(y * y)), penalty)
     assert objective[result.k_hat] == objective.min()
 
 
