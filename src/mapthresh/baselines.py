@@ -14,7 +14,7 @@ from typing import Union
 import numpy as np
 from scipy.special import erfc
 
-from .errors import DegenerateDataError, DomainError
+from .errors import DegenerateDataError, DomainError, check_between, check_integer
 from .estimator import (
     EstimateResult,
     GaussianSequence,
@@ -71,33 +71,21 @@ class VariableThreshold:
 ThresholdRule = Union[FixedThreshold, VariableThreshold]
 
 
-def _check_n(n, minimum: int = 1) -> int:
-    if int(n) != n or n < minimum:
-        raise DomainError(f"n must be an integer >= {minimum}, got {n}")
-    return int(n)
-
-
-def _check_sigma(sigma: float) -> float:
-    if sigma <= 0.0 or not math.isfinite(sigma):
-        raise DomainError(f"sigma must be a positive real, got {sigma}")
-    return float(sigma)
-
-
 def universal_threshold(n: int, sigma: float) -> float:
     """sigma * sqrt(2 log n), the classical keep-nothing-under-noise cutoff."""
-    n = _check_n(n, minimum=2)
-    return _check_sigma(sigma) * math.sqrt(2.0 * math.log(n))
+    n = check_integer(n, "n", 2)
+    return float(check_between(sigma, "sigma", 0.0, math.inf)) * math.sqrt(2.0 * math.log(n))
 
 
 def aic_threshold(sigma: float) -> float:
     """sqrt(2) * sigma."""
-    return _check_sigma(sigma) * math.sqrt(2.0)
+    return float(check_between(sigma, "sigma", 0.0, math.inf)) * math.sqrt(2.0)
 
 
 def bic_threshold(n: int, sigma: float) -> float:
     """sigma * sqrt(log n)."""
-    n = _check_n(n, minimum=2)
-    return _check_sigma(sigma) * math.sqrt(math.log(n))
+    n = check_integer(n, "n", 2)
+    return float(check_between(sigma, "sigma", 0.0, math.inf)) * math.sqrt(math.log(n))
 
 
 def ric_threshold(n: int, sigma: float) -> float:
@@ -107,18 +95,17 @@ def ric_threshold(n: int, sigma: float) -> float:
 
 def fdr_sequence(n: int, sigma: float, q: float = 0.05) -> np.ndarray:
     """Rank-dependent cutoffs sigma * z(1 - (i/n) * q/2), i = 1..n."""
-    n = _check_n(n)
-    sigma = _check_sigma(sigma)
-    if not (0.0 < q < 1.0):
-        raise DomainError(f"q must lie in (0, 1), got {q}")
+    n = check_integer(n, "n", 1)
+    sigma = float(check_between(sigma, "sigma", 0.0, math.inf))
+    check_between(q, "q", 0.0, 1.0)
     tail = np.arange(1, n + 1, dtype=float) / n * (q / 2.0)
     return sigma * -normal_quantile(tail)
 
 
 def foster_stine_sequence(n: int, sigma: float) -> np.ndarray:
     """sigma * sqrt(2 log(n/i)), i = 1..n (zero at the last rank)."""
-    n = _check_n(n)
-    sigma = _check_sigma(sigma)
+    n = check_integer(n, "n", 1)
+    sigma = float(check_between(sigma, "sigma", 0.0, math.inf))
     i = np.arange(1, n + 1, dtype=float)
     return sigma * np.sqrt(2.0 * np.log(n / i))
 

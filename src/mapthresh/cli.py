@@ -27,7 +27,7 @@ from .baselines import (
     variable_threshold_estimate,
 )
 from .em import em_fit
-from .errors import MapThreshError, NumericError
+from .errors import MapThreshError, NumericError, check_between, check_integer
 from .estimator import map_estimate, penalty_increments
 from .priors import (
     BinomialPrior,
@@ -93,7 +93,10 @@ def parse_method_spec(text: str) -> tuple[str, dict]:
             key, eq, value = piece.partition("=")
             if not eq:
                 _fail(f"malformed parameter {piece!r} in {text!r} (expected key=value)")
-            params[key.strip()] = value.strip()
+            key = key.strip()
+            if key in params:
+                _fail(f"repeated parameter {key!r} in {text!r}")
+            params[key] = value.strip()
     allowed = {
         "binomial": {"xi"},
         "poisson": {"lambda"},
@@ -233,7 +236,8 @@ def cmd_estimate(args) -> int:
 
 def cmd_penalty(args) -> int:
     spec = _prior_spec_from_args(args)
-    hyper = HyperParams(sigma=args.sigma, tau=args.sigma * math.sqrt(args.gamma))
+    gamma = check_between(args.gamma, "--gamma", 0.0, math.inf, UsageError)
+    hyper = HyperParams(sigma=args.sigma, tau=args.sigma * math.sqrt(gamma))
     # the increments and their running sum are exactly what map_estimate scans
     increments = penalty_increments(spec, args.n, hyper)
     penalty = np.cumsum(increments)
@@ -252,8 +256,7 @@ def _prior_spec_from_args(args):
     kind, params = parse_method_spec(args.prior)
     if kind not in MAP_PRIOR_KINDS:
         _fail(f"{kind!r} is not a prior on model sizes")
-    if args.n < 0:
-        _fail(f"--n must be >= 0, got {args.n}")
+    check_integer(args.n, "--n", 0, UsageError)
     return _build_map_prior(kind, params, args.n, None)
 
 

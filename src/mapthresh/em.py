@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import _LOG_2PI, TAU_SQ_FLOOR, em_loop
-from .errors import DegenerateDataError, DomainError
+from .errors import DegenerateDataError, DomainError, check_between
 from .baselines import _mad_scale, universal_threshold
 from .estimator import GaussianSequence
 
@@ -77,10 +77,9 @@ def marginal_loglik(y, sigma: float, tau: float, xi: float) -> float:
     warning.
     """
     y = GaussianSequence(y).y
-    if sigma <= 0.0 or tau <= 0.0:
-        raise DomainError("sigma and tau must be positive")
-    if not (0.0 < xi < 1.0):
-        raise DomainError(f"xi must lie in (0, 1), got {xi}")
+    check_between(sigma, "sigma", 0.0, math.inf)
+    check_between(tau, "tau", 0.0, math.inf)
+    check_between(xi, "xi", 0.0, 1.0)
     v0 = sigma * sigma
     v1 = v0 + tau * tau
     if not (v0 > 0.0 and math.isfinite(v1)):
@@ -98,13 +97,17 @@ def slab_log_odds(sigma: float, tau: float, xi: float) -> float:
     """Posterior log-odds of signal averaged over draws from the slab.
 
     ``em_fit`` returns fits where this is nonnegative (up to rounding);
-    see the module docstring.
+    see the module docstring.  A gamma = (tau/sigma)^2 that overflows gives +inf.
     """
-    if sigma <= 0.0 or tau <= 0.0:
-        raise DomainError("sigma and tau must be positive")
-    if not (0.0 < xi < 1.0):
-        raise DomainError(f"xi must lie in (0, 1), got {xi}")
-    gamma = (tau / sigma) ** 2
+    check_between(sigma, "sigma", 0.0, math.inf)
+    check_between(tau, "tau", 0.0, math.inf)
+    check_between(xi, "xi", 0.0, 1.0)
+    try:
+        gamma = (tau / sigma) ** 2
+    except OverflowError:
+        gamma = math.inf
+    if gamma == math.inf:  # gamma - log1p(gamma) would be inf - inf
+        return math.inf
     return 0.5 * (gamma - math.log1p(gamma)) - (math.log1p(-xi) - math.log(xi))
 
 
@@ -150,8 +153,7 @@ def _check_init(sigma0: float, tau0: float, xi0: float) -> None:
             "init sigma and tau must be positive with finite, nonzero squares,"
             f" got {sigma0!r}, {tau0!r}"
         )
-    if not 0.0 < xi0 < 1.0:
-        raise DomainError(f"init xi must lie in (0, 1), got {xi0!r}")
+    check_between(xi0, "init xi", 0.0, 1.0)
 
 
 def init_heuristic(y) -> tuple[float, float, float]:

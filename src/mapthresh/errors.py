@@ -1,8 +1,8 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the checks of scalar arguments.
 
-All inherit from ValueError so callers that only know the stdlib still catch
-them; the CLI uses the distinction to pick exit codes (bad inputs exit 2,
-numeric failures exit 1).
+All exception types inherit from ValueError so callers that only know the
+stdlib still catch them; the CLI uses the distinction to pick exit codes
+(bad inputs exit 2, numeric failures exit 1).
 """
 
 
@@ -32,3 +32,28 @@ class UnsupportedBallError(MapThreshError):
 
 class NumericError(MapThreshError):
     """A computation failed numerically (overflow, non-convergence treated as fatal)."""
+
+
+def check_integer(value, name: str, minimum: int, error: type[MapThreshError] = DomainError) -> int:
+    """``value`` as an int if it has an integral value >= ``minimum`` (10.0 does,
+    a bool does not); else raise ``error``, naming the argument ``name``."""
+    try:
+        whole = int(value)
+        usable = whole == value and whole >= minimum and not isinstance(value, bool)
+    except (TypeError, ValueError, OverflowError):  # None, strings, NaN, infinities
+        usable = False
+    if not usable:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return whole
+
+
+def check_between(value, name: str, low: float, high: float, error: type[MapThreshError] = DomainError):
+    """``value`` unchanged if low < value < high (NaN is not); else raise
+    ``error``, naming the argument ``name``."""
+    try:
+        usable = low < value < high
+    except (TypeError, ValueError):  # None, strings, arrays
+        usable = False
+    if not usable:
+        raise error(f"{name} must lie in ({low:g}, {high:g}), got {value!r}")
+    return value

@@ -67,7 +67,7 @@ import numpy as np
 from scipy.special import gammaincc, gammaln
 
 from ._kernels import penalized_scan
-from .errors import DomainError, SizeError
+from .errors import DomainError, SizeError, check_between
 from .priors import (
     BinomialPrior,
     CustomLogWeightsPrior,
@@ -109,8 +109,8 @@ class GaussianSequence:
             raise DomainError("y must be a non-empty 1-D vector")
         if not np.all(np.isfinite(y)):
             raise DomainError("y must be finite")
-        if self.sigma is not None and self.sigma <= 0.0:
-            raise DomainError(f"sigma must be positive when given, got {self.sigma}")
+        if self.sigma is not None:
+            check_between(self.sigma, "sigma", 0.0, math.inf)
         object.__setattr__(self, "y", y)
 
 
@@ -203,10 +203,11 @@ def _rank_above(y: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray, floa
     that order and ``rest`` sums the other squares.  A cut of -inf ranks
     every observation, and ranks each row of a matrix ``y``.
     """
-    if cut == -math.inf:
-        order, ranked = _argsort_stable(-np.abs(y))
-        return order, ranked * ranked, 0.0
-    sq = y * y
+    with np.errstate(over="ignore"):  # a square that overflows is the +inf limit
+        if cut == -math.inf:
+            order, ranked = _argsort_stable(-np.abs(y))
+            return order, ranked * ranked, 0.0
+        sq = y * y
     candidates = np.flatnonzero(sq > cut)
     order = _rank(y, candidates)
     sorted_sq = sq[order]
@@ -268,8 +269,7 @@ def bayes_factor(y_i: float, hyper: HyperParams) -> float:
     sqrt(1 + gamma) * exp(-y^2 / (2 sigma^2 (1 + 1/gamma))); small values
     favor keeping the coordinate.
     """
-    if not math.isfinite(y_i):
-        raise DomainError(f"y_i must be finite, got {y_i}")
+    check_between(y_i, "y_i", -math.inf, math.inf)
     rate, _ = _rate(hyper)
     # y_i * y_i is +inf rather than OverflowError for huge y_i: the limit 0.0
     return math.sqrt(1.0 + hyper.gamma) * math.exp(-(y_i * y_i) / rate)
@@ -393,7 +393,8 @@ def map_estimate(
     y = _values(data)
     n = _check_prior_size(spec, y.size)
     if isinstance(spec, BinomialPrior):
-        return _keep_flagged(y, y * y > _binomial_cut(spec.xi, hyper))
+        with np.errstate(over="ignore"):  # an infinite square is kept
+            return _keep_flagged(y, y * y > _binomial_cut(spec.xi, hyper))
     return _scan_largest(y, _increments(spec, n, hyper))
 
 
@@ -424,8 +425,9 @@ def brute_force_map(
 ) -> Configuration:
     """Exhaustive posterior maximization over all 2^n configurations.
 
-    Only for n <= 20.  Score ties are broken toward smaller size, then the
-    lexicographically smallest mask, so the result is deterministic.
+    Only for n <= 20.  Score ties are broken toward smaller size, then toward
+    the earliest indices, as the stable order of ``map_estimate``.  Every
+    observation whose square overflows is kept, as in the +inf limit.
     """
     y = _values(data)
     n = y.size
@@ -433,13 +435,16 @@ def brute_force_map(
         raise SizeError(f"brute force is limited to n <= 20, got {n}")
     table = build_prior_table(spec, n)
     rate, half_log_1pg = _rate(hyper)
-    contrib = y**2 / rate - half_log_1pg
+    with np.errstate(over="ignore"):
+        contrib = y**2 / rate - half_log_1pg
+    finite = np.isfinite(contrib)
 
     masks = np.arange(2**n, dtype=np.uint32)
     bits = ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(bool)
     sizes = bits.sum(axis=1)
     prior_term = table.log_pmf - np.array([log_choose(n, k) for k in range(n + 1)])
-    scores = prior_term[sizes] + bits @ contrib
+    scores = prior_term[sizes] + bits @ np.where(finite, contrib, 0.0)
+    scores[~bits[:, ~finite].all(axis=1)] = -np.inf
 
     best = np.max(scores)
     tied = np.nonzero(scores == best)[0]
@@ -447,7 +452,7 @@ def brute_force_map(
         k_min = sizes[tied].min()
         tied = tied[sizes[tied] == k_min]
         if tied.size > 1:
-            # first mask bit is the most significant for lexicographic order
+            # read with the first bit most significant, the largest mask keeps the earliest indices
             rank = bits[tied] @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
-            tied = tied[np.argsort(rank)]
+            tied = tied[np.argsort(-rank)]
     return Configuration(x=bits[tied[0]])

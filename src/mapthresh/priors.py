@@ -9,6 +9,7 @@ function so tables stay finite up to n of a million or so.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Union
@@ -16,7 +17,7 @@ from typing import Union
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import ConfigurationError, DomainError, UnsupportedBallError
+from .errors import ConfigurationError, DomainError, UnsupportedBallError, check_between, check_integer
 
 __all__ = [
     "BinomialPrior",
@@ -52,8 +53,7 @@ class BinomialPrior:
     xi: float
 
     def __post_init__(self):
-        if not (0.0 < self.xi < 1.0) or not math.isfinite(self.xi):
-            raise ConfigurationError(f"binomial prior needs 0 < xi < 1, got {self.xi}")
+        check_between(self.xi, "binomial prior xi", 0.0, 1.0, ConfigurationError)
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,7 @@ class TruncatedPoissonPrior:
     lam: float
 
     def __post_init__(self):
-        if self.lam <= 0.0 or not math.isfinite(self.lam):
-            raise ConfigurationError(f"truncated Poisson prior needs lam > 0, got {self.lam}")
+        check_between(self.lam, "truncated Poisson prior lam", 0.0, math.inf, ConfigurationError)
 
 
 @dataclass(frozen=True)
@@ -79,8 +78,7 @@ class ReflectedPoissonPrior:
     lam: float
 
     def __post_init__(self):
-        if self.lam <= 0.0 or not math.isfinite(self.lam):
-            raise ConfigurationError(f"reflected Poisson prior needs lam > 0, got {self.lam}")
+        check_between(self.lam, "reflected Poisson prior lam", 0.0, math.inf, ConfigurationError)
 
 
 @dataclass(frozen=True)
@@ -133,10 +131,8 @@ class HyperParams:
     tau: float
 
     def __post_init__(self):
-        if self.sigma <= 0.0 or not math.isfinite(self.sigma):
-            raise DomainError(f"sigma must be a positive real, got {self.sigma}")
-        if self.tau <= 0.0 or not math.isfinite(self.tau):
-            raise DomainError(f"tau must be a positive real, got {self.tau}")
+        check_between(self.sigma, "sigma", 0.0, math.inf)
+        check_between(self.tau, "tau", 0.0, math.inf)
         try:  # ** raises OverflowError where a square overflows
             usable = self.sigma**2 > 0.0 and 0.0 < self.gamma < math.inf
         except OverflowError:
@@ -159,7 +155,7 @@ class L0Ball:
     eta: float
 
     def __post_init__(self):
-        _check_eta(self.eta)
+        check_between(self.eta, "ball radius eta", 0.0, math.inf, ConfigurationError)
 
 
 @dataclass(frozen=True)
@@ -171,7 +167,7 @@ class WeakLpBall:
 
     def __post_init__(self):
         _check_p(self.p)
-        _check_eta(self.eta)
+        check_between(self.eta, "ball radius eta", 0.0, math.inf, ConfigurationError)
 
 
 @dataclass(frozen=True)
@@ -183,15 +179,10 @@ class StrongLpBall:
 
     def __post_init__(self):
         _check_p(self.p)
-        _check_eta(self.eta)
+        check_between(self.eta, "ball radius eta", 0.0, math.inf, ConfigurationError)
 
 
 BallSpec = Union[L0Ball, WeakLpBall, StrongLpBall]
-
-
-def _check_eta(eta: float) -> None:
-    if eta <= 0.0 or not math.isfinite(eta):
-        raise ConfigurationError(f"ball radius eta must be a positive real, got {eta}")
 
 
 def _check_p(p: float) -> None:
@@ -222,11 +213,9 @@ def log_choose(n: int, k: int) -> float:
     Small k (or n-k) is summed directly so the result keeps ~1e-12 relative
     accuracy even when the log-gamma terms are of order 1e7.
     """
-    if int(n) != n or n < 0:
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
-    n = int(n)
-    k = int(k)
-    if k < 0 or k > n:
+    n = check_integer(n, "n", 0)
+    k = check_integer(k, "k", 0)
+    if k > n:
         raise DomainError(f"k must lie in [0, {n}], got {k}")
     m = min(k, n - k)
     if m <= 128:
@@ -270,9 +259,7 @@ def _check_prior_size(spec: PriorSpec, n: int) -> int:
     Raises for a spec that does not fit n, and warns when a reflected
     Poisson prior is too weak to locate the size (lam <= sqrt(n log n)).
     """
-    if int(n) != n or n < 0:
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
-    n = int(n)
+    n = check_integer(n, "n", 0)
     if isinstance(spec, TruncatedPoissonPrior):
         if spec.lam > n:
             raise ConfigurationError(f"truncated Poisson prior needs lam <= n = {n}, got {spec.lam}")
@@ -317,12 +304,14 @@ def check_assumption_a(table: PriorTable, gamma: float) -> AssumptionReport:
 
     c(gamma) = 8 (gamma + 3/4)^2.  The margin at k is the log of the bound
     minus the log prior mass; the bound holds iff every margin is >= 0.
+    Raises DomainError unless 0 < gamma < sqrt(float max / 8), where
+    c(gamma) is finite.
     """
-    if gamma <= 0.0 or not math.isfinite(gamma):
-        raise DomainError(f"gamma must be a positive real, got {gamma}")
+    check_between(gamma, "gamma", 0.0, math.sqrt(sys.float_info.max / 8.0))
     c_gamma = 8.0 * (gamma + 0.75) ** 2
     k = np.arange(table.n + 1, dtype=float)
-    margin = _log_choose_all(table.n) - c_gamma * k - table.log_pmf
+    with np.errstate(over="ignore"):  # a product c(gamma) k that overflows is the -inf margin
+        margin = _log_choose_all(table.n) - c_gamma * k - table.log_pmf
     return AssumptionReport(c_gamma=c_gamma, per_k_margin=margin, holds=bool(np.all(margin >= 0.0)))
 
 
@@ -386,8 +375,7 @@ def prior_ball_mass(
 
     Returns (estimate, standard error).
     """
-    if reps < 1:
-        raise DomainError(f"reps must be >= 1, got {reps}")
+    reps = check_integer(reps, "reps", 1)
     pmf = build_prior_table(spec, n).pmf()
     rng = np.random.default_rng(seed)
     hits = sum(ball_contains(ball, _draw_mu(rng, pmf, hyper.tau)) for _ in range(reps))

@@ -39,7 +39,7 @@ import numpy as np
 from ._kernels import penalized_scan
 from .baselines import _mad_scale, universal_threshold
 from .em import em_fit, init_heuristic
-from .errors import ConfigurationError, DomainError, UnsupportedBallError
+from .errors import ConfigurationError, DomainError, UnsupportedBallError, check_between, check_integer
 from .estimator import _binomial_cut, _rank_above, map_estimate, penalty_increments
 from .priors import (
     BallSpec,
@@ -82,8 +82,7 @@ UNIVERSAL_SCALES = ("mad_raw", "mad", "true")
 def oracle_risk(mu, sigma: float) -> float:
     """Ideal keep-or-kill risk: sum of min(mu_i^2, sigma^2)."""
     mu = np.asarray(mu, dtype=float)
-    if sigma <= 0.0 or not math.isfinite(sigma):
-        raise DomainError(f"sigma must be a positive real, got {sigma}")
+    check_between(sigma, "sigma", 0.0, math.inf)
     return float(_ideal_risk(mu, sigma))
 
 
@@ -99,11 +98,8 @@ def minimax_rate(ball: BallSpec, n: int, sigma: float) -> float:
     super-sparse one when n^(1/p) * eta >= sqrt(2 log n); the strong-ball
     rate is the same without the 2/(2-p) factor.
     """
-    if int(n) != n or n < 2:
-        raise DomainError(f"n must be an integer >= 2, got {n}")
-    if sigma <= 0.0 or not math.isfinite(sigma):
-        raise DomainError(f"sigma must be a positive real, got {sigma}")
-    n = int(n)
+    n = check_integer(n, "n", 2)
+    check_between(sigma, "sigma", 0.0, math.inf)
     eta = ball.eta
     if eta >= 1.0:
         raise DomainError(f"rates require eta < 1, got {eta}")
@@ -127,9 +123,7 @@ def least_favorable_mu(ball: BallSpec, n: int, sigma: float = 1.0) -> np.ndarray
     spikes of size sigma * sqrt(2 log(1/eta)).  Strong balls have no such
     canonical sequence here.
     """
-    if int(n) != n or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
-    n = int(n)
+    n = check_integer(n, "n", 1)
     if isinstance(ball, WeakLpBall):
         i = np.arange(1, n + 1, dtype=float)
         return ball.eta * (n / i) ** (1.0 / ball.p)
@@ -163,19 +157,19 @@ class ExperimentConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 10:
-            raise ConfigurationError(f"n must be an integer >= 10, got {self.n}")
-        if self.sigma <= 0.0 or not math.isfinite(self.sigma):
-            raise ConfigurationError(f"sigma must be a positive real, got {self.sigma}")
-        object.__setattr__(self, "xi_grid", tuple(float(x) for x in self.xi_grid))
-        object.__setattr__(self, "tau_grid", tuple(float(t) for t in self.tau_grid))
+        for name, minimum in (("n", 10), ("replications", 1), ("master_seed", 0), ("jobs", 1)):
+            whole = check_integer(getattr(self, name), name, minimum, ConfigurationError)
+            object.__setattr__(self, name, whole)
+        check_between(self.sigma, "sigma", 0.0, math.inf, ConfigurationError)
+        for name, high in (("xi_grid", 1.0), ("tau_grid", math.inf)):
+            grid = tuple(
+                float(check_between(v, f"{name} entries", 0.0, high, ConfigurationError))
+                for v in getattr(self, name)
+            )
+            if not grid:
+                raise ConfigurationError(f"{name} must be non-empty")
+            object.__setattr__(self, name, grid)
         object.__setattr__(self, "methods", tuple(str(m) for m in self.methods))
-        if not self.xi_grid or any(not (0.0 < x < 1.0) for x in self.xi_grid):
-            raise ConfigurationError("xi_grid entries must lie in (0, 1)")
-        if not self.tau_grid or any(t <= 0.0 or not math.isfinite(t) for t in self.tau_grid):
-            raise ConfigurationError("tau_grid entries must be positive reals")
-        if int(self.replications) != self.replications or self.replications < 1:
-            raise ConfigurationError(f"replications must be an integer >= 1, got {self.replications}")
         if not self.methods:
             raise ConfigurationError("methods must be non-empty")
         for m in self.methods:
@@ -185,14 +179,10 @@ class ExperimentConfig:
                 )
         if len(set(self.methods)) != len(self.methods):
             raise ConfigurationError("methods must not repeat")
-        if int(self.master_seed) != self.master_seed or self.master_seed < 0:
-            raise ConfigurationError(f"master_seed must be a nonnegative integer, got {self.master_seed}")
         if self.universal_scale not in UNIVERSAL_SCALES:
             raise ConfigurationError(
                 f"unknown universal_scale {self.universal_scale!r}; choose from {', '.join(UNIVERSAL_SCALES)}"
             )
-        if int(self.jobs) != self.jobs or self.jobs < 1:
-            raise ConfigurationError(f"jobs must be an integer >= 1, got {self.jobs}")
 
 
 @dataclass(frozen=True)
@@ -443,8 +433,7 @@ def rate_check(
     records mean squared error over ``reps`` draws divided by the rate,
     alongside the same ratio for the ideal keep-or-kill risk.
     """
-    if reps < 1:
-        raise DomainError(f"reps must be >= 1, got {reps}")
+    reps = check_integer(reps, "reps", 1)
     rows = []
     for n in n_grid:
         n = int(n)

@@ -71,6 +71,7 @@ def test_version_flag(capsys):
         "binomial:xi",
         "fixed",
         "custom",
+        "binomial:xi=0.1,xi=0.2",
     ],
 )
 def test_bad_prior_specs_exit_2(capsys, noisy_input, prior):
@@ -198,6 +199,24 @@ def test_estimate_with_em_rejects_unconverged_fit(capsys, tmp_path, monkeypatch)
 
 
 @pytest.mark.parametrize(
+    "kind, prior",
+    [("binomial", BinomialPrior), ("poisson", TruncatedPoissonPrior), ("rpoisson", ReflectedPoissonPrior)],
+)
+def test_estimate_with_em_fits_each_map_prior(capsys, tmp_path, kind, prior):
+    rng = np.random.default_rng(5)
+    mu = np.where(rng.random(400) < 0.3, 5.0 * rng.standard_normal(400), 0.0)
+    y = mu + rng.standard_normal(400)
+    path = write_column(tmp_path / "em.csv", y)
+    rc, out, _ = run(capsys, "estimate", "--input", path, "--prior", kind, "--em")
+    assert rc == 0
+    fit = em_fit(y)
+    # the Poisson priors put the fitted xi on n * xi expected signals
+    spec = prior(fit.xi_hat if kind == "binomial" else y.size * fit.xi_hat)
+    expected = map_estimate(y, HyperParams(fit.sigma_hat, fit.tau_hat), spec)
+    assert out.splitlines()[-1] == f"k_hat={expected.k_hat} threshold={expected.threshold:.17g}"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("universal", "--sigma", "1"),
@@ -276,6 +295,18 @@ def test_penalty_negative_size_exit_2(capsys):
                      "--gamma", "1")
     assert rc == 2
     assert "--n" in err
+
+
+@pytest.mark.parametrize(
+    "command, gamma",
+    [("penalty", "-1"), ("penalty", "nan"), ("check-prior", "-1"), ("check-prior", "1e300")],
+)
+def test_bad_gamma_exits_2_with_one_line(capsys, command, gamma):
+    rc, out, err = run(capsys, command, "--n", "10", "--prior", "binomial:xi=0.1",
+                       "--gamma", gamma)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "gamma" in err and err.count("\n") == 1
 
 
 def test_penalty_rejects_rule_specs(capsys):
@@ -471,6 +502,19 @@ def test_em_fit_reports_library_values(capsys, tmp_path):
     assert float(fields["loglik"]) == fit.loglik
     assert int(fields["iterations"]) == fit.iterations
     assert fields["converged"] == "true"
+
+
+def test_em_fit_exits_1_on_an_unconverged_fit(capsys, tmp_path, monkeypatch):
+    import mapthresh.cli as cli
+
+    monkeypatch.setattr(cli, "em_fit", lambda y: em_fit(y, max_iter=1))
+    rng = np.random.default_rng(2)
+    mu = np.where(rng.random(500) < 0.1, 5.0 * rng.standard_normal(500), 0.0)
+    path = write_column(tmp_path / "y.csv", mu + rng.standard_normal(500))
+    rc, out, err = run(capsys, "em-fit", "--input", path)
+    assert rc == 1
+    assert "iterations=1 converged=false" in out
+    assert err.strip() == "error: EM did not converge within the iteration budget"
 
 
 def test_em_fit_rejects_short_input(capsys, tmp_path):

@@ -235,6 +235,13 @@ def test_slab_log_odds_closed_form():
         slab_log_odds(1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("sigma, tau", [(1e-200, 1e200), (1e-100, 1e100)],
+                         ids=["ratio-overflows", "square-overflows"])
+def test_slab_log_odds_of_an_overflowing_gamma_is_infinite(sigma, tau):
+    assert slab_log_odds(sigma, tau, 0.5) == math.inf
+    assert slab_log_odds(sigma, tau, 1e-300) == math.inf
+
+
 def test_fit_validation():
     with pytest.raises(DomainError):
         em_fit(np.arange(5, dtype=float))  # too short

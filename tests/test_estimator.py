@@ -705,6 +705,46 @@ def test_brute_force_symmetric_tie_lexicographic():
         assert config.x.tolist() == [True, False]
 
 
+def test_brute_force_ties_go_to_the_earliest_indices_as_in_the_scan():
+    # pi(1) dominates, so exactly one of the tied magnitudes is kept
+    spec = CustomLogWeightsPrior(np.array([0.0, 5.0, -100.0]))
+    y = np.array([1.0, -1.0])
+    config = brute_force_map(y, make_hyper(1.0, 9.0), spec)
+    assert config.x.tolist() == [True, False]
+    assert map_estimate(y, make_hyper(1.0, 9.0), spec).kept.tolist() == [0]
+    spec = CustomLogWeightsPrior(np.array([0.0, 0.0, 8.0, -100.0]))
+    config = brute_force_map(np.array([1.0, -1.0, 1.0]), make_hyper(1.0, 9.0), spec)
+    assert config.x.tolist() == [True, True, False]
+
+
+def test_brute_force_keeps_an_observation_whose_square_overflows():
+    y = np.array([0.3, 1e200, 4.0, -0.2, 2.5, 0.1])
+    for spec in (BinomialPrior(0.3), TruncatedPoissonPrior(2.0)):
+        config = brute_force_map(y, make_hyper(1.0, 25.0), spec)
+        assert np.flatnonzero(config.x).tolist() == [1, 2, 4]
+        assert np.sort(map_estimate(y, make_hyper(1.0, 25.0), spec).kept).tolist() == [1, 2, 4]
+
+
+@pytest.mark.parametrize("rule", ["binomial", "poisson", "rpoisson", "fdr"])
+def test_an_observation_whose_square_overflows_is_kept(rule):
+    # runs under the suite's warning filter: an overflow warning fails it
+    rng = np.random.default_rng(7)
+    mu = np.where(rng.random(200) < 0.03, 5.0 * rng.standard_normal(200), 0.0)
+    plain = mu + rng.standard_normal(200)
+    y = np.concatenate([[1e200], plain])
+    hyper = make_hyper(1.0, 25.0)
+    if rule == "fdr":
+        with_huge = variable_threshold_estimate(y, fdr_sequence(y.size, 1.0))
+        without = variable_threshold_estimate(plain, fdr_sequence(plain.size, 1.0))
+    else:
+        spec = {"binomial": BinomialPrior(0.03), "poisson": TruncatedPoissonPrior(6.0),
+                "rpoisson": ReflectedPoissonPrior(100.0)}[rule]
+        with_huge, without = map_estimate(y, hyper, spec), map_estimate(plain, hyper, spec)
+    assert with_huge.kept[0] == 0
+    assert with_huge.kept[1:].tolist() == (without.kept + 1).tolist()
+    assert with_huge.k_hat == without.k_hat + 1 and with_huge.threshold == without.threshold
+
+
 def test_brute_force_size_guard():
     with pytest.raises(SizeError):
         brute_force_map(np.zeros(21), UNIT_HYPER, BinomialPrior(0.1))

@@ -171,6 +171,30 @@ GOOD = dict(
         dict(master_seed=-1),
         dict(universal_scale="med"),
         dict(jobs=0),
+        dict(n=math.nan),
+        dict(n=math.inf),
+        dict(n=None),
+        dict(n="100"),
+        dict(n=100.5),
+        dict(sigma=math.nan),
+        dict(sigma=math.inf),
+        dict(sigma=None),
+        dict(sigma="1"),
+        dict(xi_grid=(math.nan,)),
+        dict(xi_grid=(None,)),
+        dict(xi_grid=("0.1",)),
+        dict(tau_grid=(math.inf,)),
+        dict(tau_grid=(math.nan,)),
+        dict(replications=math.inf),
+        dict(replications=None),
+        dict(replications="3"),
+        dict(replications=2.5),
+        dict(master_seed=math.nan),
+        dict(master_seed=True),
+        dict(master_seed=1.5),
+        dict(jobs=None),
+        dict(jobs="3"),
+        dict(jobs=1.5),
     ],
 )
 def test_config_rejects_bad_fields(bad):
@@ -181,6 +205,13 @@ def test_config_rejects_bad_fields(bad):
 def test_config_error_names_unknown_method():
     with pytest.raises(ConfigurationError, match="bogus"):
         ExperimentConfig(**{**GOOD, "methods": ("bogus",)})
+
+
+def test_config_takes_integral_floats_as_ints():
+    cfg = ExperimentConfig(**{**GOOD, "n": 100.0, "replications": 2.0, "master_seed": 3.0, "jobs": 1.0})
+    assert [type(v) for v in (cfg.n, cfg.replications, cfg.master_seed, cfg.jobs)] == [int] * 4
+    same = ExperimentConfig(**{**GOOD, "master_seed": 3})
+    assert report_bytes(monte_carlo_amse(cfg)) == report_bytes(monte_carlo_amse(same))
 
 
 # ---------------------------------------------------------------------------
