@@ -41,8 +41,18 @@ from .priors import (
 )
 from .risk import ExperimentConfig, monte_carlo_amse
 
-MAP_PRIOR_KINDS = ("binomial", "poisson", "rpoisson", "custom")
-RULE_KINDS = ("universal", "fixed", "fdr", "foster-stine")
+# MAP prior kind -> (spec type, its parameter, that parameter from an EM
+# fit's xi for n observations; None for a custom prior, read from a file)
+_MAP_PRIORS = {
+    "binomial": (BinomialPrior, "xi", lambda xi, n: xi),
+    "poisson": (TruncatedPoissonPrior, "lambda", lambda xi, n: n * xi),
+    "rpoisson": (ReflectedPoissonPrior, "lambda", lambda xi, n: n * xi),
+    "custom": (CustomLogWeightsPrior, "file", None),
+}
+# rule kind -> the parameters its spec takes
+_RULE_PARAMS = {"universal": (), "fixed": ("lambda",), "fdr": ("q",), "foster-stine": ()}
+MAP_PRIOR_KINDS = tuple(_MAP_PRIORS)
+RULE_KINDS = tuple(_RULE_PARAMS)
 
 # JSON type of each config key; (list, t) is a list of t
 _CONFIG_REQUIRED = {
@@ -97,16 +107,7 @@ def parse_method_spec(text: str) -> tuple[str, dict]:
             if key in params:
                 _fail(f"repeated parameter {key!r} in {text!r}")
             params[key] = value.strip()
-    allowed = {
-        "binomial": {"xi"},
-        "poisson": {"lambda"},
-        "rpoisson": {"lambda"},
-        "custom": {"file"},
-        "universal": set(),
-        "fixed": {"lambda"},
-        "fdr": {"q"},
-        "foster-stine": set(),
-    }[kind]
+    allowed = (_MAP_PRIORS[kind][1],) if kind in _MAP_PRIORS else _RULE_PARAMS[kind]
     for key in params:
         if key not in allowed:
             _fail(f"unknown parameter {key!r} for {kind!r}")
@@ -145,29 +146,16 @@ def _read_column(path: str) -> np.ndarray:
 
 
 def _build_map_prior(kind: str, params: dict, n: int, xi_hat: float | None):
-    if kind == "binomial":
-        if "xi" in params:
-            return BinomialPrior(_param_float(params, "xi", kind))
-        if xi_hat is None:
-            _fail("binomial prior needs xi=... or --em")
-        return BinomialPrior(xi_hat)
-    if kind == "poisson":
-        if "lambda" in params:
-            return TruncatedPoissonPrior(_param_float(params, "lambda", kind))
-        if xi_hat is None:
-            _fail("poisson prior needs lambda=... or --em")
-        return TruncatedPoissonPrior(n * xi_hat)
-    if kind == "rpoisson":
-        if "lambda" in params:
-            return ReflectedPoissonPrior(_param_float(params, "lambda", kind))
-        if xi_hat is None:
-            _fail("rpoisson prior needs lambda=... or --em")
-        return ReflectedPoissonPrior(n * xi_hat)
     if kind == "custom":
         if "file" not in params:
             _fail("custom prior needs file=PATH")
         return CustomLogWeightsPrior(_read_column(params["file"]))
-    _fail(f"{kind!r} is not a prior on model sizes")
+    spec_type, key, from_fit = _MAP_PRIORS[kind]
+    if key in params:
+        return spec_type(_param_float(params, key, kind))
+    if xi_hat is None:
+        _fail(f"{kind} prior needs {key}=... or --em")
+    return spec_type(from_fit(xi_hat, n))
 
 
 def _open_out(path: str | None):

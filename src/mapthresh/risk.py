@@ -19,10 +19,12 @@ and scanned over all sizes, while ``map_estimate`` scans only the
 certified candidates and sums the tails from the squares left out.  Both
 give the same errors to the bit on the tested inputs.  Rows are taken
 in blocks of at most ``BLOCK_VALUES`` values, one row at a time once n
-exceeds it, so memory stays bounded for any n.  EM stays per row: each
-row is fitted by its own ``em_fit`` call, and that fit's starting scale
-is the row's robust scale.  Without EM every row shares the cell's
-hyperparameters, so each prior's penalties are built once per cell.
+exceeds it, so memory stays bounded for any n.  Each block is fitted,
+then scored.  Under EM each row is fitted by its own ``em_fit`` call;
+without EM every row shares the cell's hyperparameters, so each prior's
+penalties are built once per cell.  Scoring receives those fits and
+fits nothing itself: the universal rule takes the robust scale of the
+block's rows, EM on or off.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import re
+import sys
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -38,7 +41,7 @@ import numpy as np
 
 from ._kernels import penalized_scan
 from .baselines import _mad_scale, universal_threshold
-from .em import em_fit, init_heuristic
+from .em import em_fit
 from .errors import ConfigurationError, DomainError, UnsupportedBallError, check_between, check_integer
 from .estimator import _binomial_cut, _rank_above, map_estimate, penalty_increments
 from .priors import (
@@ -164,12 +167,12 @@ class ExperimentConfig:
         for name, high in (("xi_grid", 1.0), ("tau_grid", math.inf)):
             grid = tuple(
                 float(check_between(v, f"{name} entries", 0.0, high, ConfigurationError))
-                for v in getattr(self, name)
+                for v in _entries(getattr(self, name), name)
             )
             if not grid:
                 raise ConfigurationError(f"{name} must be non-empty")
             object.__setattr__(self, name, grid)
-        object.__setattr__(self, "methods", tuple(str(m) for m in self.methods))
+        object.__setattr__(self, "methods", tuple(str(m) for m in _entries(self.methods, "methods")))
         if not self.methods:
             raise ConfigurationError("methods must be non-empty")
         for m in self.methods:
@@ -179,10 +182,20 @@ class ExperimentConfig:
                 )
         if len(set(self.methods)) != len(self.methods):
             raise ConfigurationError("methods must not repeat")
+        if not isinstance(self.use_em, bool):
+            raise ConfigurationError(f"use_em must be True or False, got {self.use_em!r}")
         if self.universal_scale not in UNIVERSAL_SCALES:
             raise ConfigurationError(
                 f"unknown universal_scale {self.universal_scale!r}; choose from {', '.join(UNIVERSAL_SCALES)}"
             )
+
+
+def _entries(value, name: str) -> tuple:
+    """``value`` as a tuple; ConfigurationError if it is not iterable."""
+    try:
+        return tuple(value)
+    except TypeError:  # None, numbers
+        raise ConfigurationError(f"{name} must be a sequence, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -221,10 +234,6 @@ class RiskReport:
                     )
 
 
-def _map_methods(methods: Sequence[str]) -> bool:
-    return any(m in ("bin", "pois1", "pois2") for m in methods)
-
-
 # The MAP methods that scan, by the prior they put on n * xi.
 _SCANNED_PRIORS = {"pois1": TruncatedPoissonPrior, "pois2": ReflectedPoissonPrior}
 
@@ -241,72 +250,54 @@ def _draw_block(
     n, sigma = config.n, config.sigma
     mu = np.empty((len(reps), n))
     y = np.empty_like(mu)
-    for row, rep in enumerate(reps):
-        rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, cell_index, rep]))
-        signal = rng.random(n) < xi
-        mu[row] = np.where(signal, tau * rng.standard_normal(n), 0.0)
-        y[row] = mu[row] + sigma * rng.standard_normal(n)
-    if not np.all(np.isfinite(y)):
-        raise DomainError("y must be finite")
+    with np.errstate(over="ignore"):  # an infinite draw is refused below
+        for row, rep in enumerate(reps):
+            rng = np.random.default_rng(np.random.SeedSequence([config.master_seed, cell_index, rep]))
+            signal = rng.random(n) < xi
+            mu[row] = np.where(signal, tau * rng.standard_normal(n), 0.0)
+            y[row] = mu[row] + sigma * rng.standard_normal(n)
+    # below it each squared error term, mu^2 or (y - mu)^2, is at most float max / (2 n)
+    limit = math.sqrt(sys.float_info.max / (8.0 * n))
+    largest = max(float(np.abs(mu).max()), float(np.abs(y).max()))
+    if not largest <= limit:
+        raise DomainError(
+            f"draws of magnitude up to {limit:.3g} are supported for n = {n}, got {largest:.3g}:"
+            " larger ones overflow the squared errors; lower sigma or the tau_grid entries"
+        )
     return mu, y
 
 
 @dataclass(frozen=True)
 class _Fits:
-    """The hyperparameters of the MAP methods: one set per row under EM,
-    one set shared by every row without it."""
+    """What scoring reads of the MAP methods' hyperparameters: one set per
+    row under EM, one set shared by every row without it."""
 
-    hypers: list[tuple[HyperParams, float]]  # (hyper, xi) per set
+    cuts: np.ndarray | None  # binomial cuts as a column, one row per set; None without "bin"
     penalties: dict[str, np.ndarray]  # per scanned prior: cumulative penalties, one row per set
-    flat: int  # sets whose reflected Poisson prior is nearly flat
+    flat: tuple[bool, ...]  # per set, with "pois2": whether its reflected Poisson prior is nearly flat
 
     @classmethod
     def of(cls, config: ExperimentConfig, hypers: list[tuple[HyperParams, float]]) -> _Fits:
         n = config.n
-        penalties, flat = {}, 0
+        cuts = np.array([[_binomial_cut(xi, h)] for h, xi in hypers]) if "bin" in config.methods else None
+        penalties, flat = {}, ()
         for method in config.methods:
             if method in _SCANNED_PRIORS:
                 specs = [_SCANNED_PRIORS[method](n * xi) for _, xi in hypers]
                 if method == "pois2":
-                    flat = sum(_reflected_is_flat(spec.lam, n) for spec in specs)
-                increments = [
-                    penalty_increments(spec, n, hyper) for spec, (hyper, _) in zip(specs, hypers)
-                ]
+                    flat = tuple(_reflected_is_flat(spec.lam, n) for spec in specs)
+                increments = [penalty_increments(spec, n, h) for spec, (h, _) in zip(specs, hypers)]
                 penalties[method] = np.cumsum(increments, axis=-1)
-        return cls(hypers, penalties, flat)
-
-
-def _fit_rows(config: ExperimentConfig, y: np.ndarray) -> tuple[_Fits, np.ndarray, int]:
-    """EM fits of every row, the rows' robust scales (each fit's starting
-    sigma), and the number of fits that ran without converging."""
-    hypers = []
-    mad = np.empty(y.shape[0])
-    nonconverged = 0
-    for row, y_r in enumerate(y):
-        init = init_heuristic(y_r)
-        mad[row] = init[0]
-        fit = em_fit(y_r, init=init)
-        nonconverged += not fit.converged
-        hypers.append((HyperParams(sigma=fit.sigma_hat, tau=fit.tau_hat), fit.xi_hat))
-    return _Fits.of(config, hypers), mad, nonconverged
+        return cls(cuts, penalties, flat)
 
 
 def _score_block(
-    config: ExperimentConfig, shared: _Fits | None, mu: np.ndarray, y: np.ndarray
-) -> tuple[dict[str, np.ndarray], int, int]:
-    """Squared error per method and row, the number of EM fits that ran
-    without converging, and the number of rows whose reflected Poisson
-    prior was nearly flat.  ``shared`` holds the hyperparameters of every
-    row, or is None when each row is fitted by EM."""
-    rows, n = y.shape
+    config: ExperimentConfig, fits: _Fits, mu: np.ndarray, y: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Squared error per method and row of a block, given the MAP methods'
+    hyperparameters for every row."""
+    n = y.shape[1]
     sigma = config.sigma
-    nonconverged = 0
-    mad = None  # one robust scale per row once computed: init_heuristic's sigma0 under EM
-    if shared is None:
-        fits, mad, nonconverged = _fit_rows(config, y)
-    else:
-        fits = shared
-
     ranking = None  # (order, sorted_sq) of every row, once a scanned prior needs it
     out: dict[str, np.ndarray] = {}
     for method in config.methods:
@@ -317,15 +308,14 @@ def _score_block(
             if config.universal_scale == "true":
                 lam = universal_threshold(n, sigma)
             else:
-                mad = _mad_scale(y) if mad is None else mad
+                mad = _mad_scale(y)
                 scale = 0.6745 * mad if config.universal_scale == "mad_raw" else mad
                 # universal_threshold(n, s) is s times the unit cutoff, to the bit
                 lam = scale[:, None] * universal_threshold(n, 1.0)
             keep = np.abs(y) >= lam
         elif method == "bin":
-            cuts = [_binomial_cut(xi_hat, hyper) for hyper, xi_hat in fits.hypers]
-            keep = y * y > np.array(cuts)[:, None]
-        elif method in _SCANNED_PRIORS:
+            keep = y * y > fits.cuts
+        else:  # a scanned prior
             if ranking is None:
                 ranking = _rank_above(y, -math.inf)[:2]
             order, sorted_sq = ranking
@@ -333,35 +323,48 @@ def _score_block(
             top = int(k_hat.max())  # each row keeps its first k_hat ranks
             keep = np.zeros(y.shape, dtype=bool)
             np.put_along_axis(keep, order[:, :top], np.arange(top) < k_hat[:, None], axis=-1)
-        else:  # pragma: no cover - guarded by config validation
-            raise ConfigurationError(f"unknown method {method!r}")
         out[method] = np.sum((np.where(keep, y, 0.0) - mu) ** 2, axis=-1) / n
-    flat = rows // len(fits.hypers) * fits.flat
-    return out, nonconverged, flat
+    return out
 
 
 def _run_cell(args) -> tuple[int, dict[str, np.ndarray], int, int]:
+    """Errors per method and replication of one cell, the number of EM fits
+    that ran without converging, and the number of replications whose
+    reflected Poisson prior was nearly flat."""
     config, cell_index, xi, tau = args
     reps = config.replications
     errors = {m: np.empty(reps) for m in config.methods}
-    nonconverged = 0
-    flat = 0
+    nonconverged = flat = 0
     step = max(1, BLOCK_VALUES // config.n)
+    fitting = config.use_em and any(m in ("bin", *_SCANNED_PRIORS) for m in config.methods)
     with warnings.catch_warnings():
         # counted per cell in ``flat`` instead of warned per prior
         warnings.filterwarnings("ignore", message=re.escape(_FLAT_REFLECTED_WARNING))
-        shared = None
-        if not (config.use_em and _map_methods(config.methods)):
-            shared = _Fits.of(config, [(HyperParams(sigma=config.sigma, tau=tau), xi)])
+        if not fitting:
+            fits = _Fits.of(config, [(HyperParams(sigma=config.sigma, tau=tau), xi)])
+            flat = reps * sum(fits.flat)
         for start in range(0, reps, step):
             block = range(start, min(start + step, reps))
             mu, y = _draw_block(config, cell_index, xi, tau, block)
-            values, missed, was_flat = _score_block(config, shared, mu, y)
-            nonconverged += missed
-            flat += was_flat
-            for m, v in values.items():
+            if fitting:
+                row_fits = [em_fit(y_r) for y_r in y]
+                nonconverged += sum(not fit.converged for fit in row_fits)
+                fits = _Fits.of(config, [(HyperParams(f.sigma_hat, f.tau_hat), f.xi_hat) for f in row_fits])
+                flat += sum(fits.flat)
+            for m, v in _score_block(config, fits, mu, y).items():
                 errors[m][block.start : block.stop] = v
     return cell_index, errors, nonconverged, flat
+
+
+def _mean_and_std_err(e: np.ndarray) -> tuple[float, float]:
+    """``np.mean(e)`` and ``np.std(e, ddof=1) / sqrt(e.size)`` (0 for one
+    value) of finite errors >= 0, taken on e / s for the power of two
+    s = 2^floor(log2 max e) and scaled back: no sum or square overflows,
+    and scaling by a power of two is exact."""
+    s = math.ldexp(1.0, math.frexp(float(e.max()))[1] - 1)
+    e = e / s
+    std_err = float(np.std(e, ddof=1)) * s / math.sqrt(e.size) if e.size > 1 else 0.0
+    return float(np.mean(e)) * s, std_err
 
 
 def monte_carlo_amse(config: ExperimentConfig) -> RiskReport:
@@ -391,13 +394,7 @@ def monte_carlo_amse(config: ExperimentConfig) -> RiskReport:
     for idx, xi, tau in grid:
         errors, nonconverged[(xi, tau)], flat[(xi, tau)] = results[idx]
         for method in config.methods:
-            e = errors[method]
-            amse = float(np.mean(e))
-            if config.replications > 1:
-                std_err = float(np.std(e, ddof=1) / math.sqrt(config.replications))
-            else:
-                std_err = 0.0
-            cells[(method, xi, tau)] = CellResult(amse=amse, std_err=std_err)
+            cells[(method, xi, tau)] = CellResult(*_mean_and_std_err(errors[method]))
     return RiskReport(
         config=config, cells=cells, em_nonconverged=nonconverged, flat_reflected_priors=flat
     )

@@ -23,7 +23,7 @@ from mapthresh import (
     penalty_increments,
     penalty_table,
 )
-from mapthresh import risk
+from mapthresh import em as em_module, risk
 from mapthresh.cli import main
 
 
@@ -409,6 +409,45 @@ def test_simulate_reports_flat_reflected_priors_on_stderr(capsys, tmp_path):
     assert len(lines) == 1
     assert lines[0].startswith("warning: 3 pois2 estimates used a nearly flat")
     assert lines[0].endswith("(xi=0.1 tau=4: 3)")
+
+
+def test_simulate_checks_each_fitted_row_once(capsys, tmp_path, monkeypatch):
+    calls = []
+    check = em_module._check_magnitudes
+
+    def counting_check(y):
+        calls.append(1)
+        return check(y)
+
+    monkeypatch.setattr(em_module, "_check_magnitudes", counting_check)
+    payload = dict(TINY, xi_grid=[0.1, 0.3], methods=["bin", "universal"], use_em=True)
+    assert run(capsys, "simulate", "--config", write_config(tmp_path, payload))[0] == 0
+    assert len(calls) == len(payload["xi_grid"]) * len(payload["tau_grid"]) * payload["replications"]
+
+
+# n = 20, xi = 0.5: (tau, use_em) whose errors overflowed np.std's squares
+# (an infinite std_err and a RuntimeWarning) although every draw was finite
+@pytest.mark.parametrize("tau, use_em", [(1e100, True), (1e78, False), (1e100, False)])
+def test_simulate_at_large_slab_scales_is_finite(capsys, tmp_path, tau, use_em):
+    payload = dict(TINY, n=20, xi_grid=[0.5], tau_grid=[tau], use_em=use_em,
+                   methods=["bin", "pois1", "pois2", "universal", "oracle"])
+    rc, out, _ = run(capsys, "simulate", "--config", write_config(tmp_path, payload))
+    assert rc == 0
+    rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+    assert len(rows) == 5
+    assert all(math.isfinite(float(v)) for row in rows for v in row[3:5])
+
+
+@pytest.mark.parametrize("use_em", [True, False])
+def test_simulate_draws_whose_squares_overflow_exit_2(capsys, tmp_path, use_em):
+    # tau = 1.3e154: squares of the draws overflow the ranking, the sums and the oracle
+    payload = dict(TINY, n=20, xi_grid=[0.5], tau_grid=[1.3e154], use_em=use_em,
+                   methods=["bin", "pois1", "pois2", "universal", "oracle"])
+    rc, out, err = run(capsys, "simulate", "--config", write_config(tmp_path, payload))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: draws of magnitude up to ")
+    assert err.count("\n") == 1
 
 
 def test_simulate_seed_override(capsys, tmp_path):

@@ -195,6 +195,12 @@ GOOD = dict(
         dict(jobs=None),
         dict(jobs="3"),
         dict(jobs=1.5),
+        dict(xi_grid=0.1),
+        dict(tau_grid=None),
+        dict(methods=None),
+        dict(methods=5),
+        dict(use_em="no"),
+        dict(use_em=None),
     ],
 )
 def test_config_rejects_bad_fields(bad):
@@ -467,6 +473,19 @@ def test_cell_errors_equal_the_single_sequence_estimators(monkeypatch, case, use
         expected = single_sequence_errors(config, xi, tau, mu[row], y[row])
         for method in risk.KNOWN_METHODS:
             assert errors[method][row] == expected[method], (method, row)
+
+
+def test_mean_and_std_err_match_numpy_and_scale_exactly():
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 3, 10, 100):
+        e = rng.random(size) ** 3
+        std_err = float(np.std(e, ddof=1) / math.sqrt(size)) if size > 1 else 0.0
+        expected = (float(np.mean(e)), std_err)
+        assert risk._mean_and_std_err(e) == expected
+        # at 2^-900 NumPy's squares underflow, at 2^1020 its sums overflow
+        for k in (-900, 1020):
+            assert risk._mean_and_std_err(np.ldexp(e, k)) == tuple(math.ldexp(v, k) for v in expected)
+    assert risk._mean_and_std_err(np.zeros(3)) == (0.0, 0.0)
 
 
 def test_unconverged_fits_are_counted_not_written(monkeypatch):
