@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Union
 
 import numpy as np
-from scipy.special import erfc
 
 from .errors import DegenerateDataError, DomainError, check_between, check_integer
 from .estimator import (
@@ -237,52 +237,13 @@ def _median(a: np.ndarray) -> np.ndarray | float:
 # Standard normal quantile
 # --------------------------------------------------------------------------
 
-# Rational initializer (Acklam), then two Halley corrections against the
-# erfc-based CDF.  Upper-half arguments are reflected so the correction
-# always works on a well-conditioned tail probability.
-
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-
-_SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
-def _quantile_lower_half(p: np.ndarray) -> np.ndarray:
-    """Quantile for p in (0, 0.5]; negative or zero results."""
-    x = np.empty_like(p)
-    tail = p < 0.02425
-    if np.any(tail):
-        q = np.sqrt(-2.0 * np.log(p[tail]))
-        num = ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        den = (((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0
-        x[tail] = num / den
-    mid = ~tail
-    if np.any(mid):
-        q = p[mid] - 0.5
-        r = q * q
-        num = (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-        den = ((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0
-        x[mid] = num / den
-    # skip the correction where exp(x^2/2) would overflow; the initializer
-    # alone is already good to ~1e-9 relative out there
-    safe = 0.5 * x * x < 700.0
-    for _ in range(2):
-        cdf = 0.5 * erfc(-x[safe] / _SQRT2)
-        err = cdf - p[safe]
-        u = err * _SQRT_2PI * np.exp(0.5 * x[safe] * x[safe])
-        x[safe] = x[safe] - u / (1.0 + 0.5 * x[safe] * u)
-    return x
+# The standard library's NormalDist.inv_cdf, Wichura's AS241 (PPND16;
+# Appl. Statist. 37, 1988), applied elementwise.
+_INV_CDF = np.frompyfunc(NormalDist().inv_cdf, 1, 1)
 
 
 def normal_quantile(p):
-    """Inverse standard normal CDF, good to well below 1e-9 absolute error.
+    """Inverse standard normal CDF, good to about 1e-15 relative error.
 
     Accepts a scalar or array with entries in the open interval (0, 1).
     """
@@ -291,11 +252,8 @@ def normal_quantile(p):
         raise DomainError("p must be non-empty")
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError("p must lie strictly inside (0, 1)")
-    flat = np.atleast_1d(arr).copy()
-    upper = flat > 0.5
-    flat[upper] = 1.0 - flat[upper]  # exact for p in (0.5, 1)
-    out = _quantile_lower_half(flat)
-    out[upper] = -out[upper]
+    # frompyfunc gives object arrays, and a Python float for 0-d input
+    out = np.asarray(_INV_CDF(arr), dtype=float)
     if np.isscalar(p) or arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+        return float(out)
+    return out

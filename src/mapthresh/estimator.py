@@ -24,6 +24,10 @@ gamma function, so that sum_{k<=n} x^k/k! = e^x Q(n+1, x):
     reflected Poisson,    inc[i] = r (log(m/i) + h)
     with m = n - lam:     inc[0] = r (m + log Q(n+1, m) - n log m + log n!)
 
+Here Q(n+1, x) = P(Poisson(x) <= n) with 0 < x <= n, and its log is
+log1p(-T) for the Poisson tail T = sum_{k>n} e^-x x^k/k!, summed by one
+cumulative product of the ratios x/(k+1) over 9 sqrt(n+1) + 40 terms.
+
 A custom prior takes the differences of its normalized log weights.
 
 Only the observations a minimizer can keep are ranked.  The criterion is
@@ -64,7 +68,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
 
 from ._kernels import penalized_scan
 from .errors import DomainError, SizeError, check_between
@@ -329,7 +332,7 @@ def _increments(spec: PriorSpec, n: int, hyper: HyperParams) -> np.ndarray:
         body.fill(_binomial_step(spec.xi, half_log_1pg))
     elif isinstance(spec, TruncatedPoissonPrior):
         lam = spec.lam
-        inc[0] = lam + math.log(gammaincc(n + 1, lam))
+        inc[0] = lam + _log_poisson_cdf(n, lam)
         np.subtract(n, body, out=body)
         body += 1.0
         body /= lam
@@ -337,7 +340,7 @@ def _increments(spec: PriorSpec, n: int, hyper: HyperParams) -> np.ndarray:
         body += half_log_1pg
     else:  # ReflectedPoissonPrior
         m = n - spec.lam
-        inc[0] = m + math.log(gammaincc(n + 1, m)) - n * math.log(m) + gammaln(n + 1.0)
+        inc[0] = m + _log_poisson_cdf(n, m) - n * math.log(m) + math.lgamma(n + 1.0)
         np.divide(m, body, out=body)
         np.log(body, out=body)
         body += half_log_1pg
@@ -345,6 +348,18 @@ def _increments(spec: PriorSpec, n: int, hyper: HyperParams) -> np.ndarray:
     # + 0.0 drops the signed zero of the binomial inc[0] at n = 0
     inc += 0.0
     return inc
+
+
+def _log_poisson_cdf(n: int, x: float) -> float:
+    """log P(Poisson(x) <= n) = log Q(n + 1, x) for 0 < x <= n (module docstring)."""
+    log_first = (n + 1) * math.log(x) - x - math.lgamma(n + 2.0)
+    if log_first < -745.0:  # the tail is below the smallest subnormal
+        return 0.0
+    # past these ratios the terms are below 1e-17 of the first
+    ratios = np.arange(n + 2.0, n + 42.0 + 9.0 * math.sqrt(n + 1.0))
+    np.divide(x, ratios, out=ratios)
+    np.multiply.accumulate(ratios, out=ratios)  # the terms over the first
+    return math.log1p(-math.exp(log_first) * (1.0 + float(np.add.reduce(ratios))))
 
 
 def penalty_table(table: PriorTable, hyper: HyperParams) -> PenaltyTable:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ConfigurationError, DomainError, UnsupportedBallError, check_between, check_integer
 
@@ -122,9 +121,9 @@ class PriorTable:
 class HyperParams:
     """Noise scale sigma and slab scale tau; gamma is the variance ratio.
 
-    Both sigma^2 and gamma must be positive finite floats: scales whose
-    squares overflow or underflow are rejected here rather than failing
-    in the penalty arithmetic.
+    sigma^2, gamma and the penalty rate 2 sigma^2 (1 + 1/gamma) must be
+    positive finite floats: scales that leave them out of range are
+    rejected here rather than failing in the penalty arithmetic.
     """
 
     sigma: float
@@ -134,12 +133,17 @@ class HyperParams:
         check_between(self.sigma, "sigma", 0.0, math.inf)
         check_between(self.tau, "tau", 0.0, math.inf)
         try:  # ** raises OverflowError where a square overflows
-            usable = self.sigma**2 > 0.0 and 0.0 < self.gamma < math.inf
+            usable = (
+                self.sigma**2 > 0.0
+                and 0.0 < self.gamma < math.inf
+                and 2.0 * self.sigma**2 * (1.0 + 1.0 / self.gamma) < math.inf
+            )
         except OverflowError:
             usable = False
         if not usable:
             raise DomainError(
-                "sigma^2 and gamma = tau^2 / sigma^2 must be positive finite floats,"
+                "sigma^2, gamma = tau^2 / sigma^2 and the penalty rate"
+                " 2 sigma^2 (1 + 1/gamma) must be positive finite floats,"
                 f" got sigma = {self.sigma}, tau = {self.tau}; rescale the data"
             )
 
@@ -221,13 +225,31 @@ def log_choose(n: int, k: int) -> float:
     if m <= 128:
         j = np.arange(m, dtype=float)
         return float(np.sum(np.log(n - j) - np.log(j + 1.0)))
-    return float(gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1))
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+
+
+_SMALL_LOG_FACTORIALS = np.array([math.log(math.factorial(k)) for k in range(64)])
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_factorial(k: np.ndarray) -> np.ndarray:
+    """log k! for an array of whole-number floats k >= 0: below 64 the log
+    of the exact factorial, above it Stirling's series for log Gamma(k + 1)
+    to the 1/(1680 x^7) term (truncation error below 1e-19)."""
+    x = k + 1.0
+    r = 1.0 / x
+    r2 = r * r
+    series = r * (1.0 / 12.0 - r2 * (1.0 / 360.0 - r2 * (1.0 / 1260.0 - r2 / 1680.0)))
+    out = (x - 0.5) * np.log(x) - x + (_HALF_LOG_2PI + series)
+    small = k < _SMALL_LOG_FACTORIALS.size
+    out[small] = _SMALL_LOG_FACTORIALS[k[small].astype(np.intp)]
+    return out
 
 
 def _log_choose_all(n: int) -> np.ndarray:
-    """log C(n, k) for every k = 0..n at once."""
-    k = np.arange(n + 1, dtype=float)
-    return gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+    """log C(n, k) for every k = 0..n at once; exactly 0 at k = 0 and k = n."""
+    lf = _log_factorial(np.arange(n + 1, dtype=float))
+    return lf[-1] - lf - lf[::-1]
 
 
 def _log_sum_exp(logs: np.ndarray) -> float:
@@ -289,10 +311,10 @@ def build_prior_table(spec: PriorSpec, n: int) -> PriorTable:
         logs = _log_choose_all(n) + k * math.log(spec.xi) + (n - k) * math.log1p(-spec.xi)
     elif isinstance(spec, TruncatedPoissonPrior):
         k = np.arange(n + 1, dtype=float)
-        logs = k * math.log(spec.lam) - gammaln(k + 1.0)
+        logs = k * math.log(spec.lam) - _log_factorial(k)
     elif isinstance(spec, ReflectedPoissonPrior):
         j = n - np.arange(n + 1, dtype=float)  # j = n - k
-        logs = j * math.log(n - spec.lam) - gammaln(j + 1.0)
+        logs = j * math.log(n - spec.lam) - _log_factorial(j)
     else:
         logs = spec.log_weights.astype(float, copy=True)
     log_pmf = logs - _log_sum_exp(logs)
@@ -323,7 +345,7 @@ def complexity_weights(table: PriorTable) -> tuple[np.ndarray, float]:
     """
     n = table.n
     weights = np.empty(n + 1)
-    weights[0] = -2.0 * table.log_pmf[0]
+    weights[0] = -2.0 * table.log_pmf[0] + 0.0  # + 0.0 drops the signed zero when pi(0) = 1
     k = np.arange(1, n + 1, dtype=float)
     weights[1:] = (_log_choose_all(n)[1:] - table.log_pmf[1:]) / k
     return weights, float(np.max(weights))

@@ -320,6 +320,18 @@ def test_quantile_against_reference_over_full_range():
     assert np.max(np.abs(ours - ref)) < 1e-9
 
 
+def test_quantile_against_reference_into_the_far_tails():
+    p = np.concatenate(
+        [
+            np.logspace(-300, math.log10(0.5), 3000),
+            1.0 - np.logspace(-16, math.log10(0.5), 3000)[::-1],
+        ]
+    )
+    ours = normal_quantile(p)
+    ref = scipy.special.ndtri(p)
+    assert np.all(np.abs(ours - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref)))
+
+
 def test_quantile_key_points():
     assert normal_quantile(0.5) == 0.0
     assert normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-6)

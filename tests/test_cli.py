@@ -63,6 +63,15 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.startswith("mapthresh ")
 
 
+def test_import_loads_no_scipy():
+    # the runtime needs NumPy alone; SciPy is a test-only oracle
+    code = "import sys, mapthresh; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(mapthresh.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "prior",
     [
@@ -299,7 +308,13 @@ def test_penalty_negative_size_exit_2(capsys):
 
 @pytest.mark.parametrize(
     "command, gamma",
-    [("penalty", "-1"), ("penalty", "nan"), ("check-prior", "-1"), ("check-prior", "1e300")],
+    [
+        ("penalty", "-1"),
+        ("penalty", "nan"),
+        ("penalty", "1e-320"),  # subnormal: the penalty rate 2 (1 + 1/gamma) overflows
+        ("check-prior", "-1"),
+        ("check-prior", "1e300"),
+    ],
 )
 def test_bad_gamma_exits_2_with_one_line(capsys, command, gamma):
     rc, out, err = run(capsys, command, "--n", "10", "--prior", "binomial:xi=0.1",
@@ -338,6 +353,13 @@ def test_check_prior_fail_is_still_exit_0(capsys):
     lines = out.strip().split("\n")
     assert lines[1] == "assumption_a: fail"
     assert lines[3] == "first_failing_k=1"
+
+
+def test_check_prior_empty_size_prints_an_unsigned_zero(capsys):
+    rc, out, _ = run(capsys, "check-prior", "--n", "0", "--prior", "binomial:xi=0.1",
+                     "--gamma", "1")
+    assert rc == 0
+    assert out.strip().split("\n")[2] == "L_star=0"
 
 
 def test_check_prior_rejects_infinite_custom_weight(capsys, tmp_path):

@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 
 from mapthresh import (
     BinomialPrior,
@@ -203,6 +204,15 @@ def test_closed_form_increments_match_prior_table(n, gamma):
             closed = penalty_increments(spec, n, hyper)
             table = penalty_table(build_prior_table(spec, n), hyper).increments
         np.testing.assert_allclose(closed, table, rtol=1e-10, atol=table_rounding, err_msg=repr(spec))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 37, 100, 999, 1000, 10**4, 10**5, 10**6])
+def test_log_poisson_cdf_against_scipy(n):
+    # scipy's gammaincc is the independent oracle; it is not used by the package
+    for ratio in (1e-6, 1e-3, 0.005, 0.05, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.995, 0.999, 1.0):
+        x = ratio * n
+        ref = math.log(scipy.special.gammaincc(n + 1, x))
+        assert abs(estimator._log_poisson_cdf(n, x) - ref) <= 1e-14 * (n + 1), (n, x)
 
 
 def test_penalty_increments_custom_prior_uses_its_table():

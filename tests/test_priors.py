@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from mapthresh import (
@@ -25,6 +26,7 @@ from mapthresh import (
     prior_ball_mass,
     sample_mu,
 )
+from mapthresh import priors
 
 HYPER = HyperParams(1.0, 2.0)
 
@@ -70,6 +72,23 @@ def test_log_choose_large_n_accuracy():
 def test_log_choose_dominates_k_log_n_over_k():
     assert log_choose(1000, 10) >= 10 * math.log(100)
     assert log_choose(1000, 10) >= 46.0517
+
+
+def test_log_factorial_against_scipy_gammaln():
+    # scipy's gammaln is the independent oracle; it is not used by the package
+    k = np.arange(1_000_001, dtype=float)
+    ours = priors._log_factorial(k)
+    ref = scipy.special.gammaln(k + 1.0)
+    assert ours[0] == 0.0 and ours[1] == 0.0
+    assert np.all(np.abs(ours - ref) <= 1e-15 * ref)
+    # any order, as the reflected Poisson table reads it
+    assert np.array_equal(priors._log_factorial(k[::-1]), ours[::-1])
+
+
+def test_log_choose_all_is_exactly_zero_at_both_ends():
+    for n in (0, 1, 63, 64, 1000, 100_001):
+        lc = priors._log_choose_all(n)
+        assert lc[0] == 0.0 and lc[-1] == 0.0
 
 
 def test_log_choose_rejects_out_of_range():
@@ -185,6 +204,8 @@ def test_prior_validation_errors():
         (1.0, 1e-170),  # gamma underflows to 0
         (1.0, 1e200),  # tau^2 overflows
         (1e-150, 1e150),  # gamma overflows
+        (1.0, 1e-160),  # gamma is subnormal: 1/gamma and the penalty rate overflow
+        (1e150, 1e140),  # sigma^2 / gamma, and so the penalty rate, overflows
     ],
 )
 def test_hyperparams_validation(sigma, tau):
