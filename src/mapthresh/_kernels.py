@@ -2,14 +2,15 @@
 
 ``penalized_scan`` is a reversed cumulative sum and one ``argmin``, along
 the last axis, so one call scans every row of a matrix.
-``em_loop`` makes one fused pass over the data per EM iteration: every
-E-step quantity comes from a single vector of per-observation odds, held
-in one ``(2, n)`` buffer allocated once per fit, which ends each E-step
-holding the noise and wide responsibilities as its rows.  An iteration
-is 11 NumPy calls with 4 reductions: the log-likelihood sum, one
-row-wise sum of the buffer and two ``np.dot`` products.  It keeps the
-mixture weight in [1/n, 1 - 1/n] and the variance ratio at or above
-``TAU_SQ_FLOOR``.
+``em_loop`` makes one fused pass over the data per EM iteration, block by
+block: every E-step quantity comes from a single vector of
+per-observation odds, held with its scratch vector in one two-row buffer
+of at most ``E_BLOCK`` columns allocated once per fit, so each block's
+chain runs in cache.  A block is 11 NumPy calls with 4 reductions: the
+log-likelihood sum, one row-wise sum of the buffer and two ``np.dot``
+products, and the blocks' sums are added in the order of NumPy's
+pairwise summation.  It keeps the mixture weight in [1/n, 1 - 1/n] and
+the variance ratio at or above ``TAU_SQ_FLOOR``.
 """
 
 import math
@@ -24,6 +25,11 @@ __all__ = ["TAU_SQ_FLOOR", "penalized_scan", "slab_floor", "weight_floor", "em_l
 TAU_SQ_FLOOR = 1e-8
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+# Most squared observations per E-step block: a block and its two scratch
+# rows take 1.5 MB, so they stay in a 2 MB L2 cache through the whole
+# fused chain, which passes over long whole vectors cannot.
+E_BLOCK = 2**16
 
 
 def penalized_scan(sorted_sq, penalty, rest=0.0):
@@ -78,6 +84,56 @@ def weight_floor(gamma):
     return e / (1.0 + e)
 
 
+def _split(n):
+    """Where NumPy's pairwise summation splits a run of n > 128 values:
+    the largest multiple of 8 not above n / 2."""
+    return n // 2 - (n // 2) % 8
+
+
+def _blocks(values):
+    """The E-step blocks of a vector, in order, as views: the leaves of
+    NumPy's pairwise-sum tree over its values, cut where a run has at most
+    ``E_BLOCK`` values."""
+    if values.shape[0] <= E_BLOCK:
+        return [values]
+    half = _split(values.shape[0])
+    return _blocks(values[:half]) + _blocks(values[half:])
+
+
+def _tree_sum(sums, n):
+    """Add per-block sums, one float or one row of floats per block of a
+    vector of n values, in the order NumPy's pairwise summation adds them.
+
+    Per-block ``np.add.reduce`` results then add up to the reduction of
+    all n values, to the bit.  Returns a float or a list of floats.
+    """
+    leaf = iter(np.asarray(sums))
+
+    def node(m):
+        if m <= E_BLOCK:
+            return next(leaf)
+        half = _split(m)
+        return node(half) + node(m - half)
+
+    return node(n).tolist()
+
+
+def _block_sums(ys, rows, scale, shift):
+    """``em_loop``'s E-step chain on one block of squares ``ys``, with the
+    scratch ``rows``: the sums of log1p(e), c, r, c y^2 and r y^2."""
+    e, w = rows
+    np.multiply(ys, scale, out=e)
+    e += shift
+    np.exp(e, out=e)
+    np.log1p(e, out=w)
+    log1p_sum = float(np.add.reduce(w))
+    np.add(e, 1.0, out=w)
+    np.reciprocal(w, out=w)
+    e *= w
+    c_sum, r_sum = np.add.reduce(rows, axis=1).tolist()
+    return log1p_sum, c_sum, r_sum, float(np.dot(e, ys)), float(np.dot(w, ys))
+
+
 def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
     """EM iterations for the two-component scale mixture of centered normals.
 
@@ -103,14 +159,25 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
 
     The log-likelihood is the wide component's term, whose sum over i is
     closed form, plus sum(log1p(e)); the wide responsibility is
-    r = 1/(1 + e) and the noise one c = e r.  ``e`` and the scratch vector
-    are the two rows of one ``(2, n)`` buffer, which ends the E-step as
-    [c; r], so one row-wise ``np.add.reduce`` gives both weight sums with
-    the same pairwise sum per row as a sum of each row alone; the variance
-    sums are two ``np.dot`` calls (the same BLAS ``ddot`` as ``@``, with
-    less dispatch).  Both variance sums are taken directly (c y^2, not
-    sum(y^2) - r y^2), so one huge observation cannot cancel the noise sum
-    to zero.  ``e`` cannot overflow: xi >= 1/n keeps
+    r = 1/(1 + e) and the noise one c = e r.
+
+    The E-step runs over the blocks of ``_blocks(y_sq)``, at most
+    ``E_BLOCK`` observations each, so each block's chain stays in cache.
+    ``e`` and the scratch vector are the two rows of one buffer as wide as
+    the largest block, allocated once per fit, which ends a block's chain
+    as [c; r], so one row-wise ``np.add.reduce`` gives both weight sums
+    with the same pairwise sum per row as a sum of each row alone; the
+    variance sums are two ``np.dot`` calls (the same BLAS ``ddot`` as
+    ``@``, with less dispatch).  The blocks' sums are added in the order
+    of NumPy's pairwise summation, so the log-likelihood and weight sums
+    equal one ``np.add.reduce`` over all n values to the bit; the variance
+    sums can differ from one ``ddot`` over all n in their last bits.
+    Every block but the last runs the whole chain; the last one runs
+    around the convergence check, so a converged pass computes no
+    responsibilities there, and at n <= ``E_BLOCK`` an iteration is 11
+    NumPy calls on the whole vector.  Both variance sums are taken
+    directly (c y^2, not sum(y^2) - r y^2), so one huge observation cannot
+    cancel the noise sum to zero.  ``e`` cannot overflow: xi >= 1/n keeps
     log((1 - xi)/xi) <= log(n - 1), and log(1 + gamma)/2 < 355 for any
     finite gamma, so d < 710.  When every noise responsibility underflows
     to 0 (no observation looks like noise), the noise variance is
@@ -126,8 +193,11 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
     xi_lo, xi_hi = 1.0 / n, 1.0 - 1.0 / n
     xi = min(max(xi, xi_lo), xi_hi)
     y_total = float(y_sq.sum())
-    buffer = np.empty((2, n))
-    e, w = buffer
+    blocks = _blocks(y_sq)
+    scratch = np.empty((2, max(map(len, blocks))))
+    *head, ys = blocks
+    rows = scratch[:, : ys.size]
+    e, w = rows
     trace = []
     previous = math.nan  # no earlier pass: the first comparison is false
     converged = False
@@ -135,14 +205,22 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
     while True:
         v1 = sigma_sq + tau_sq
         log_odds = math.log1p(-xi) - math.log(xi)
-        np.multiply(y_sq, -0.5 * (tau_sq / v1) / sigma_sq, out=e)
-        e += log_odds + 0.5 * math.log1p(tau_sq / sigma_sq)
+        scale = -0.5 * (tau_sq / v1) / sigma_sq
+        shift = log_odds + 0.5 * math.log1p(tau_sq / sigma_sq)
+        if head:
+            head_sums = [_block_sums(b, scratch[:, : b.size], scale, shift) for b in head]
+        # the last block: _block_sums's chain, split around the convergence check
+        np.multiply(ys, scale, out=e)
+        e += shift
         np.exp(e, out=e)
         np.log1p(e, out=w)
+        log1p_sum = float(np.add.reduce(w))
+        if head:
+            log1p_sum = _tree_sum([s[0] for s in head_sums] + [log1p_sum], n)
         loglik = (
             n * (math.log(xi) - 0.5 * (_LOG_2PI + math.log(v1)))
             - 0.5 * y_total / v1
-            + float(np.add.reduce(w))
+            + log1p_sum
         )
         trace.append(loglik)
         if abs(loglik - previous) <= tol * max(1.0, abs(loglik)):
@@ -154,13 +232,16 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
         np.add(e, 1.0, out=w)
         np.reciprocal(w, out=w)
         e *= w
-        c_sum, r_sum = np.add.reduce(buffer, axis=1).tolist()
+        c_sum, r_sum = np.add.reduce(rows, axis=1).tolist()
+        c_y = float(np.dot(e, ys))
+        r_y = float(np.dot(w, ys))
+        if head:
+            last = (c_sum, r_sum, c_y, r_y)
+            c_sum, r_sum, c_y, r_y = _tree_sum([s[1:] for s in head_sums] + [last], n)
         if c_sum == 0.0:
             raise DegenerateDataError(
                 "every noise responsibility underflowed: no observation fits the noise component"
             )
-        c_y = float(np.dot(e, y_sq))
-        r_y = float(np.dot(w, y_sq))
         sigma_sq = c_y / c_sum
         tau_sq = r_y / r_sum - sigma_sq
         gamma = tau_sq / sigma_sq

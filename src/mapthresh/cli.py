@@ -208,13 +208,18 @@ def cmd_estimate(args) -> int:
         else:
             result = variable_threshold_estimate(y, foster_stine_sequence(n, sigma))
 
-    kept_mask = np.zeros(n, dtype=int)
-    kept_mask[result.kept] = 1
+    kept = np.zeros(n, dtype=bool)
+    kept[result.kept] = True
+    # mu_hat is y where kept and 0 elsewhere, so each y is formatted once
+    values = map("{:.17g}".format, y.tolist())
+    rows = (
+        f"{i},{v},{v},1\n" if keep else f"{i},{v},0,0\n"
+        for i, (v, keep) in enumerate(zip(values, kept.tolist()))
+    )
     out, close = _open_out(args.out)
     try:
         out.write("index,y,mu_hat,kept\n")
-        for i in range(n):
-            out.write(f"{i},{y[i]:.17g},{result.mu_hat[i]:.17g},{kept_mask[i]}\n")
+        out.writelines(rows)
     finally:
         if close:
             out.close()

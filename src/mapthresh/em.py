@@ -3,7 +3,10 @@
 Marginally y_i ~ (1 - xi) N(0, sigma^2) + xi N(0, sigma^2 + tau^2); EM
 alternates responsibilities with closed-form variance and weight updates
 in ``_kernels.em_loop``, which keeps the mixture weight inside
-[1/n, 1 - 1/n].
+[1/n, 1 - 1/n].  ``em_fit`` squares the data once, after the starting
+point's robust scale, and ``em_loop`` runs each E-step over cache-sized
+blocks, so beside the data a fit holds the squares and one block's
+scratch.
 
 The fit is constrained so that the slab stays identifiable as signal.
 Unconstrained, the likelihood has a ridge along which the slab narrows
@@ -167,17 +170,23 @@ def init_heuristic(y) -> tuple[float, float, float]:
     if y.size < 2:
         raise DomainError(f"need at least 2 observations, got {y.size}")
     _check_magnitudes(y)
-    return _start(y)
+    return _start(y)[0]
 
 
-def _start(y: np.ndarray) -> tuple[float, float, float]:
-    """``init_heuristic`` for at least 2 observations that passed ``_check_magnitudes``."""
+def _start(y: np.ndarray) -> tuple[tuple[float, float, float], np.ndarray]:
+    """``init_heuristic`` for at least 2 observations that passed
+    ``_check_magnitudes``, and the squares y * y it sums, for ``em_loop``.
+
+    The squares are formed after the robust scale, so they are not held
+    while its temporaries are.
+    """
     n = y.size
     sigma0 = float(_mad_scale(y))
     exceed = np.count_nonzero(np.abs(y) > universal_threshold(n, sigma0)) / n
     xi0 = min(max(1.0 / n, exceed), 1.0 - 1.0 / n)
-    tau0_sq = max(float(np.add.reduce(y * y)) / n - sigma0**2, sigma0**2) / xi0
-    return sigma0, math.sqrt(tau0_sq), xi0
+    y_sq = y * y
+    tau0_sq = max(float(np.add.reduce(y_sq)) / n - sigma0**2, sigma0**2) / xi0
+    return (sigma0, math.sqrt(tau0_sq), xi0), y_sq
 
 
 def em_fit(
@@ -217,11 +226,13 @@ def em_fit(
     if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
         raise DomainError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if init is None:
-        init = _start(y)
+        init, y_sq = _start(y)
+    else:
+        y_sq = y * y
     sigma0, tau0, xi0 = (float(v) for v in init)
     _check_init(sigma0, tau0, xi0)
     sigma_sq, tau_sq, xi, trace, iterations, converged = em_loop(
-        y**2, sigma0**2, tau0**2, xi0, tol, max_iter
+        y_sq, sigma0**2, tau0**2, xi0, tol, max_iter
     )
     return EmEstimates(
         sigma_hat=math.sqrt(sigma_sq),

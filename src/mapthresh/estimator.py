@@ -324,28 +324,28 @@ def _increments(spec: PriorSpec, n: int, hyper: HyperParams) -> np.ndarray:
     rate, half_log_1pg = _rate(hyper)
     if isinstance(spec, CustomLogWeightsPrior):
         return _table_increments(build_prior_table(spec, n).log_pmf, rate, half_log_1pg)
-    # inc[1:] starts as i = 1..n and is transformed in place
-    inc = np.arange(n + 1, dtype=float)
-    body = inc[1:]
     if isinstance(spec, BinomialPrior):
+        inc = np.full(n + 1, _binomial_step(spec.xi, half_log_1pg))
         inc[0] = -n * math.log1p(-spec.xi)
-        body.fill(_binomial_step(spec.xi, half_log_1pg))
     elif isinstance(spec, TruncatedPoissonPrior):
         lam = spec.lam
+        inc = np.arange(n + 1, 0, -1, dtype=float)  # inc[i] = n - i + 1, then in place
         inc[0] = lam + _log_poisson_cdf(n, lam)
-        np.subtract(n, body, out=body)
-        body += 1.0
+        body = inc[1:]
         body /= lam
         np.log(body, out=body)
         body += half_log_1pg
     else:  # ReflectedPoissonPrior
         m = n - spec.lam
+        inc = np.arange(n + 1, dtype=float)  # inc[i] = i, then in place
         inc[0] = m + _log_poisson_cdf(n, m) - n * math.log(m) + math.lgamma(n + 1.0)
+        body = inc[1:]
         np.divide(m, body, out=body)
         np.log(body, out=body)
         body += half_log_1pg
     inc *= rate
-    # + 0.0 drops the signed zero of the binomial inc[0] at n = 0
+    # + 0.0 drops signed zeros: the binomial inc[0] at n = 0, and products
+    # that underflow when the rate is near the smallest floats
     inc += 0.0
     return inc
 

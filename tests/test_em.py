@@ -1,6 +1,7 @@
 """Mixture likelihood, EM updates, and the starting-point heuristic."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -301,6 +302,18 @@ def test_fit_checks_its_data_once(monkeypatch):
     for name in ("sigma_hat", "tau_hat", "xi_hat", "loglik", "iterations", "converged"):
         assert getattr(fit, name) == getattr(expected, name), name
     assert np.array_equal(fit.loglik_trace, expected.loglik_trace)
+
+
+def test_fit_memory_stays_below_two_copies_of_the_data():
+    # the squares plus one E-step block: no n-long buffer beside them
+    y = mixture_dataset(300_000, 0.05, 4.0, 1.0, seed=23)
+    tracemalloc.start()
+    try:
+        em_fit(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * y.nbytes
 
 
 @pytest.mark.parametrize("outlier", [1e10, 1e12])

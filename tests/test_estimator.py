@@ -206,6 +206,49 @@ def test_closed_form_increments_match_prior_table(n, gamma):
         np.testing.assert_allclose(closed, table, rtol=1e-10, atol=table_rounding, err_msg=repr(spec))
 
 
+def previous_increments(spec, n, hyper):
+    """``estimator._increments`` for the named priors as it was before the
+    truncated Poisson body started from n - i + 1: the bit-for-bit reference."""
+    rate, half_log_1pg = estimator._rate(hyper)
+    inc = np.arange(n + 1, dtype=float)
+    body = inc[1:]
+    if isinstance(spec, BinomialPrior):
+        inc[0] = -n * math.log1p(-spec.xi)
+        body.fill(estimator._binomial_step(spec.xi, half_log_1pg))
+    elif isinstance(spec, TruncatedPoissonPrior):
+        lam = spec.lam
+        inc[0] = lam + estimator._log_poisson_cdf(n, lam)
+        np.subtract(n, body, out=body)
+        body += 1.0
+        body /= lam
+        np.log(body, out=body)
+        body += half_log_1pg
+    else:
+        m = n - spec.lam
+        inc[0] = m + estimator._log_poisson_cdf(n, m) - n * math.log(m) + math.lgamma(n + 1.0)
+        np.divide(m, body, out=body)
+        np.log(body, out=body)
+        body += half_log_1pg
+    inc *= rate
+    inc += 0.0
+    return inc
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000, 10**6])
+def test_named_prior_increments_are_bit_identical_to_the_previous_build(n):
+    # sigma = 1e-161 puts the rate near the smallest floats, where products
+    # underflow to zero and must not keep the sign of a negative factor
+    hypers = (UNIT_HYPER, make_hyper(1.3, 9.0), HyperParams(1e-161, 1e-161))
+    for spec in _named_priors_at_edges(n) + [TruncatedPoissonPrior(n / 2), ReflectedPoissonPrior(n / 2)]:
+        for hyper in hypers:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # small-lambda reflected priors warn
+                got = penalty_increments(spec, n, hyper)
+            want = previous_increments(spec, n, hyper)
+            assert np.array_equal(got, want), (spec, hyper)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (spec, hyper)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 37, 100, 999, 1000, 10**4, 10**5, 10**6])
 def test_log_poisson_cdf_against_scipy(n):
     # scipy's gammaincc is the independent oracle; it is not used by the package

@@ -1,5 +1,5 @@
 """The fused NumPy EM kernel against a plain, unfused reference loop and,
-bit for bit, against the kernel it replaced."""
+bit for bit up to one E-step block, against the kernel it replaced."""
 
 import math
 
@@ -10,7 +10,7 @@ import mapthresh.em
 import mapthresh.estimator
 import mapthresh._kernels
 from mapthresh import _kernels, init_heuristic, marginal_loglik
-from mapthresh._kernels import TAU_SQ_FLOOR, slab_floor, weight_floor
+from mapthresh._kernels import E_BLOCK, TAU_SQ_FLOOR, slab_floor, weight_floor
 from mapthresh.errors import DegenerateDataError
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -93,7 +93,8 @@ def test_fused_em_matches_reference(name):
 
 def previous_em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
     """``_kernels.em_loop`` as it was before its E-step shared one (2, n)
-    buffer, kept verbatim: the bit-for-bit reference for that kernel."""
+    buffer and then ran in blocks, kept verbatim: the bit-for-bit reference
+    for one block, n <= E_BLOCK."""
     n = y_sq.shape[0]
     xi_lo, xi_hi = 1.0 / n, 1.0 - 1.0 / n
     xi = min(max(xi, xi_lo), xi_hi)
@@ -189,6 +190,39 @@ def test_em_loop_bit_identity_reaches_the_slab_floor():
 def test_em_loop_bit_identity_at_an_iteration_cutoff():
     got = assert_same_fit(fit_args(CASES["n2000"], max_iter=3))
     assert got[4:] == (3, False)
+
+
+@pytest.mark.parametrize(
+    "n", [1, 7, 8, 9, 128, 129, E_BLOCK, E_BLOCK + 1, 2 * E_BLOCK + 3, 1_000_003]
+)
+def test_block_sums_add_up_to_one_pairwise_reduction(n):
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal((2, n)) * np.exp(8.0 * rng.standard_normal((2, n)))
+    blocks = _kernels._blocks(np.arange(n))
+    assert np.array_equal(np.concatenate(blocks), np.arange(n))
+    assert all(0 < b.size <= E_BLOCK for b in blocks)
+    # each block's rows summed in a scratch buffer, as em_loop sums [c; r]
+    scratch = np.empty((2, max(map(len, blocks))))
+    rows = []
+    for b in blocks:
+        block = scratch[:, : b.size]
+        block[...] = values[:, b]
+        rows.append(np.add.reduce(block, axis=1).tolist())
+    assert _kernels._tree_sum(rows, n) == np.add.reduce(values, axis=1).tolist()
+    firsts = [row[0] for row in rows]
+    assert _kernels._tree_sum(firsts, n) == float(np.add.reduce(values[0]))
+
+
+def test_em_loop_over_several_blocks_follows_the_previous_kernel():
+    y = mixture(200_003, 0.05, 4.0, 35)
+    assert len(_kernels._blocks(y)) == 4
+    args = fit_args(y)
+    got = _kernels.em_loop(*args)
+    want = previous_em_loop(*args)
+    assert got[4:] == want[4:] and got[5]
+    for field in (0, 1, 2):
+        assert got[field] == pytest.approx(want[field], rel=1e-13, abs=0.0)
+    assert np.allclose(got[3], want[3], rtol=1e-13, atol=0.0)
 
 
 def test_em_loop_raises_as_the_previous_kernel_on_data_with_no_noise():
