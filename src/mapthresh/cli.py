@@ -8,6 +8,7 @@ failures (including EM non-convergence) exit 1; success exits 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -158,10 +159,18 @@ def _build_map_prior(kind: str, params: dict, n: int, xi_hat: float | None):
     return spec_type(from_fit(xi_hat, n))
 
 
-def _open_out(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | None):
+    """stdout for None or "-", else ``path`` opened to write; an unwritable path is a usage error."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+        return
+    try:
+        out = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc.strerror or exc}")
+    with out:
+        yield out
 
 
 # --------------------------------------------------------------------------
@@ -216,13 +225,9 @@ def cmd_estimate(args) -> int:
         f"{i},{v},{v},1\n" if keep else f"{i},{v},0,0\n"
         for i, (v, keep) in enumerate(zip(values, kept.tolist()))
     )
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write("index,y,mu_hat,kept\n")
         out.writelines(rows)
-    finally:
-        if close:
-            out.close()
     print(f"k_hat={result.k_hat} threshold={result.threshold:.17g}")
     return 0
 
@@ -234,14 +239,10 @@ def cmd_penalty(args) -> int:
     # the increments and their running sum are exactly what map_estimate scans
     increments = penalty_increments(spec, args.n, hyper)
     penalty = np.cumsum(increments)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         out.write("k,P,increment\n")
         for k in range(args.n + 1):
             out.write(f"{k},{penalty[k]:.17g},{increments[k]:.17g}\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -311,12 +312,8 @@ def _load_config(path: str, seed: int | None) -> ExperimentConfig:
 def cmd_simulate(args) -> int:
     config = _load_config(args.config, args.seed)
     report = monte_carlo_amse(config)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         report.write_csv(out)
-    finally:
-        if close:
-            out.close()
     _warn_counts(report.em_nonconverged, "EM fits did not converge within the iteration"
                  " budget and were used as returned")
     _warn_counts(report.flat_reflected_priors, "pois2 estimates used a nearly flat reflected"

@@ -24,9 +24,8 @@ gamma function, so that sum_{k<=n} x^k/k! = e^x Q(n+1, x):
     reflected Poisson,    inc[i] = r (log(m/i) + h)
     with m = n - lam:     inc[0] = r (m + log Q(n+1, m) - n log m + log n!)
 
-Here Q(n+1, x) = P(Poisson(x) <= n) with 0 < x <= n, and its log is
-log1p(-T) for the Poisson tail T = sum_{k>n} e^-x x^k/k!, summed by one
-cumulative product of the ratios x/(k+1) over 9 sqrt(n+1) + 40 terms.
+Here Q(n+1, x) = P(Poisson(x) <= n) with 0 < x <= n; its log comes from
+``priors._log_poisson_cdf``, the normalizer of the Poisson prior tables.
 
 A custom prior takes the differences of its normalized log weights.
 
@@ -80,6 +79,7 @@ from .priors import (
     TruncatedPoissonPrior,
     _check_prior_size,
     _log_choose_all,
+    _log_poisson_cdf,
     build_prior_table,
     log_choose,
 )
@@ -348,18 +348,6 @@ def _increments(spec: PriorSpec, n: int, hyper: HyperParams) -> np.ndarray:
     # that underflow when the rate is near the smallest floats
     inc += 0.0
     return inc
-
-
-def _log_poisson_cdf(n: int, x: float) -> float:
-    """log P(Poisson(x) <= n) = log Q(n + 1, x) for 0 < x <= n (module docstring)."""
-    log_first = (n + 1) * math.log(x) - x - math.lgamma(n + 2.0)
-    if log_first < -745.0:  # the tail is below the smallest subnormal
-        return 0.0
-    # past these ratios the terms are below 1e-17 of the first
-    ratios = np.arange(n + 2.0, n + 42.0 + 9.0 * math.sqrt(n + 1.0))
-    np.divide(x, ratios, out=ratios)
-    np.multiply.accumulate(ratios, out=ratios)  # the terms over the first
-    return math.log1p(-math.exp(log_first) * (1.0 + float(np.add.reduce(ratios))))
 
 
 def penalty_table(table: PriorTable, hyper: HyperParams) -> PenaltyTable:

@@ -2,8 +2,14 @@
 
 Everything is kept in log space.  A prior is described by a small spec
 object; ``build_prior_table`` turns it into a normalized log-pmf over
-k = 0..n model sizes.  Binomial coefficients go through the log-gamma
-function so tables stay finite up to n of a million or so.
+k = 0..n model sizes, in closed form for each named prior:
+
+    binomial(xi):       log C(n,k) + k log xi + (n-k) log(1-xi)
+    truncated Poisson:  j log x - log j! - x - log Q(n+1, x), (x, j) = (lam, k)
+    reflected Poisson:  the same with (x, j) = (n - lam, n - k)
+
+with Q(n+1, x) = P(Poisson(x) <= n) from ``_log_poisson_cdf``, which
+``estimator`` reads too.  Only a custom prior needs a log-sum-exp.
 """
 
 from __future__ import annotations
@@ -259,6 +265,19 @@ def _log_sum_exp(logs: np.ndarray) -> float:
     return float(m + np.log(np.sum(np.exp(logs - m))))
 
 
+def _log_poisson_cdf(n: int, x: float) -> float:
+    """log P(Poisson(x) <= n) = log Q(n + 1, x) for 0 < x <= n: log1p(-T) for the
+    tail T = sum_{k>n} e^-x x^k/k!, one cumulative product of the ratios x/(k+1)."""
+    log_first = (n + 1) * math.log(x) - x - math.lgamma(n + 2.0)
+    if log_first < -745.0:  # the tail is below the smallest subnormal
+        return 0.0
+    # past these ratios the terms are below 1e-17 of the first
+    ratios = np.arange(n + 2.0, n + 42.0 + 9.0 * math.sqrt(n + 1.0))
+    np.divide(x, ratios, out=ratios)
+    np.multiply.accumulate(ratios, out=ratios)  # the terms over the first
+    return math.log1p(-math.exp(log_first) * (1.0 + float(np.add.reduce(ratios))))
+
+
 # --------------------------------------------------------------------------
 # Prior tables
 # --------------------------------------------------------------------------
@@ -306,18 +325,14 @@ def build_prior_table(spec: PriorSpec, n: int) -> PriorTable:
     n = 0 is legal and gives the point mass at the empty model.
     """
     n = _check_prior_size(spec, n)
+    if isinstance(spec, CustomLogWeightsPrior):
+        return PriorTable(n=n, log_pmf=spec.log_weights - _log_sum_exp(spec.log_weights))
+    k = np.arange(n + 1, dtype=float)
     if isinstance(spec, BinomialPrior):
-        k = np.arange(n + 1, dtype=float)
-        logs = _log_choose_all(n) + k * math.log(spec.xi) + (n - k) * math.log1p(-spec.xi)
-    elif isinstance(spec, TruncatedPoissonPrior):
-        k = np.arange(n + 1, dtype=float)
-        logs = k * math.log(spec.lam) - _log_factorial(k)
-    elif isinstance(spec, ReflectedPoissonPrior):
-        j = n - np.arange(n + 1, dtype=float)  # j = n - k
-        logs = j * math.log(n - spec.lam) - _log_factorial(j)
-    else:
-        logs = spec.log_weights.astype(float, copy=True)
-    log_pmf = logs - _log_sum_exp(logs)
+        log_pmf = _log_choose_all(n) + k * math.log(spec.xi) + (n - k) * math.log1p(-spec.xi)
+    else:  # a Poisson(x) pmf at j, restricted to j <= n
+        x, j = (spec.lam, k) if isinstance(spec, TruncatedPoissonPrior) else (n - spec.lam, n - k)
+        log_pmf = j * math.log(x) - _log_factorial(j) - (x + _log_poisson_cdf(n, x))
     return PriorTable(n=n, log_pmf=log_pmf)
 
 
@@ -365,7 +380,7 @@ def sample_mu(spec: PriorSpec, n: int, hyper: HyperParams, seed=None) -> np.ndar
 def _draw_mu(rng: np.random.Generator, pmf: np.ndarray, tau: float) -> np.ndarray:
     """One ``sample_mu`` draw from ``rng``, with size pmf over k = 0..n."""
     n = pmf.size - 1
-    k = int(rng.choice(n + 1, p=pmf))
+    k = int(rng.choice(n + 1, p=pmf / pmf.sum()))  # a table sums to 1 up to rounding
     mu = np.zeros(n)
     if k > 0:
         support = rng.choice(n, size=k, replace=False)

@@ -107,6 +107,21 @@ def test_missing_scales_exit_2(capsys, noisy_input):
     assert "--sigma" in err or "--em" in err
 
 
+@pytest.mark.parametrize("command", ["estimate", "penalty", "simulate"])
+@pytest.mark.parametrize("where", ["no/such/dir/out.csv", "."])
+def test_unwritable_out_exits_2_with_one_line(capsys, tmp_path, noisy_input, command, where):
+    _, path = noisy_input
+    argv = {
+        "estimate": ["--input", path, "--prior", "universal", "--sigma", "1"],
+        "penalty": ["--n", "10", "--prior", "binomial:xi=0.1", "--gamma", "1"],
+        "simulate": ["--config", write_config(tmp_path, TINY)],
+    }[command]
+    out = tmp_path / where  # a missing directory, or a directory
+    rc, _, err = run(capsys, command, *argv, "--out", str(out))
+    assert rc == 2
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # estimate
 
@@ -362,6 +377,20 @@ def test_check_prior_empty_size_prints_an_unsigned_zero(capsys):
     assert out.strip().split("\n")[2] == "L_star=0"
 
 
+@pytest.mark.parametrize(
+    "prior, l_star",
+    [
+        # L[0] = -2000 log(0.95) = 102.5865887751010727...; this is the nearest double
+        ("binomial:xi=0.05", "102.58658877510108"),
+        ("poisson:lambda=50", "100"),
+    ],
+)
+def test_check_prior_prints_the_exact_l_star(capsys, prior, l_star):
+    rc, out, _ = run(capsys, "check-prior", "--n", "1000", "--prior", prior, "--gamma", "9")
+    assert rc == 0
+    assert out.strip().split("\n")[2] == f"L_star={l_star}"
+
+
 def test_check_prior_rejects_infinite_custom_weight(capsys, tmp_path):
     weights = tmp_path / "w.csv"
     weights.write_text("0.0\n-inf\n0.0\n0.0\n0.0\n0.0\n")
@@ -470,6 +499,42 @@ def test_simulate_draws_whose_squares_overflow_exit_2(capsys, tmp_path, use_em):
     assert out == ""
     assert err.startswith("error: draws of magnitude up to ")
     assert err.count("\n") == 1
+
+
+# NumPy's dispatch targets above the x86-64-v2 baseline
+SIMD_TARGETS = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def _cpu_features() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # NumPy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+def test_simulate_csv_is_the_same_under_sse_only_dispatch(tmp_path):
+    # EM parameters may differ in their last bits between SIMD targets;
+    # the CSV must not
+    if not any(_cpu_features().get(target) for target in SIMD_TARGETS):
+        pytest.skip("this CPU has none of the SIMD targets that the SSE-only run disables")
+    cfg = write_config(tmp_path, dict(TINY, n=200, tau_grid=[3.0, 5.0], use_em=True,
+                                      methods=["bin", "pois1", "pois2", "universal", "oracle"]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(mapthresh.__file__).parents[1]), str(Path(__file__).parent)]))
+    sse_env = dict(env, NPY_DISABLE_CPU_FEATURES=" ".join(SIMD_TARGETS))
+    probe = "from test_cli import SIMD_TARGETS, _cpu_features as f; print(any(f().get(t) for t in SIMD_TARGETS))"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=sse_env)
+    assert done.stdout.strip() == "False", done.stderr  # the variable took effect
+    csvs = []
+    for run_env, name in ((env, "default.csv"), (sse_env, "sse.csv")):
+        out = tmp_path / name
+        done = subprocess.run([sys.executable, "-m", "mapthresh.cli", "simulate", "--config", cfg,
+                               "--out", str(out)], capture_output=True, text=True, env=run_env)
+        assert done.returncode == 0, done.stderr
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+    assert len(csvs[0].splitlines()) == 1 + 2 * 5
 
 
 def test_simulate_seed_override(capsys, tmp_path):

@@ -1,12 +1,14 @@
 """Prior tables, diagnostics, and the hierarchical sampler."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
 
+from test_estimator import _named_priors_at_edges
 from mapthresh import (
     BinomialPrior,
     ConfigurationError,
@@ -125,6 +127,32 @@ def test_tables_are_normalized(spec):
     total = np.logaddexp.reduce(table.log_pmf)
     assert abs(total) < 1e-9
     assert table.pmf().sum() == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 2, 20, 1000, 10**5])
+def test_named_prior_tables_against_scipy(n):
+    # SciPy's log-pmfs are the independent oracle: the tables and the penalty
+    # increments share priors._log_poisson_cdf, so neither checks the other.
+    # The closed forms round like log n!, and like the value itself.
+    ulps = 4.0 * math.ulp(max(1.0, math.lgamma(n + 1.0)))
+    k = np.arange(n + 1)
+    for spec in _named_priors_at_edges(n):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # small-lambda reflected priors warn
+            log_pmf = build_prior_table(spec, n).log_pmf
+        if isinstance(spec, BinomialPrior):
+            ref = scipy.stats.binom.logpmf(k, n, spec.xi)
+        else:  # a Poisson(x) pmf at j, restricted to j <= n
+            x, j = (spec.lam, k) if isinstance(spec, TruncatedPoissonPrior) else (n - spec.lam, n - k)
+            ref = scipy.stats.poisson.logpmf(j, x) - scipy.stats.poisson.logcdf(n, x)
+        np.testing.assert_allclose(log_pmf, ref, rtol=4.0 * np.finfo(float).eps, atol=ulps, err_msg=repr(spec))
+        assert abs(np.exp(log_pmf).sum() - 1.0) <= ulps, spec
+
+
+def test_binomial_table_is_the_closed_form_at_k_zero():
+    # no normalizer: log pi(0) is n log(1 - xi) to the bit
+    for n, xi in ((1000, 0.05), (10**5, 0.005), (7, 0.5)):
+        assert build_prior_table(BinomialPrior(xi), n).log_pmf[0] == n * math.log1p(-xi)
 
 
 def test_truncated_poisson_matches_renormalized_poisson():
@@ -339,6 +367,14 @@ def test_sample_mu_subsets_uniform_given_size():
     expected = draws / 20
     stat = sum((c - expected) ** 2 / expected for c in counts.values())
     assert stat < scipy.stats.chi2.ppf(0.999, 19)  # 43.82
+
+
+def test_draw_mu_accepts_a_nearly_normalized_pmf():
+    # a closed-form table sums to 1 only up to rounding; NumPy's choice
+    # refuses a pmf whose sum misses 1 by more than sqrt(eps)
+    pmf = build_prior_table(BinomialPrior(0.3), 50).pmf() * (1.0 + 1e-7)
+    mu = priors._draw_mu(np.random.default_rng(3), pmf, 2.0)
+    assert mu.shape == (50,)
 
 
 def test_sample_mu_values_scale_with_tau():
