@@ -7,13 +7,20 @@ block: every E-step quantity comes from a single vector of
 per-observation odds, held with its scratch vector in one two-row buffer
 of at most ``E_BLOCK`` columns allocated once per fit, so each block's
 chain runs in cache.  A block is 11 NumPy calls with 4 reductions: the
-log-likelihood sum, one row-wise sum of the buffer and two ``np.dot``
-products, and the blocks' sums are added in the order of NumPy's
-pairwise summation.  It keeps the mixture weight in [1/n, 1 - 1/n] and
-the variance ratio at or above ``TAU_SQ_FLOOR``.
+log-likelihood sum, one row-wise sum of the buffer and two dot products,
+and the blocks' sums are added in the order of NumPy's pairwise
+summation.  A fit of several blocks, on a host with more than one usable
+CPU, runs about half of each E-step's blocks on one helper thread with
+its own scratch; its dot products are ``np.einsum`` sums, not BLAS
+``ddot``, so its result does not depend on the thread or CPU count.  It
+keeps the mixture weight in [1/n, 1 - 1/n] and the variance ratio at or
+above ``TAU_SQ_FLOOR``.
 """
 
+import contextlib
+import functools
 import math
+import os
 
 import numpy as np
 
@@ -118,6 +125,13 @@ def _tree_sum(sums, n):
     return node(n).tolist()
 
 
+# The dot product of the E-step blocks of a fit of several blocks: NumPy's
+# own sum of products, which releases the GIL and gives the same bits on
+# any thread count, where ``np.dot`` calls BLAS ``ddot``, which splits
+# vectors of more than 10,000 values across BLAS threads.
+_einsum_dot = functools.partial(np.einsum, "i,i->")
+
+
 def _block_sums(ys, rows, scale, shift):
     """``em_loop``'s E-step chain on one block of squares ``ys``, with the
     scratch ``rows``: the sums of log1p(e), c, r, c y^2 and r y^2."""
@@ -131,7 +145,23 @@ def _block_sums(ys, rows, scale, shift):
     np.reciprocal(w, out=w)
     e *= w
     c_sum, r_sum = np.add.reduce(rows, axis=1).tolist()
-    return log1p_sum, c_sum, r_sum, float(np.dot(e, ys)), float(np.dot(w, ys))
+    return log1p_sum, c_sum, r_sum, float(_einsum_dot(e, ys)), float(_einsum_dot(w, ys))
+
+
+def _head_sums(blocks, scale, shift, scratch):
+    """``_block_sums`` of each block in turn, on one scratch buffer."""
+    return [_block_sums(b, scratch[:, : b.size], scale, shift) for b in blocks]
+
+
+def _helper_thread(blocks):
+    """One helper thread for a fit of several blocks when more than one
+    CPU is usable, else no thread: a context that gives the executor or
+    None."""
+    if len(blocks) > 1 and len(os.sched_getaffinity(0)) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        return ThreadPoolExecutor(1)
+    return contextlib.nullcontext()
 
 
 def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
@@ -166,16 +196,25 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
     ``e`` and the scratch vector are the two rows of one buffer as wide as
     the largest block, allocated once per fit, which ends a block's chain
     as [c; r], so one row-wise ``np.add.reduce`` gives both weight sums
-    with the same pairwise sum per row as a sum of each row alone; the
-    variance sums are two ``np.dot`` calls (the same BLAS ``ddot`` as
-    ``@``, with less dispatch).  The blocks' sums are added in the order
-    of NumPy's pairwise summation, so the log-likelihood and weight sums
-    equal one ``np.add.reduce`` over all n values to the bit; the variance
-    sums can differ from one ``ddot`` over all n in their last bits.
-    Every block but the last runs the whole chain; the last one runs
-    around the convergence check, so a converged pass computes no
-    responsibilities there, and at n <= ``E_BLOCK`` an iteration is 11
-    NumPy calls on the whole vector.  Both variance sums are taken
+    with the same pairwise sum per row as a sum of each row alone.  The
+    blocks' sums are added in the order of NumPy's pairwise summation, so
+    the log-likelihood and weight sums equal one ``np.add.reduce`` over
+    all n values to the bit.  Every block but the last runs the whole
+    chain; the last one runs around the convergence check, so a converged
+    pass computes no responsibilities there.
+
+    At n <= ``E_BLOCK`` an iteration is 11 NumPy calls on the whole
+    vector, and the variance sums are two ``np.dot`` calls (the same BLAS
+    ``ddot`` as ``@``, with less dispatch).  A fit of several blocks takes
+    every variance sum with ``np.einsum`` instead: it releases the GIL, and
+    no BLAS threads split its vectors, so the fit is the same on any
+    thread or CPU count, while it can differ from one ``ddot`` over all n
+    in the last bits of the variance sums.  When more than one CPU is
+    usable, one helper thread, started per fit and ended with it, runs the
+    first half of the blocks of each E-step on a scratch buffer of its
+    own while the calling thread runs the rest and the last block; the
+    sums are added in the same order whichever thread ran a block, so the
+    helper does not change the result.  Both variance sums are taken
     directly (c y^2, not sum(y^2) - r y^2), so one huge observation cannot
     cancel the noise sum to zero.  ``e`` cannot overflow: xi >= 1/n keeps
     log((1 - xi)/xi) <= log(n - 1), and log(1 + gamma)/2 < 355 for any
@@ -198,57 +237,67 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
     *head, ys = blocks
     rows = scratch[:, : ys.size]
     e, w = rows
+    dot = _einsum_dot if head else np.dot
     trace = []
     previous = math.nan  # no earlier pass: the first comparison is false
     converged = False
     iterations = 0
-    while True:
-        v1 = sigma_sq + tau_sq
-        log_odds = math.log1p(-xi) - math.log(xi)
-        scale = -0.5 * (tau_sq / v1) / sigma_sq
-        shift = log_odds + 0.5 * math.log1p(tau_sq / sigma_sq)
-        if head:
-            head_sums = [_block_sums(b, scratch[:, : b.size], scale, shift) for b in head]
-        # the last block: _block_sums's chain, split around the convergence check
-        np.multiply(ys, scale, out=e)
-        e += shift
-        np.exp(e, out=e)
-        np.log1p(e, out=w)
-        log1p_sum = float(np.add.reduce(w))
-        if head:
-            log1p_sum = _tree_sum([s[0] for s in head_sums] + [log1p_sum], n)
-        loglik = (
-            n * (math.log(xi) - 0.5 * (_LOG_2PI + math.log(v1)))
-            - 0.5 * y_total / v1
-            + log1p_sum
-        )
-        trace.append(loglik)
-        if abs(loglik - previous) <= tol * max(1.0, abs(loglik)):
-            converged = True
-            break
-        if iterations >= max_iter:
-            break
-        previous = loglik
-        np.add(e, 1.0, out=w)
-        np.reciprocal(w, out=w)
-        e *= w
-        c_sum, r_sum = np.add.reduce(rows, axis=1).tolist()
-        c_y = float(np.dot(e, ys))
-        r_y = float(np.dot(w, ys))
-        if head:
-            last = (c_sum, r_sum, c_y, r_y)
-            c_sum, r_sum, c_y, r_y = _tree_sum([s[1:] for s in head_sums] + [last], n)
-        if c_sum == 0.0:
-            raise DegenerateDataError(
-                "every noise responsibility underflowed: no observation fits the noise component"
+    with _helper_thread(blocks) as helper:
+        # about half the blocks each, as the caller also runs the last one
+        theirs = head[: len(blocks) // 2] if helper else []
+        mine = head[len(theirs) :]
+        their_scratch = np.empty_like(scratch) if theirs else None
+        while True:
+            v1 = sigma_sq + tau_sq
+            log_odds = math.log1p(-xi) - math.log(xi)
+            scale = -0.5 * (tau_sq / v1) / sigma_sq
+            shift = log_odds + 0.5 * math.log1p(tau_sq / sigma_sq)
+            if theirs:
+                pending = helper.submit(_head_sums, theirs, scale, shift, their_scratch)
+            if head:
+                head_sums = _head_sums(mine, scale, shift, scratch)
+            # the last block: _block_sums's chain, split around the convergence check
+            np.multiply(ys, scale, out=e)
+            e += shift
+            np.exp(e, out=e)
+            np.log1p(e, out=w)
+            log1p_sum = float(np.add.reduce(w))
+            if head:
+                if theirs:
+                    head_sums = pending.result() + head_sums
+                log1p_sum = _tree_sum([s[0] for s in head_sums] + [log1p_sum], n)
+            loglik = (
+                n * (math.log(xi) - 0.5 * (_LOG_2PI + math.log(v1)))
+                - 0.5 * y_total / v1
+                + log1p_sum
             )
-        sigma_sq = c_y / c_sum
-        tau_sq = r_y / r_sum - sigma_sq
-        gamma = tau_sq / sigma_sq
-        if gamma < TAU_SQ_FLOOR or gamma - math.log1p(gamma) < 2.0 * log_odds:
-            gamma = max(TAU_SQ_FLOOR, slab_floor(xi))
-            sigma_sq = (c_y + r_y / (1.0 + gamma)) / n
-            tau_sq = gamma * sigma_sq
-        xi = min(max(r_sum / n, xi_lo, weight_floor(gamma)), xi_hi)
-        iterations += 1
+            trace.append(loglik)
+            if abs(loglik - previous) <= tol * max(1.0, abs(loglik)):
+                converged = True
+                break
+            if iterations >= max_iter:
+                break
+            previous = loglik
+            np.add(e, 1.0, out=w)
+            np.reciprocal(w, out=w)
+            e *= w
+            c_sum, r_sum = np.add.reduce(rows, axis=1).tolist()
+            c_y = float(dot(e, ys))
+            r_y = float(dot(w, ys))
+            if head:
+                last = (c_sum, r_sum, c_y, r_y)
+                c_sum, r_sum, c_y, r_y = _tree_sum([s[1:] for s in head_sums] + [last], n)
+            if c_sum == 0.0:
+                raise DegenerateDataError(
+                    "every noise responsibility underflowed: no observation fits the noise component"
+                )
+            sigma_sq = c_y / c_sum
+            tau_sq = r_y / r_sum - sigma_sq
+            gamma = tau_sq / sigma_sq
+            if gamma < TAU_SQ_FLOOR or gamma - math.log1p(gamma) < 2.0 * log_odds:
+                gamma = max(TAU_SQ_FLOOR, slab_floor(xi))
+                sigma_sq = (c_y + r_y / (1.0 + gamma)) / n
+                tau_sq = gamma * sigma_sq
+            xi = min(max(r_sum / n, xi_lo, weight_floor(gamma)), xi_hi)
+            iterations += 1
     return sigma_sq, tau_sq, xi, np.asarray(trace), iterations, converged

@@ -2,7 +2,8 @@
 
 Subcommands: estimate, penalty, check-prior, simulate, em-fit.  Bad usage
 or invalid inputs exit 2 with a one-line message on stderr; numeric
-failures (including EM non-convergence) exit 1; success exits 0.
+failures (including EM non-convergence) exit 1; success exits 0.  Each
+warning is one ``warning:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -396,8 +398,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line(message, category, filename, lineno, line=None) -> str:
+    """``warnings.formatwarning`` while a command runs: one ``warning:`` line."""
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # printed warnings only: a caller that records warnings still gets them
+    format_warning, warnings.formatwarning = warnings.formatwarning, _one_line
     try:
         return args.func(args)
     except (NumericError, OverflowError, FloatingPointError) as exc:
@@ -406,6 +415,8 @@ def main(argv=None) -> int:
     except MapThreshError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        warnings.formatwarning = format_warning
 
 
 if __name__ == "__main__":

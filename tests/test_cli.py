@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +106,34 @@ def test_missing_scales_exit_2(capsys, noisy_input):
     rc, _, err = run(capsys, "estimate", "--input", path, "--prior", "binomial:xi=0.1")
     assert rc == 2
     assert "--sigma" in err or "--em" in err
+
+
+FLAT_PRIOR_WARNING = (
+    "warning: reflected Poisson prior with lam <= sqrt(n log n):"
+    " the pmf is nearly flat and the prior loses its locating effect\n"
+)
+
+
+@pytest.mark.parametrize("command", ["penalty", "check-prior", "estimate"])
+def test_a_package_warning_prints_as_one_line(tmp_path, command):
+    argv = {
+        "penalty": ["penalty", "--n", "1000", "--prior", "rpoisson:lambda=5", "--gamma", "9",
+                    "--out", str(tmp_path / "p.csv")],
+        "check-prior": ["check-prior", "--n", "1000", "--prior", "rpoisson:lambda=5", "--gamma", "9"],
+        "estimate": ["estimate", "--input", write_column(tmp_path / "y.csv", [0.1, 2.5, -0.3]),
+                     "--prior", "rpoisson:lambda=1", "--sigma", "1", "--tau", "3",
+                     "--out", str(tmp_path / "e.csv")],
+    }[command]
+    env = dict(os.environ, PYTHONPATH=str(Path(mapthresh.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "mapthresh.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == FLAT_PRIOR_WARNING
+    # a caller that records warnings still gets the warning itself
+    format_warning = warnings.formatwarning
+    with pytest.warns(UserWarning, match="nearly flat"):
+        assert main(argv) == 0
+    assert warnings.formatwarning is format_warning
 
 
 @pytest.mark.parametrize("command", ["estimate", "penalty", "simulate"])

@@ -2,6 +2,11 @@
 bit for bit up to one E-step block, against the kernel it replaced."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +237,60 @@ def test_em_loop_raises_as_the_previous_kernel_on_data_with_no_noise():
     with pytest.raises(DegenerateDataError) as want:
         previous_em_loop(*args)
     assert str(got.value) == str(want.value)
+
+
+# em_fit of saved data in a fresh interpreter, pinned to one CPU before
+# NumPy loads when asked: the repr of every fitted value and of the trace
+_FIT_IN_A_CHILD = """
+import os, sys
+if sys.argv[2] == "one-cpu":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from mapthresh import em_fit
+fit = em_fit(np.load(sys.argv[1]))
+print(repr((fit.sigma_hat, fit.tau_hat, fit.xi_hat, fit.loglik_trace.tolist())))
+"""
+
+
+def test_a_fit_of_several_blocks_is_the_same_on_any_thread_count(tmp_path):
+    # the parent kernel's np.dot split these sums across BLAS threads, so
+    # its fit here moved in the last bits with OPENBLAS_NUM_THREADS=1
+    y = mixture(200_003, 0.05, 4.0, 35)
+    assert len(_kernels._blocks(y)) == 4
+    data = tmp_path / "y.npy"
+    np.save(data, y)
+    env = dict(os.environ, PYTHONPATH=str(Path(mapthresh.__file__).parents[1]))
+    settings = [(env, "default"), (dict(env, OPENBLAS_NUM_THREADS="1"), "default")]
+    if hasattr(os, "sched_setaffinity"):
+        settings.append((env, "one-cpu"))
+    fits = []
+    for child_env, cpus in settings:
+        done = subprocess.run([sys.executable, "-c", _FIT_IN_A_CHILD, str(data), cpus],
+                              capture_output=True, text=True, env=child_env)
+        assert done.returncode == 0, done.stderr
+        fits.append(done.stdout)
+    assert fits[1:] == fits[:1] * (len(fits) - 1)
+    fit = mapthresh.em_fit(y)
+    assert fits[0].strip() == repr(
+        (fit.sigma_hat, fit.tau_hat, fit.xi_hat, fit.loglik_trace.tolist())
+    )
+
+
+def test_em_loop_over_several_blocks_raises_as_the_previous_kernel_and_ends_its_thread():
+    y = 1e6 + np.arange(200_003.0)
+    assert len(_kernels._blocks(y)) == 4
+    # em_fit's own start fits these data; from a narrow noise component
+    # every noise responsibility underflows in the first pass
+    args = (y**2, 1e6, 1e12, 0.5, 1e-8, 500)
+    threads = threading.active_count()
+    with pytest.raises(DegenerateDataError) as got:
+        _kernels.em_loop(*args)
+    assert threading.active_count() == threads
+    with pytest.raises(DegenerateDataError) as want:
+        previous_em_loop(*args)
+    assert str(got.value) == str(want.value)
+    assert _kernels.em_loop(*fit_args(y))[5]
+    assert threading.active_count() == threads
 
 
 def test_scan_of_a_matrix_equals_a_scan_of_each_row():

@@ -17,10 +17,11 @@ The output has the shape of ``BENCH_cell.json``: ``command``, ``seed``,
 ``note``, ``workloads`` (per workload the ``pairs``, each with ``pair``,
 ``first``, ``parent`` and ``change``, the JSON last line of ``run.py``, and a
 ``summary`` of medians with inclusive quartiles), ``env_lines`` (the
-``# env`` line of ``run.py``) and, with ``--traced``, ``traced_runs``: one
-``--trace 1`` run per side, with its ``# env`` line.  The file is rewritten
-after every pair, so an interrupted series keeps the pairs it finished.
-Standard library only.
+``# env`` line of ``run.py``) and, with ``--traced``, ``traced_runs``: three
+``--trace 1`` runs per side, alternating which side runs first, each with
+its ``# env`` line, and per side the median of each metric over the three.
+The file is rewritten after every run, so an interrupted series keeps the
+runs it finished.  Standard library only.
 """
 
 from __future__ import annotations
@@ -70,6 +71,11 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float, trace: int) 
     return env, json.loads(lines[-1])
 
 
+# --trace 1 runs per side of each --traced workload; per-layer figures are
+# cited as the median of these
+TRACED_RUNS = 3
+
+
 def quartiles(values: list[float]) -> tuple[float, float]:
     if len(values) < 2:
         return values[0], values[0]
@@ -108,7 +114,7 @@ def main(argv=None) -> int:
     parser.add_argument("--change", default=None,
                         help="change commit (default: the working tree's files)")
     parser.add_argument("--traced", action="append", default=[],
-                        help="also one --trace 1 run per side of this workload, after the pairs")
+                        help=f"also {TRACED_RUNS} --trace 1 runs per side of this workload, after the pairs")
     parser.add_argument("--note", default="", help="prepended to the note written in the file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -134,7 +140,8 @@ def main(argv=None) -> int:
     if args.traced:
         result["traced_runs"] = {
             "note": f"python3 perfbench/run.py --workload <w> --trace 1 --seed {args.seed}"
-                    f" --seconds {args.seconds:g}, one run per side after the pairs",
+                    f" --seconds {args.seconds:g}, {TRACED_RUNS} runs per side after the pairs,"
+                    " alternating which side runs first; 'medians' is the median of each metric",
             "runs": {},
         }
     env_lines: dict[str, list[str]] = {}
@@ -171,10 +178,18 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {i}: parent {wall['parent']:.1f}, change {wall['change']:.1f}",
                       flush=True)
         for workload in args.traced:
-            for side in ("parent", "change"):
-                env, line = run_bench(trees[side], workload, args.seed, args.seconds, 1)
-                result["traced_runs"]["runs"][f"{workload}/{side}"] = {"env": env, "result": line}
-                save()
+            sides = {side: {"runs": [], "medians": {}} for side in ("parent", "change")}
+            for i in range(1, TRACED_RUNS + 1):
+                for side in ("parent", "change") if i % 2 else ("change", "parent"):
+                    env, line = run_bench(trees[side], workload, args.seed, args.seconds, 1)
+                    runs = sides[side]["runs"]
+                    runs.append({"env": env, "result": line})
+                    sides[side]["medians"] = {
+                        metric: statistics.median(r["result"]["metrics"][metric]["value"] for r in runs)
+                        for metric in line["metrics"]
+                    }
+                    result["traced_runs"]["runs"][f"{workload}/{side}"] = sides[side]
+                    save()
     print(f"wrote {out_path}")
     return 0
 
