@@ -18,6 +18,7 @@ above ``TAU_SQ_FLOOR``.
 """
 
 import contextlib
+import contextvars
 import functools
 import math
 import os
@@ -153,17 +154,6 @@ def _head_sums(blocks, scale, shift, scratch):
     return [_block_sums(b, scratch[:, : b.size], scale, shift) for b in blocks]
 
 
-def _helper_thread(blocks):
-    """One helper thread for a fit of several blocks when more than one
-    CPU is usable, else no thread: a context that gives the executor or
-    None."""
-    if len(blocks) > 1 and len(os.sched_getaffinity(0)) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        return ThreadPoolExecutor(1)
-    return contextlib.nullcontext()
-
-
 def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
     """EM iterations for the two-component scale mixture of centered normals.
 
@@ -212,9 +202,11 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
     in the last bits of the variance sums.  When more than one CPU is
     usable, one helper thread, started per fit and ended with it, runs the
     first half of the blocks of each E-step on a scratch buffer of its
-    own while the calling thread runs the rest and the last block; the
-    sums are added in the same order whichever thread ran a block, so the
-    helper does not change the result.  Both variance sums are taken
+    own, under the caller's ``np.errstate``, while the calling thread runs
+    the rest and the last block; the sums are added in the same order
+    whichever thread ran a block, so the helper does not change the
+    result.  The usable CPUs are the process's affinity set where the OS
+    reports one, else ``os.cpu_count()``.  Both variance sums are taken
     directly (c y^2, not sum(y^2) - r y^2), so one huge observation cannot
     cancel the noise sum to zero.  ``e`` cannot overflow: xi >= 1/n keeps
     log((1 - xi)/xi) <= log(n - 1), and log(1 + gamma)/2 < 355 for any
@@ -238,22 +230,37 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
     rows = scratch[:, : ys.size]
     e, w = rows
     dot = _einsum_dot if head else np.dot
+    # a helper thread takes about half the blocks, as this thread also runs
+    # the last one, when another CPU is usable
+    theirs = []
+    if head:
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        if cpus > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            theirs = head[: len(blocks) // 2]
+            their_scratch = np.empty_like(scratch)
+            # the helper runs in the caller's context, so its blocks obey
+            # the caller's np.errstate as the caller's own blocks do
+            context = contextvars.copy_context()
+    mine = head[len(theirs) :]
     trace = []
     previous = math.nan  # no earlier pass: the first comparison is false
     converged = False
     iterations = 0
-    with _helper_thread(blocks) as helper:
-        # about half the blocks each, as the caller also runs the last one
-        theirs = head[: len(blocks) // 2] if helper else []
-        mine = head[len(theirs) :]
-        their_scratch = np.empty_like(scratch) if theirs else None
+    with (ThreadPoolExecutor(1) if theirs else contextlib.nullcontext()) as helper:
         while True:
             v1 = sigma_sq + tau_sq
             log_odds = math.log1p(-xi) - math.log(xi)
             scale = -0.5 * (tau_sq / v1) / sigma_sq
             shift = log_odds + 0.5 * math.log1p(tau_sq / sigma_sq)
             if theirs:
-                pending = helper.submit(_head_sums, theirs, scale, shift, their_scratch)
+                pending = helper.submit(
+                    context.run, _head_sums, theirs, scale, shift, their_scratch
+                )
             if head:
                 head_sums = _head_sums(mine, scale, shift, scratch)
             # the last block: _block_sums's chain, split around the convergence check

@@ -293,6 +293,43 @@ def test_em_loop_over_several_blocks_raises_as_the_previous_kernel_and_ends_its_
     assert threading.active_count() == threads
 
 
+@pytest.mark.parametrize("cpus, helpers", [(2, 1), (None, 0)])
+def test_em_loop_over_several_blocks_runs_where_the_os_reports_no_affinity(
+    monkeypatch, cpus, helpers
+):
+    # as on macOS and Windows: the CPU count falls back to os.cpu_count()
+    import concurrent.futures
+
+    args = fit_args(mixture(200_003, 0.05, 4.0, 35))
+    want = _kernels.em_loop(*args)
+    started = []
+
+    class Executor(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *a, **k):
+            started.append(self)
+            super().__init__(*a, **k)
+
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Executor)
+    got = _kernels.em_loop(*args)
+    assert len(started) == helpers
+    assert got[:3] == want[:3] and got[4:] == want[4:]
+    assert got[3].tobytes() == want[3].tobytes()
+
+
+def test_the_helper_thread_keeps_the_callers_error_state():
+    # an observation whose noise odds underflow, in a block the helper runs
+    # on a host with more than one CPU
+    y = mixture(200_003, 0.05, 4.0, 35)
+    y[:100] = 1e4
+    args = fit_args(y)
+    for loop in (_kernels.em_loop, previous_em_loop):
+        with np.errstate(under="raise"), pytest.raises(FloatingPointError, match="underflow"):
+            loop(*args)
+    assert _kernels.em_loop(*args)[5]
+
+
 def test_scan_of_a_matrix_equals_a_scan_of_each_row():
     rng = np.random.default_rng(29)
     n = 203
