@@ -30,8 +30,8 @@ from .baselines import (
     variable_threshold_estimate,
 )
 from .em import em_fit
-from .errors import MapThreshError, NumericError, check_between, check_integer
-from .estimator import map_estimate, penalty_increments
+from .errors import DomainError, MapThreshError, NumericError, check_between, check_integer
+from .estimator import _rate, map_estimate, penalty_increments
 from .priors import (
     BinomialPrior,
     CustomLogWeightsPrior,
@@ -161,6 +161,14 @@ def _build_map_prior(kind: str, params: dict, n: int, xi_hat: float | None):
     return spec_type(from_fit(xi_hat, n))
 
 
+def _hyper_params(sigma: float, tau: float) -> HyperParams:
+    """``HyperParams(sigma, tau)``, refusing a subnormal penalty rate (too few significant bits)."""
+    hyper = HyperParams(sigma=sigma, tau=tau)
+    if _rate(hyper)[0] < sys.float_info.min:
+        raise DomainError(f"sigma = {sigma}, tau = {tau}: subnormal penalty rate; rescale the data")
+    return hyper
+
+
 @contextlib.contextmanager
 def _output(path: str | None):
     """stdout for None or "-", else ``path`` opened to write; an unwritable path is a usage error."""
@@ -197,7 +205,7 @@ def cmd_estimate(args) -> int:
             xi_hat = fit.xi_hat
         if sigma is None or tau is None:
             _fail("MAP estimation needs --sigma and --tau, or --em")
-        hyper = HyperParams(sigma=sigma, tau=tau)
+        hyper = _hyper_params(sigma, tau)
         result = map_estimate(y, hyper, _build_map_prior(kind, params, n, xi_hat))
     else:
         if sigma is None:
@@ -237,7 +245,7 @@ def cmd_estimate(args) -> int:
 def cmd_penalty(args) -> int:
     spec = _prior_spec_from_args(args)
     gamma = check_between(args.gamma, "--gamma", 0.0, math.inf, UsageError)
-    hyper = HyperParams(sigma=args.sigma, tau=args.sigma * math.sqrt(gamma))
+    hyper = _hyper_params(args.sigma, args.sigma * math.sqrt(gamma))
     # the increments and their running sum are exactly what map_estimate scans
     increments = penalty_increments(spec, args.n, hyper)
     penalty = np.cumsum(increments)

@@ -4,30 +4,14 @@ The posterior over support configurations collapses onto n+1 candidates
 (keep the k largest magnitudes), so the estimate comes from a single scan
 of a penalized residual criterion over the sequence ranked by magnitude.
 
-Penalty identity used throughout, with r = 2 sigma^2 (1 + 1/gamma) and
-h = (1/2) log(1 + gamma):
+Penalty identity used throughout, with r = 2 sigma^2 (1 + 1/gamma),
+h = (1/2) log(1 + gamma) and the complexity c[k] = log C(n,k) - log pi_n(k):
 
-    P[k]   = r * (log C(n,k) - log pi_n(k) + k h)
-    inc[0] = r * log(1/pi_n(0))
-    inc[i] = r * (log((n-i+1)/i) + log(pi_n(i-1)/pi_n(i)) + h)
+    P[k]   = r * (c[k] + k h)
+    inc[0] = r * c[0]
+    inc[i] = r * (c[i] - c[i-1] + h)
 
-and P[k] telescopes as the cumulative sum of the increments.  For the
-named priors the ratio pi_n(i-1)/pi_n(i) cancels the binomial
-coefficient, so ``penalty_increments`` needs no log-gamma table
-(Birge & Massart 2001); Q(a, x) is the regularized upper incomplete
-gamma function, so that sum_{k<=n} x^k/k! = e^x Q(n+1, x):
-
-    binomial(xi):         inc[i] = r (log((1-xi)/xi) + h)
-                          inc[0] = -r n log(1-xi)
-    truncated Poisson:    inc[i] = r (log((n-i+1)/lam) + h)
-                          inc[0] = r (lam + log Q(n+1, lam))
-    reflected Poisson,    inc[i] = r (log(m/i) + h)
-    with m = n - lam:     inc[0] = r (m + log Q(n+1, m) - n log m + log n!)
-
-Here Q(n+1, x) = P(Poisson(x) <= n) with 0 < x <= n; its log comes from
-``priors._log_poisson_cdf``, the normalizer of the Poisson prior tables.
-
-A custom prior takes the differences of its normalized log weights.
+and P[k] telescopes as the cumulative sum of the increments; ``priors`` owns c.
 
 Only the observations a minimizer can keep are ranked.  The criterion is
 obj[k] = sum of the n - k smallest squares + P[k].  Pick a cut t > 0, let
@@ -50,9 +34,9 @@ t = min(inc[1 .. ceil(n/2)]).  When t <= 0, or the bound fails (as it
 does for a custom prior that favors large sizes), t = -inf: every
 observation is a candidate, which is the full ranking and scan.
 
-Under the binomial prior the increments inc[1..n] are one constant c, so
-the steps c - y_(k)^2 change sign once and the rule is the fixed
-threshold y_i^2 > c, with no scan at all; a square equal to c ties and
+Under the binomial prior the increments inc[1..n] are one constant a, so
+the steps a - y_(k)^2 change sign once and the rule is the fixed
+threshold y_i^2 > a, with no scan at all; a square equal to a ties and
 is dropped.  It shares one step with the fixed rule |y_i| >= lam of
 ``baselines``: the kept set is closed upward in |y|, so only its members
 are ranked.  Results carry only the estimate; the criterion at every
@@ -72,16 +56,14 @@ from ._kernels import penalized_scan
 from .errors import DomainError, SizeError, check_between
 from .priors import (
     BinomialPrior,
-    CustomLogWeightsPrior,
     HyperParams,
     PriorSpec,
     PriorTable,
-    TruncatedPoissonPrior,
     _check_prior_size,
-    _log_choose_all,
-    _log_poisson_cdf,
+    _complexity,
+    _log_poisson_cdf,  # read by the tests as estimator._log_poisson_cdf
+    _unit_steps,
     build_prior_table,
-    log_choose,
 )
 
 __all__ = [
@@ -284,24 +266,12 @@ def _rate(hyper: HyperParams) -> tuple[float, float]:
     return 2.0 * hyper.sigma**2 * (1.0 + 1.0 / gamma), 0.5 * math.log1p(gamma)
 
 
-def _table_increments(log_pmf: np.ndarray, rate: float, half_log_1pg: float) -> np.ndarray:
-    n = log_pmf.size - 1
-    increments = np.empty(n + 1)
-    # + 0.0 drops the signed zero when pi(0) = 1
-    increments[0] = rate * -log_pmf[0] + 0.0
-    i = np.arange(1, n + 1, dtype=float)
-    increments[1:] = rate * (
-        np.log((n - i + 1.0) / i) + log_pmf[:-1] - log_pmf[1:] + half_log_1pg
-    )
-    return increments
-
-
 def penalty_increments(spec: PriorSpec, n: int, hyper: HyperParams) -> np.ndarray:
     """Penalty increments inc[0..n] for ``spec`` at length n.
 
     The penalty is their cumulative sum.  The binomial and both Poisson
-    priors use the closed forms in the module docstring and build no
-    prior table; a custom prior is normalized first.  Raises and warns as
+    priors use the closed-form steps of ``priors`` and build no prior
+    table; a custom prior is normalized first.  Raises and warns as
     ``build_prior_table`` does.
     """
     return _increments(spec, _check_prior_size(spec, n), hyper)
@@ -309,7 +279,7 @@ def penalty_increments(spec: PriorSpec, n: int, hyper: HyperParams) -> np.ndarra
 
 def _binomial_step(xi: float, half_log_1pg: float) -> float:
     """inc[i] / r for i >= 1 under the binomial prior."""
-    return math.log1p(-xi) - math.log(xi) + half_log_1pg
+    return float(_unit_steps(BinomialPrior(xi), 1)[1]) + half_log_1pg
 
 
 def _binomial_cut(xi: float, hyper: HyperParams) -> float:
@@ -322,27 +292,8 @@ def _binomial_cut(xi: float, hyper: HyperParams) -> float:
 def _increments(spec: PriorSpec, n: int, hyper: HyperParams) -> np.ndarray:
     """``penalty_increments`` for a spec already checked against n."""
     rate, half_log_1pg = _rate(hyper)
-    if isinstance(spec, CustomLogWeightsPrior):
-        return _table_increments(build_prior_table(spec, n).log_pmf, rate, half_log_1pg)
-    if isinstance(spec, BinomialPrior):
-        inc = np.full(n + 1, _binomial_step(spec.xi, half_log_1pg))
-        inc[0] = -n * math.log1p(-spec.xi)
-    elif isinstance(spec, TruncatedPoissonPrior):
-        lam = spec.lam
-        inc = np.arange(n + 1, 0, -1, dtype=float)  # inc[i] = n - i + 1, then in place
-        inc[0] = lam + _log_poisson_cdf(n, lam)
-        body = inc[1:]
-        body /= lam
-        np.log(body, out=body)
-        body += half_log_1pg
-    else:  # ReflectedPoissonPrior
-        m = n - spec.lam
-        inc = np.arange(n + 1, dtype=float)  # inc[i] = i, then in place
-        inc[0] = m + _log_poisson_cdf(n, m) - n * math.log(m) + math.lgamma(n + 1.0)
-        body = inc[1:]
-        np.divide(m, body, out=body)
-        np.log(body, out=body)
-        body += half_log_1pg
+    inc = _unit_steps(spec, n)
+    inc[1:] += half_log_1pg
     inc *= rate
     # + 0.0 drops signed zeros: the binomial inc[0] at n = 0, and products
     # that underflow when the rate is near the smallest floats
@@ -352,13 +303,10 @@ def _increments(spec: PriorSpec, n: int, hyper: HyperParams) -> np.ndarray:
 
 def penalty_table(table: PriorTable, hyper: HyperParams) -> PenaltyTable:
     """Per-size penalty vector and increments for the scan criterion."""
-    n = table.n
     rate, half_log_1pg = _rate(hyper)
-    k = np.arange(n + 1, dtype=float)
-    penalty = rate * (_log_choose_all(n) - table.log_pmf + k * half_log_1pg)
-    return PenaltyTable(
-        penalty=penalty, increments=_table_increments(table.log_pmf, rate, half_log_1pg)
-    )
+    k = np.arange(table.n + 1, dtype=float)
+    penalty = rate * (_complexity(table) + k * half_log_1pg)
+    return PenaltyTable(penalty=penalty, increments=_increments(table.spec, table.n, hyper))
 
 
 def select_k(sorted_sq: np.ndarray, penalties: PenaltyTable | np.ndarray) -> tuple[int, np.ndarray]:
@@ -420,7 +368,7 @@ def posterior_log_score(
     rate, half_log_1pg = _rate(hyper)
     with np.errstate(over="ignore"):  # an infinite square is the +inf limit
         neg_log_b = y[x] ** 2 / rate - half_log_1pg
-    return float(table.log_pmf[k] - log_choose(table.n, k) + np.sum(neg_log_b))
+    return float(-_complexity(table)[k] + np.sum(neg_log_b))
 
 
 def brute_force_map(
@@ -445,8 +393,7 @@ def brute_force_map(
     masks = np.arange(2**n, dtype=np.uint32)
     bits = ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(bool)
     sizes = bits.sum(axis=1)
-    prior_term = table.log_pmf - np.array([log_choose(n, k) for k in range(n + 1)])
-    scores = prior_term[sizes] + bits @ np.where(finite, contrib, 0.0)
+    scores = -_complexity(table)[sizes] + bits @ np.where(finite, contrib, 0.0)
     scores[~bits[:, ~finite].all(axis=1)] = -np.inf
 
     best = np.max(scores)

@@ -8,8 +8,17 @@ k = 0..n model sizes, in closed form for each named prior:
     truncated Poisson:  j log x - log j! - x - log Q(n+1, x), (x, j) = (lam, k)
     reflected Poisson:  the same with (x, j) = (n - lam, n - k)
 
-with Q(n+1, x) = P(Poisson(x) <= n) from ``_log_poisson_cdf``, which
-``estimator`` reads too.  Only a custom prior needs a log-sum-exp.
+with Q(n+1, x) = P(Poisson(x) <= n) from ``_log_poisson_cdf``.  Only a
+custom prior needs a log-sum-exp.
+
+Every reader takes the complexity c[k] = log C(n,k) - log pi_n(k) from
+``_complexity``.  For the named priors pi_n(i-1)/pi_n(i) cancels C(n,k)
+(Birge & Massart 2001), so with m = n - lam, c[0] and the steps
+c[i] - c[i-1] of ``_unit_steps`` need no log-gamma table:
+
+    binomial(xi):       c[0] = -n log(1-xi),             steps log((1-xi)/xi)
+    truncated Poisson:  c[0] = lam + log Q(n+1, lam),     steps log((n-i+1)/lam)
+    reflected Poisson:  c[0] = m + log Q(n+1, m) - n log m + log n!,  steps log(m/i)
 """
 
 from __future__ import annotations
@@ -108,10 +117,11 @@ PriorSpec = Union[
 
 @dataclass(frozen=True)
 class PriorTable:
-    """Normalized log-pmf over model sizes k = 0..n."""
+    """Normalized log-pmf over model sizes k = 0..n, and the spec it came from."""
 
     n: int
     log_pmf: np.ndarray
+    spec: PriorSpec = field(repr=False, compare=False)
 
     def __post_init__(self):
         if self.log_pmf.shape != (self.n + 1,):
@@ -326,14 +336,50 @@ def build_prior_table(spec: PriorSpec, n: int) -> PriorTable:
     """
     n = _check_prior_size(spec, n)
     if isinstance(spec, CustomLogWeightsPrior):
-        return PriorTable(n=n, log_pmf=spec.log_weights - _log_sum_exp(spec.log_weights))
+        return PriorTable(n=n, log_pmf=spec.log_weights - _log_sum_exp(spec.log_weights), spec=spec)
     k = np.arange(n + 1, dtype=float)
     if isinstance(spec, BinomialPrior):
         log_pmf = _log_choose_all(n) + k * math.log(spec.xi) + (n - k) * math.log1p(-spec.xi)
     else:  # a Poisson(x) pmf at j, restricted to j <= n
         x, j = (spec.lam, k) if isinstance(spec, TruncatedPoissonPrior) else (n - spec.lam, n - k)
         log_pmf = j * math.log(x) - _log_factorial(j) - (x + _log_poisson_cdf(n, x))
-    return PriorTable(n=n, log_pmf=log_pmf)
+    return PriorTable(n=n, log_pmf=log_pmf, spec=spec)
+
+
+def _unit_steps(spec: PriorSpec, n: int) -> np.ndarray:
+    """c[0], then the steps c[i] - c[i-1] of the complexity, for a spec checked against n."""
+    if isinstance(spec, CustomLogWeightsPrior):
+        log_pmf = build_prior_table(spec, n).log_pmf
+        steps = np.empty(n + 1)
+        steps[0] = -log_pmf[0]
+        i = np.arange(1, n + 1, dtype=float)
+        steps[1:] = np.log((n - i + 1.0) / i) + log_pmf[:-1] - log_pmf[1:]
+    elif isinstance(spec, BinomialPrior):
+        steps = np.full(n + 1, math.log1p(-spec.xi) - math.log(spec.xi))
+        steps[0] = -n * math.log1p(-spec.xi)
+    elif isinstance(spec, TruncatedPoissonPrior):
+        steps = np.arange(n + 1, 0, -1, dtype=float)  # steps[i] = n - i + 1, then in place
+        steps[0] = spec.lam + _log_poisson_cdf(n, spec.lam)
+        body = steps[1:]
+        body /= spec.lam
+        np.log(body, out=body)
+    else:  # ReflectedPoissonPrior
+        m = n - spec.lam
+        steps = np.arange(n + 1, dtype=float)  # steps[i] = i, then in place
+        steps[0] = m + _log_poisson_cdf(n, m) - n * math.log(m) + math.lgamma(n + 1.0)
+        body = steps[1:]
+        np.divide(m, body, out=body)
+        np.log(body, out=body)
+    return steps
+
+
+def _complexity(table: PriorTable) -> np.ndarray:
+    """c[k] for k = 0..n: the truncated Poisson steps summed, free of the small-k rounding
+    of log n! in ``_log_choose_all``; else the table, as a binomial closed form breaks the
+    tight decay bound at xi = exp(-c(gamma)) and a reflected sum carries c[0]'s rounding."""
+    if isinstance(table.spec, TruncatedPoissonPrior):
+        return np.cumsum(_unit_steps(table.spec, table.n))
+    return _log_choose_all(table.n) - table.log_pmf
 
 
 def check_assumption_a(table: PriorTable, gamma: float) -> AssumptionReport:
@@ -348,21 +394,20 @@ def check_assumption_a(table: PriorTable, gamma: float) -> AssumptionReport:
     c_gamma = 8.0 * (gamma + 0.75) ** 2
     k = np.arange(table.n + 1, dtype=float)
     with np.errstate(over="ignore"):  # a product c(gamma) k that overflows is the -inf margin
-        margin = _log_choose_all(table.n) - c_gamma * k - table.log_pmf
+        margin = _complexity(table) - c_gamma * k
     return AssumptionReport(c_gamma=c_gamma, per_k_margin=margin, holds=bool(np.all(margin >= 0.0)))
 
 
 def complexity_weights(table: PriorTable) -> tuple[np.ndarray, float]:
     """Per-size complexity weights and their maximum.
 
-    L[0] = 2 log(1/pi_n(0)) and L[k] = (log C(n,k) - log pi_n(k)) / k for
-    k >= 1; the running maximum L* calibrates risk bounds.
+    L[0] = 2 c[0] = 2 log(1/pi_n(0)) and L[k] = c[k] / k for k >= 1; the
+    running maximum L* calibrates risk bounds.
     """
-    n = table.n
-    weights = np.empty(n + 1)
-    weights[0] = -2.0 * table.log_pmf[0] + 0.0  # + 0.0 drops the signed zero when pi(0) = 1
-    k = np.arange(1, n + 1, dtype=float)
-    weights[1:] = (_log_choose_all(n)[1:] - table.log_pmf[1:]) / k
+    c = _complexity(table)
+    weights = np.empty(table.n + 1)
+    weights[0] = 2.0 * c[0]
+    weights[1:] = c[1:] / np.arange(1, table.n + 1, dtype=float)
     return weights, float(np.max(weights))
 
 

@@ -101,6 +101,28 @@ def test_scales_whose_squares_leave_the_float_range_exit_2(capsys, noisy_input, 
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, sigma, code",
+    [
+        # sigma = tau = 1e-161: the rate 2 sigma^2 (1 + 1/gamma) is 3.95e-322, a subnormal
+        ("penalty", "1e-161", 2),
+        ("estimate", "1e-161", 2),
+        ("penalty", "1.1e-154", 0),  # the rate 4.8e-308 is just above the smallest normal
+    ],
+)
+def test_a_subnormal_penalty_rate_exits_2_with_one_line(capsys, noisy_input, command, sigma, code):
+    _, path = noisy_input
+    if command == "penalty":
+        argv = ("--n", "5", "--gamma", "1", "--sigma", sigma)
+    else:
+        argv = ("--input", path, "--sigma", sigma, "--tau", sigma)
+    rc, out, err = run(capsys, command, "--prior", "poisson:lambda=2", *argv)
+    assert rc == code
+    if code:
+        assert out == ""
+        assert err.startswith("error: ") and "penalty rate" in err and err.count("\n") == 1
+
+
 def test_missing_scales_exit_2(capsys, noisy_input):
     _, path = noisy_input
     rc, _, err = run(capsys, "estimate", "--input", path, "--prior", "binomial:xi=0.1")

@@ -204,6 +204,7 @@ def test_closed_form_increments_match_prior_table(n, gamma):
             closed = penalty_increments(spec, n, hyper)
             table = penalty_table(build_prior_table(spec, n), hyper).increments
         np.testing.assert_allclose(closed, table, rtol=1e-10, atol=table_rounding, err_msg=repr(spec))
+        assert np.array_equal(table, closed), spec
 
 
 def previous_increments(spec, n, hyper):

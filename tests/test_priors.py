@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -308,6 +309,84 @@ def test_weights_log_over_n_prior_stays_moderate():
     table = build_prior_table(BinomialPrior(math.log(n) / n), n)
     _, l_star = complexity_weights(table)
     assert 0 < l_star <= 3 * math.log(n)
+
+
+# (n, prior, parameter, exact L*, first size failing the decay bound at
+# gamma = 9), the `check-prior --gamma 9` cases; tools/lstar_references.py
+# recomputes them with mpmath at 40 digits
+LSTAR_REFERENCES = [
+    (1, "binomial", 0.05, "2.9957322735539909379", 1),
+    (1, "binomial", 0.5, "1.3862943611198906188", 1),
+    (1, "binomial", 0.005, "5.2983173665480366566", 1),
+    (1, "binomial", 1e-12, "27.631021115928548228", 1),
+    (1, "binomial", 0.999999999, "41.446531730456686039", 1),
+    (1, "poisson", 1e-06, "13.81551155796377415", 1),
+    (1, "poisson", 0.5, "1.0986122886681096914", 1),
+    (1, "poisson", 1.0, "1.3862943611198906188", 1),
+    (1, "rpoisson", 1e-06, "1.3862953611206406194", 1),
+    (2, "binomial", 0.05, "3.0470255679415414743", 1),
+    (2, "binomial", 0.5, "2.7725887222397812377", 1),
+    (2, "binomial", 0.005, "5.3033299083715809388", 1),
+    (2, "binomial", 1e-12, "27.631021115929548228", 1),
+    (2, "binomial", 0.999999999, "82.893063460913372078", 1),
+    (2, "poisson", 1e-06, "14.508658738524219459", 1),
+    (2, "poisson", 0.5, "1.8718021769015914266", 1),
+    (2, "poisson", 2.0, "3.2188758248682007492", 1),
+    (2, "rpoisson", 1e-06, "1.8325822637486501305", 1),
+    (20, "binomial", 0.05, "3.9703048669174511285", 1),
+    (20, "binomial", 0.5, "27.725887222397812377", 1),
+    (20, "binomial", 0.005, "5.3935556611953780174", 1),
+    (20, "binomial", 1e-12, "27.631021115947548228", 1),
+    (20, "binomial", 0.999999999, "828.93063460913372078", 1),
+    (20, "poisson", 1e-06, "16.811243831518265143", 1),
+    (20, "poisson", 0.5, "4.1888794541139363029", 1),
+    (20, "poisson", 20.0, "38.83711961040335505", 1),
+    (20, "rpoisson", 1e-06, "4.835263177321306348", 1),
+    (1000, "binomial", 0.05, "102.5865887751010727", 1),
+    (1000, "binomial", 0.5, "1386.2943611198906188", 1),
+    (1000, "binomial", 0.005, "10.305846648268774522", 1),
+    (1000, "binomial", 1e-12, "27.631021116927548228", 1),
+    (1000, "binomial", 0.999999999, "41446.531730456686039", 27),
+    (1000, "poisson", 1e-06, "20.723266836946411201", 1),
+    (1000, "poisson", 0.5, "8.1009024595420823615", 1),
+    (1000, "poisson", 1000.0, "1998.6470633699275864", 2),
+    (1000, "rpoisson", 1e-06, "10.604186493784144934", 1),
+    (100000, "binomial", 0.05, "10258.65887751010727", 7),
+    (100000, "binomial", 0.5, "138629.43611198906188", 92),
+    (100000, "binomial", 0.005, "1002.5083647088564295", 1),
+    (100000, "binomial", 1e-12, "27.631021215927548228", 1),
+    (100000, "binomial", 0.999999999, "4144653.1730456686039", 2653),
+    (100000, "poisson", 1e-06, "25.328437022934502569", 1),
+    (100000, "poisson", 0.5, "12.70607264553017373", 1),
+    (100000, "poisson", 100000.0, "199998.61706698503237", 132),
+    (100000, "rpoisson", 1e-06, "17.496861059018427866", 1),
+    (1000, "poisson", 50.0, "100.0", 1),
+    (1000, "rpoisson", 5.0, "10.728203122157339411", 1),
+    (1000, "poisson", 5.0, "10.298317366548036677", 1),
+    (1000, "rpoisson", 500.0, "395.04016013194321248", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "n, kind, value, exact, first_failing_k",
+    LSTAR_REFERENCES,
+    ids=[f"{kind}:{value!r}-n{n}" for n, kind, value, _, _ in LSTAR_REFERENCES],
+)
+def test_l_star_and_decay_verdict_against_mpmath(n, kind, value, exact, first_failing_k):
+    spec = {"binomial": BinomialPrior, "poisson": TruncatedPoissonPrior, "rpoisson": ReflectedPoissonPrior}[kind]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small-lambda reflected priors warn
+        table = build_prior_table(spec(value), n)
+    _, l_star = complexity_weights(table)
+    # c[0] of a truncated Poisson prior with lam = n, and of a reflected one,
+    # carries the rounding of log n!; every other L* is a sum of small steps
+    bound = 2.0 * math.ulp(l_star)
+    if kind == "rpoisson" or value == n:
+        bound += 4.0 * math.ulp(math.lgamma(n + 1.0))
+    assert abs(Fraction(l_star) - Fraction(exact)) <= Fraction(bound), (l_star, exact)
+    report = check_assumption_a(table, 9.0)
+    assert report.holds == (first_failing_k is None)
+    assert report.first_failing_k() == first_failing_k
 
 
 # ---------------------------------------------------------------------------
