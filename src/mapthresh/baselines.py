@@ -63,8 +63,9 @@ class VariableThreshold:
         lams = np.asarray(self.lams, dtype=float)
         if lams.ndim != 1 or lams.size < 1:
             raise DomainError("lams must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(lams)) or np.any(lams < 0.0):
-            raise DomainError("lams must be finite and nonnegative")
+        top = float(lams.max())  # NaN when any cutoff is
+        if np.any(lams < 0.0) or not top * top < math.inf:
+            raise DomainError("lams must be nonnegative with finite squares")
         object.__setattr__(self, "lams", lams)
 
 
@@ -146,7 +147,8 @@ def variable_threshold_estimate(
     inc = np.empty(values.size + 1)
     inc[0] = 0.0
     np.square(lams, out=inc[1:])
-    return _scan_largest(values, inc)
+    with np.errstate(over="ignore", invalid="ignore"):  # _scan_largest refuses sums past the float range
+        return _scan_largest(values, inc)
 
 
 def mad_sigma(y) -> float:

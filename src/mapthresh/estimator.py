@@ -24,15 +24,15 @@ When that lower bound is >= 0 for every k > K, the argmin lies in
 [0, K] (ties still go to the smaller size), and only the K candidates
 need ranking: sorting the indices with y_i^2 > t, taken in index order,
 by -|y| gives exactly the first K entries of the full stable order.
-Every ranking sorts with NumPy's default (SIMD) sort, whose order is
-unique, and so stable, when no two keys tie; when two sorted keys are
-equal, a second default sort puts the indices of every run of equal keys
-in increasing order.  Sorting by -|y| rather than -y^2 matters, since
-two magnitudes one ulp apart can square to the same float.  The scan
-over [0, K] then starts its tail sums from S.  The cut is
-t = min(inc[1 .. ceil(n/2)]).  When t <= 0, or the bound fails (as it
-does for a custom prior that favors large sizes), t = -inf: every
-observation is a candidate, which is the full ranking and scan.
+With t = min(inc[1 .. ceil(n/2)]), K and S need no ranking, so the bound
+is checked first and ``_rank`` runs once: on the K candidates, whose
+scan starts its tail sums from S, or on all n when t <= 0 or the bound
+fails (a custom prior that favors large sizes, dense Foster-Stine).
+Sums past the float range raise DomainError.  Each ranking is NumPy's
+default (SIMD) sort, whose order is unique, and so stable, when no two
+keys tie; when two sorted keys are equal, a second default sort puts
+each run of ties in index order.  Sorting by -|y|, not -y^2, matters:
+two magnitudes one ulp apart can square to the same float.
 
 Under the binomial prior the increments inc[1..n] are one constant a, so
 the steps a - y_(k)^2 change sign once and the rule is the fixed
@@ -175,29 +175,14 @@ def _argsort_stable(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, ranked
 
 
-def _rank(y: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """``indices`` (in increasing order) stable-sorted by decreasing |y|."""
-    return indices[_argsort_stable(-np.abs(y[indices]))[0]]
-
-
-def _rank_above(y: np.ndarray, cut: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """(order, sorted_sq, rest) for the observations with y^2 > cut.
-
-    ``order`` ranks them by decreasing |y|, ties in index order, and is the
-    head of the full stable order; ``sorted_sq`` holds their squares in
-    that order and ``rest`` sums the other squares.  A cut of -inf ranks
-    every observation, and ranks each row of a matrix ``y``.
-    """
-    with np.errstate(over="ignore"):  # a square that overflows is the +inf limit
-        if cut == -math.inf:
-            order, ranked = _argsort_stable(-np.abs(y))
-            return order, ranked * ranked, 0.0
-        sq = y * y
-    candidates = np.flatnonzero(sq > cut)
-    order = _rank(y, candidates)
-    sorted_sq = sq[order]
-    sq[candidates] = 0.0
-    return order, sorted_sq, float(sq.sum())
+def _rank(y: np.ndarray, candidates: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(order, their keys -|y|): ``candidates`` (indices in increasing order;
+    all of them, row by row for a matrix, when None) stable-sorted by
+    decreasing |y|, which is the head of the full stable order."""
+    if candidates is None:
+        return _argsort_stable(-np.abs(y))
+    order, keys = _argsort_stable(-np.abs(y[candidates]))
+    return candidates[order], keys
 
 
 def _keep_largest(y: np.ndarray, order: np.ndarray, k_hat: int) -> EstimateResult:
@@ -215,31 +200,47 @@ def _keep_flagged(y: np.ndarray, flagged: np.ndarray) -> EstimateResult:
     The flagged set must be closed upward in |y|, so it is the head of the
     stable order and only its members are ranked.
     """
-    order = _rank(y, np.flatnonzero(flagged))
+    order, _ = _rank(y, np.flatnonzero(flagged))
     return _keep_largest(y, order, order.size)
 
 
 def _scan_largest(y: np.ndarray, inc: np.ndarray) -> EstimateResult:
     """Keep the k largest magnitudes of the validated ``y``, for the k that
     minimizes the tail sum of squares plus the penalty cumsum(inc); ties go
-    to the smaller size.  Only the candidates above the certified cut of
-    the module docstring are ranked.
+    to the smaller size.  The cut is certified before anything is ranked.
+    Callers run it under ``np.errstate(over="ignore", invalid="ignore")``:
+    a square that overflows is the +inf limit, and sums past the float
+    range raise DomainError.
     """
     cut = float(inc[1 : (y.size + 1) // 2 + 1].min())
-    order, sorted_sq, rest = _rank_above(y, cut if cut > 0.0 else -math.inf)
-    if order.size < y.size and not _certifies(inc, order.size, rest, cut):
-        order, sorted_sq, rest = _rank_above(y, -math.inf)
-    k_hat, _ = penalized_scan(sorted_sq, np.cumsum(inc[: order.size + 1]), rest)
+    candidates, rest, sq = None, 0.0, None
+    if cut > 0.0:
+        sq = y * y
+        candidates = np.flatnonzero(sq > cut)
+        sq[candidates] = 0.0
+        rest = float(sq.sum())
+        if not math.isfinite(rest):
+            raise DomainError("the squares below the cut sum past the float range; rescale the data")
+        if not _certifies(inc, candidates.size, rest, cut, scratch=sq):
+            candidates, rest, sq = None, 0.0, None
+    order, sorted_sq = _rank(y, candidates)
+    np.square(sorted_sq, out=sorted_sq)
+    k_hat, objective = penalized_scan(sorted_sq, np.cumsum(inc[: order.size + 1]), rest)
+    if not math.isfinite(objective[k_hat]):
+        raise DomainError("the criterion at every size sums past the float range; rescale the data")
+    del sq  # kept to here so that the ranking does not split the block mu_hat then reuses
     return _keep_largest(y, order, k_hat)
 
 
-def _certifies(inc: np.ndarray, k: int, rest: float, cut: float) -> bool:
+def _certifies(inc: np.ndarray, k: int, rest: float, cut: float, scratch: np.ndarray) -> bool:
     """Whether obj[k'] >= obj[k] for every k' > k, by the module docstring's bound.
 
-    ``k`` squares exceed ``cut`` and the others sum to ``rest``.
+    ``k`` squares exceed ``cut`` and the others sum to ``rest``.  The bound
+    is built in ``scratch``, which holds at least n - k floats.
     """
     m = min(inc.size - 1 - k, int(rest // cut))  # the j cut term is the smaller up to j = m
-    bound = inc[k + 1 :].copy()
+    bound = scratch[: inc.size - 1 - k]
+    bound[:] = inc[k + 1 :]
     bound[:m] -= cut
     # bound[j - 1] = P[k + j] - P[k] - min(j, m) cut
     np.cumsum(bound, out=bound)
@@ -343,10 +344,11 @@ def map_estimate(
     """
     y = _values(data)
     n = _check_prior_size(spec, y.size)
-    if isinstance(spec, BinomialPrior):
-        with np.errstate(over="ignore"):  # an infinite square is kept
+    # an infinite square is kept; _scan_largest refuses sums past the float range
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(spec, BinomialPrior):
             return _keep_flagged(y, y * y > _binomial_cut(spec.xi, hyper))
-    return _scan_largest(y, _increments(spec, n, hyper))
+        return _scan_largest(y, _increments(spec, n, hyper))
 
 
 def posterior_log_score(

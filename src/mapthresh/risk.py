@@ -11,11 +11,11 @@ A cell's replications are stacked into matrices ``mu`` and ``y`` with one
 row per replication, and every method scores all rows with row-wise
 NumPy calls: the binomial prior and the universal rule are threshold
 compares on the whole matrix, the Poisson priors share one ranking of
-every row and one scan per prior, and the robust scale takes one
-partition per median.  The threshold compares and the oracle do the
-same arithmetic per row as ``map_estimate``, ``fixed_threshold_estimate``
-and ``oracle_risk``.  The Poisson priors do not: here every row is ranked
-and scanned over all sizes, while ``map_estimate`` scans only the
+every row (``estimator._rank``) and one scan per prior, and the robust
+scale takes one partition per median.  The threshold compares and the
+oracle do the same arithmetic per row as ``map_estimate``,
+``fixed_threshold_estimate`` and ``oracle_risk``; the Poisson priors rank
+and scan every row over all sizes, where ``map_estimate`` ranks only its
 certified candidates and sums the tails from the squares left out.  Both
 give the same errors to the bit on the tested inputs.  Rows are taken
 in blocks of at most ``BLOCK_VALUES`` values, one row at a time once n
@@ -43,7 +43,7 @@ from ._kernels import penalized_scan
 from .baselines import _mad_scale, universal_threshold
 from .em import em_fit
 from .errors import ConfigurationError, DomainError, UnsupportedBallError, check_between, check_integer
-from .estimator import _binomial_cut, _rank_above, map_estimate, penalty_increments
+from .estimator import _binomial_cut, _rank, map_estimate, penalty_increments
 from .priors import (
     BallSpec,
     HyperParams,
@@ -317,7 +317,8 @@ def _score_block(
             keep = y * y > fits.cuts
         else:  # a scanned prior
             if ranking is None:
-                ranking = _rank_above(y, -math.inf)[:2]
+                ranking = _rank(y)
+                np.square(ranking[1], out=ranking[1])
             order, sorted_sq = ranking
             k_hat, _ = penalized_scan(sorted_sq, fits.penalties[method])
             top = int(k_hat.max())  # each row keeps its first k_hat ranks

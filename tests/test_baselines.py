@@ -113,8 +113,11 @@ def test_variable_threshold_validation():
     VariableThreshold(np.array([1.0, 0.0]))  # zero entries are legal
     with pytest.raises(DomainError):
         VariableThreshold(np.array([1.0, -0.5]))
+    for cutoffs in ([1.0, math.inf], [1.0, 1e200]):  # 1e200 squares past the float range
+        with pytest.raises(DomainError):
+            VariableThreshold(np.array(cutoffs))
     with pytest.raises(DomainError):
-        VariableThreshold(np.array([1.0, math.inf]))
+        variable_threshold_estimate(np.zeros(4), np.full(4, 1e200))
     with pytest.raises(DomainError):
         variable_threshold_estimate(np.zeros(3), np.array([1.0, 1.0]))  # length
 

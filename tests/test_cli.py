@@ -123,6 +123,22 @@ def test_a_subnormal_penalty_rate_exits_2_with_one_line(capsys, noisy_input, com
         assert err.startswith("error: ") and "penalty rate" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("rule", [
+    ("--prior", "poisson:lambda=50", "--sigma", "1e153", "--tau", "1e154"),
+    ("--prior", "foster-stine", "--sigma", "1e153"),
+])
+def test_sums_past_the_float_range_exit_2_with_one_line(capsys, tmp_path, rule):
+    rng = np.random.default_rng(0)
+    y = 1e153 * (np.where(rng.random(1000) < 0.05, 10 * rng.standard_normal(1000), 0) + rng.standard_normal(1000))
+    path = write_column(tmp_path / "y.csv", y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "estimate", "--input", path, *rule)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "rescale the data" in err and err.count("\n") == 1
+
+
 def test_missing_scales_exit_2(capsys, noisy_input):
     _, path = noisy_input
     rc, _, err = run(capsys, "estimate", "--input", path, "--prior", "binomial:xi=0.1")

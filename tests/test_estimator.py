@@ -458,17 +458,27 @@ def test_custom_priors_fall_back_to_the_full_ranking(monkeypatch):
     hyper = make_hyper(1.0, 9.0)
     # increasing weights make every increment negative, so there is no cut
     # and all n are ranked at once; a spike at k = n keeps the cut positive,
-    # and the candidates are ranked before the bound fails at k = n
+    # and the bound, checked before anything is ranked, fails at k = n
     spike = np.zeros(n + 1)
     spike[n] = 1000.0
-    for weights, ranked_sizes in ((5.0 * k, [n]), (spike, [175, n])):
+    for weights in (5.0 * k, spike):
         spec = CustomLogWeightsPrior(weights)
         sizes = ArgsortSizes(monkeypatch)
         result = map_estimate(y, hyper, spec)
-        assert sizes == ranked_sizes
+        assert sizes == [n]
         assert result.k_hat == n
         inc = penalty_increments(spec, n, hyper)
         assert_same_result(result, full_ranking_estimate(y, full_scan_k(y, inc)))
+    # dense Foster-Stine: the bound fails with 477 candidates, so all n are ranked once
+    n = 1000
+    rng = np.random.default_rng(20)
+    y = np.where(rng.random(n) < 0.5, 3.0 * rng.standard_normal(n), 0.0) + rng.standard_normal(n)
+    cutoffs = foster_stine_sequence(n, 1.0)
+    assert np.count_nonzero(y * y > cutoffs[n // 2 - 1] ** 2) == 477
+    sizes = ArgsortSizes(monkeypatch)
+    result = variable_threshold_estimate(y, cutoffs)
+    assert sizes == [n]
+    assert_same_result(result, full_ranking_estimate(y, full_scan_k(y, np.r_[0.0, cutoffs**2])))
 
 
 def test_raw_selection_sorts_only_candidates(monkeypatch):
@@ -797,6 +807,37 @@ def test_an_observation_whose_square_overflows_is_kept(rule):
     assert with_huge.kept[0] == 0
     assert with_huge.kept[1:].tolist() == (without.kept + 1).tolist()
     assert with_huge.k_hat == without.k_hat + 1 and with_huge.threshold == without.threshold
+
+
+def float_range_data(scale):
+    """1000 draws at scale 1e153, so sums of their squares leave the float range."""
+    rng = np.random.default_rng(0)
+    y = 1e153 * (np.where(rng.random(1000) < 0.05, 10 * rng.standard_normal(1000), 0) + rng.standard_normal(1000))
+    return scale * y
+
+
+FLOAT_RANGE_RULES = {
+    "poisson": lambda y: map_estimate(y, HyperParams(1e153, 1e154), TruncatedPoissonPrior(50.0)),
+    "rpoisson": lambda y: map_estimate(y, HyperParams(1e153, 1e154), ReflectedPoissonPrior(500.0)),
+    "custom": lambda y: map_estimate(y, HyperParams(1e153, 1e154), CustomLogWeightsPrior(5 * np.arange(1001.0))),
+    "fdr": lambda y: variable_threshold_estimate(y, fdr_sequence(1000, 1e153)),
+    "foster-stine": lambda y: variable_threshold_estimate(y, foster_stine_sequence(1000, 1e153)),
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.3])
+@pytest.mark.parametrize("rule", FLOAT_RANGE_RULES)
+def test_sums_past_the_float_range_are_a_domain_error(rule, scale):
+    # at 1.0 the squares below the cut sum past the float range (the custom
+    # prior has no cut, and every size's criterion does); at 0.3 every
+    # size's criterion does.  Either is refused, without an overflow warning
+    y = float_range_data(scale)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="float range; rescale the data"):
+            FLOAT_RANGE_RULES[rule](y)
+        # the binomial MAP sums nothing, and keeps its threshold rule
+        assert map_estimate(y, HyperParams(1e153, 1e154), BinomialPrior(0.05)).k_hat > 0
 
 
 def test_brute_force_size_guard():
