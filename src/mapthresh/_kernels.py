@@ -1,7 +1,8 @@
 """Hot-loop kernels: the penalized size scan and the EM iteration.
 
-``penalized_scan`` is a reversed cumulative sum and one ``argmin``, along
-the last axis, so one call scans every row of a matrix.
+``penalized_scan`` is a reversed cumulative sum and one ``argmin`` per
+penalty, along the last axis, so one call scans every row of a matrix
+under every stacked penalty.
 ``em_loop`` makes one fused pass over the data per EM iteration, block by
 block: every E-step quantity comes from a single vector of
 per-observation odds, held with its scratch vector in one two-row buffer
@@ -54,7 +55,10 @@ def penalized_scan(sorted_sq, penalty, rest=0.0):
     The scan runs along the last axis: a matrix ``sorted_sq`` holds one
     sequence per row, ``penalty`` is shared or given per row, ``rest`` is
     a scalar or one value per row, and ``k_hat`` is then an integer array.
-    Each row gets the same sums as a 1-D call on it.
+    Each row gets the same sums as a 1-D call on it.  ``penalty`` may
+    stack several penalties on a leading axis, one per prior: the tail
+    sums are taken once and each penalty costs one add and one ``argmin``,
+    with ``k_hat`` and ``objective`` stacked the same way.
     """
     n = sorted_sq.shape[-1]
     objective = np.empty(sorted_sq.shape[:-1] + (n + 1,))
@@ -62,7 +66,10 @@ def penalized_scan(sorted_sq, penalty, rest=0.0):
     objective[..., n] = rest
     tail = objective[..., ::-1]
     np.cumsum(tail, axis=-1, out=tail)
-    objective += penalty
+    if penalty.ndim > objective.ndim:  # a stack of penalties
+        objective = objective + penalty
+    else:
+        objective += penalty
     k_hat = np.argmin(objective, axis=-1)
     return (int(k_hat) if objective.ndim == 1 else k_hat), objective
 

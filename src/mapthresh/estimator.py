@@ -178,7 +178,8 @@ def _argsort_stable(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _rank(y: np.ndarray, candidates: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(order, their keys -|y|): ``candidates`` (indices in increasing order;
     all of them, row by row for a matrix, when None) stable-sorted by
-    decreasing |y|, which is the head of the full stable order."""
+    decreasing |y|, which is the head of the full stable order.  The Monte
+    Carlo grid ranks only the rows whose tie straddles a cut."""
     if candidates is None:
         return _argsort_stable(-np.abs(y))
     order, keys = _argsort_stable(-np.abs(y[candidates]))
@@ -273,9 +274,15 @@ def penalty_increments(spec: PriorSpec, n: int, hyper: HyperParams) -> np.ndarra
     The penalty is their cumulative sum.  The binomial and both Poisson
     priors use the closed-form steps of ``priors`` and build no prior
     table; a custom prior is normalized first.  Raises and warns as
-    ``build_prior_table`` does.
+    ``build_prior_table`` does, and raises DomainError when an increment
+    leaves the float range.
     """
-    return _increments(spec, _check_prior_size(spec, n), hyper)
+    n = _check_prior_size(spec, n)
+    with np.errstate(over="ignore"):  # refused below
+        inc = _increments(spec, n, hyper)
+    if not np.isfinite(inc).all():
+        raise DomainError("the penalty increments leave the float range; rescale the data")
+    return inc
 
 
 def _binomial_step(xi: float, half_log_1pg: float) -> float:

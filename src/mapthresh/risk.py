@@ -10,14 +10,17 @@ execution order or worker count.
 A cell's replications are stacked into matrices ``mu`` and ``y`` with one
 row per replication, and every method scores all rows with row-wise
 NumPy calls: the binomial prior and the universal rule are threshold
-compares on the whole matrix, the Poisson priors share one ranking of
-every row (``estimator._rank``) and one scan per prior, and the robust
-scale takes one partition per median.  The threshold compares and the
-oracle do the same arithmetic per row as ``map_estimate``,
-``fixed_threshold_estimate`` and ``oracle_risk``; the Poisson priors rank
-and scan every row over all sizes, where ``map_estimate`` ranks only its
-certified candidates and sums the tails from the squares left out.  Both
-give the same errors to the bit on the tested inputs.  Rows are taken
+compares on the whole matrix, and the robust scale takes one partition
+per median.  The Poisson priors share one value sort of every row's
+squares and one tail sum, which ``penalized_scan`` adds to each prior's
+penalties; each prior then keeps the squares at or above its k_hat-th
+largest, and only a row whose tie straddles that cut is ranked
+(``estimator._rank``).  The threshold compares and the oracle do the
+same arithmetic per row as ``map_estimate``, ``fixed_threshold_estimate``
+and ``oracle_risk``; the Poisson priors scan every row over all sizes,
+where ``map_estimate`` ranks only its certified candidates and sums the
+tails from the squares left out.  Both give the same errors to the bit
+on the tested inputs.  Rows are taken
 in blocks of at most ``BLOCK_VALUES`` values, one row at a time once n
 exceeds it, so memory stays bounded for any n.  Each block is fitted,
 then scored.  Under EM each row is fitted by its own ``em_fit`` call;
@@ -86,12 +89,7 @@ def oracle_risk(mu, sigma: float) -> float:
     """Ideal keep-or-kill risk: sum of min(mu_i^2, sigma^2)."""
     mu = np.asarray(mu, dtype=float)
     check_between(sigma, "sigma", 0.0, math.inf)
-    return float(_ideal_risk(mu, sigma))
-
-
-def _ideal_risk(mu: np.ndarray, sigma: float) -> np.ndarray:
-    """``oracle_risk`` along the last axis, without the checks."""
-    return np.sum(np.minimum(mu**2, sigma**2), axis=-1)
+    return float(np.sum(np.minimum(mu**2, sigma**2)))
 
 
 def minimax_rate(ball: BallSpec, n: int, sigma: float) -> float:
@@ -273,40 +271,45 @@ class _Fits:
     row under EM, one set shared by every row without it."""
 
     cuts: np.ndarray | None  # binomial cuts as a column, one row per set; None without "bin"
-    penalties: dict[str, np.ndarray]  # per scanned prior: cumulative penalties, one row per set
+    # cumulative penalties, one row per set, stacked per scanned prior in
+    # the order of config.methods; None without one
+    penalties: np.ndarray | None
     flat: tuple[bool, ...]  # per set, with "pois2": whether its reflected Poisson prior is nearly flat
 
     @classmethod
     def of(cls, config: ExperimentConfig, hypers: list[tuple[HyperParams, float]]) -> _Fits:
         n = config.n
         cuts = np.array([[_binomial_cut(xi, h)] for h, xi in hypers]) if "bin" in config.methods else None
-        penalties, flat = {}, ()
+        increments, flat = [], ()
         for method in config.methods:
             if method in _SCANNED_PRIORS:
                 specs = [_SCANNED_PRIORS[method](n * xi) for _, xi in hypers]
                 if method == "pois2":
                     flat = tuple(_reflected_is_flat(spec.lam, n) for spec in specs)
-                increments = [penalty_increments(spec, n, h) for spec, (h, _) in zip(specs, hypers)]
-                penalties[method] = np.cumsum(increments, axis=-1)
-        return cls(cuts, penalties, flat)
+                increments.append([penalty_increments(spec, n, h) for spec, (h, _) in zip(specs, hypers)])
+        return cls(cuts, np.cumsum(increments, axis=-1) if increments else None, flat)
 
 
-def _score_block(
-    config: ExperimentConfig, fits: _Fits, mu: np.ndarray, y: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Squared error per method and row of a block, given the MAP methods'
-    hyperparameters for every row."""
+def _score_block(config: ExperimentConfig, fits: _Fits, mu: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared error per method, in the order of ``config.methods``, and
+    row of a block, given the MAP methods' hyperparameters for every row.
+
+    A method's error sums (y - mu)^2 where it keeps and mu^2, which is
+    (0 - mu)^2 to the bit, elsewhere; both are formed once per block.
+    """
     n = y.shape[1]
-    sigma = config.sigma
-    ranking = None  # (order, sorted_sq) of every row, once a scanned prior needs it
-    out: dict[str, np.ndarray] = {}
-    for method in config.methods:
+    y_sq = y * y
+    scanned = [m for m in config.methods if m in _SCANNED_PRIORS]
+    scanned_keep = _keep_scanned(y, y_sq, fits.penalties) if scanned else None
+    sq_err, mu_sq = np.square(y - mu), np.square(mu)
+    errors = np.empty((len(config.methods), y.shape[0]))
+    for i, method in enumerate(config.methods):
         if method == "oracle":
-            out[method] = _ideal_risk(mu, sigma) / n
+            errors[i] = np.sum(np.minimum(mu_sq, config.sigma**2), axis=-1)
             continue
         if method == "universal":
             if config.universal_scale == "true":
-                lam = universal_threshold(n, sigma)
+                lam = universal_threshold(n, config.sigma)
             else:
                 mad = _mad_scale(y)
                 scale = 0.6745 * mad if config.universal_scale == "mad_raw" else mad
@@ -314,18 +317,36 @@ def _score_block(
                 lam = scale[:, None] * universal_threshold(n, 1.0)
             keep = np.abs(y) >= lam
         elif method == "bin":
-            keep = y * y > fits.cuts
-        else:  # a scanned prior
-            if ranking is None:
-                ranking = _rank(y)
-                np.square(ranking[1], out=ranking[1])
-            order, sorted_sq = ranking
-            k_hat, _ = penalized_scan(sorted_sq, fits.penalties[method])
-            top = int(k_hat.max())  # each row keeps its first k_hat ranks
-            keep = np.zeros(y.shape, dtype=bool)
-            np.put_along_axis(keep, order[:, :top], np.arange(top) < k_hat[:, None], axis=-1)
-        out[method] = np.sum((np.where(keep, y, 0.0) - mu) ** 2, axis=-1) / n
-    return out
+            keep = y_sq > fits.cuts
+        else:
+            keep = scanned_keep[scanned.index(method)]
+        errors[i] = np.sum(np.where(keep, sq_err, mu_sq), axis=-1)
+    return errors / n
+
+
+def _keep_scanned(y: np.ndarray, y_sq: np.ndarray, penalties: np.ndarray) -> np.ndarray:
+    """Keep masks of the rows of ``y`` under each stacked penalty: each row
+    keeps its k_hat largest magnitudes.
+
+    One sort of the squares ``y_sq`` feeds the scan, and a row keeps the
+    squares at or above its k_hat-th largest.  Where the next smaller
+    square equals that cut (as when two magnitudes tie there), the tie
+    straddles it: only those rows are ranked (``estimator._rank``), to
+    keep the first k_hat in the stable order as ``map_estimate`` does.
+    """
+    n = y.shape[-1]
+    sq = np.sort(y_sq, axis=-1)
+    k_hat, _ = penalized_scan(sq[:, ::-1], penalties)
+    rows = np.arange(y.shape[0])
+    cut = np.where(k_hat > 0, sq[rows, -k_hat], np.inf)
+    keep = y_sq >= cut[..., None]
+    tied = np.flatnonzero(((sq[rows, n - 1 - k_hat] == cut) & (k_hat < n)).any(axis=0))
+    if tied.size:
+        order, _ = _rank(y[tied])
+        ranks = np.empty_like(order)
+        np.put_along_axis(ranks, order, np.arange(n), axis=-1)
+        keep[:, tied] = ranks < k_hat[:, tied, None]
+    return keep
 
 
 def _run_cell(args) -> tuple[int, dict[str, np.ndarray], int, int]:
@@ -334,7 +355,7 @@ def _run_cell(args) -> tuple[int, dict[str, np.ndarray], int, int]:
     reflected Poisson prior was nearly flat."""
     config, cell_index, xi, tau = args
     reps = config.replications
-    errors = {m: np.empty(reps) for m in config.methods}
+    errors = np.empty((len(config.methods), reps))
     nonconverged = flat = 0
     step = max(1, BLOCK_VALUES // config.n)
     fitting = config.use_em and any(m in ("bin", *_SCANNED_PRIORS) for m in config.methods)
@@ -352,20 +373,20 @@ def _run_cell(args) -> tuple[int, dict[str, np.ndarray], int, int]:
                 nonconverged += sum(not fit.converged for fit in row_fits)
                 fits = _Fits.of(config, [(HyperParams(f.sigma_hat, f.tau_hat), f.xi_hat) for f in row_fits])
                 flat += sum(fits.flat)
-            for m, v in _score_block(config, fits, mu, y).items():
-                errors[m][block.start : block.stop] = v
-    return cell_index, errors, nonconverged, flat
+            errors[:, block.start : block.stop] = _score_block(config, fits, mu, y)
+    return cell_index, dict(zip(config.methods, errors)), nonconverged, flat
 
 
-def _mean_and_std_err(e: np.ndarray) -> tuple[float, float]:
-    """``np.mean(e)`` and ``np.std(e, ddof=1) / sqrt(e.size)`` (0 for one
-    value) of finite errors >= 0, taken on e / s for the power of two
-    s = 2^floor(log2 max e) and scaled back: no sum or square overflows,
-    and scaling by a power of two is exact."""
-    s = math.ldexp(1.0, math.frexp(float(e.max()))[1] - 1)
-    e = e / s
-    std_err = float(np.std(e, ddof=1)) * s / math.sqrt(e.size) if e.size > 1 else 0.0
-    return float(np.mean(e)) * s, std_err
+def _mean_and_std_err(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.mean(e)`` and ``np.std(e, ddof=1) / sqrt(size)`` (0 for one
+    value) along the last axis of finite errors >= 0, taken on e / s for
+    the power of two s = 2^floor(log2 max e) of each row and scaled back:
+    no sum or square overflows, and scaling by a power of two is exact."""
+    s = np.ldexp(1.0, np.frexp(e.max(axis=-1))[1] - 1)
+    e = e / s[..., None]
+    size = e.shape[-1]
+    std_err = np.std(e, axis=-1, ddof=1) * s / math.sqrt(size) if size > 1 else np.zeros_like(s)
+    return np.mean(e, axis=-1) * s, std_err
 
 
 def monte_carlo_amse(config: ExperimentConfig) -> RiskReport:
@@ -394,8 +415,9 @@ def monte_carlo_amse(config: ExperimentConfig) -> RiskReport:
     flat: dict[tuple[float, float], int] = {}
     for idx, xi, tau in grid:
         errors, nonconverged[(xi, tau)], flat[(xi, tau)] = results[idx]
-        for method in config.methods:
-            cells[(method, xi, tau)] = CellResult(*_mean_and_std_err(errors[method]))
+        amse, std_err = _mean_and_std_err(np.array([errors[m] for m in config.methods]))
+        for method, a, s in zip(config.methods, amse.tolist(), std_err.tolist()):
+            cells[(method, xi, tau)] = CellResult(a, s)
     return RiskReport(
         config=config, cells=cells, em_nonconverged=nonconverged, flat_reflected_priors=flat
     )

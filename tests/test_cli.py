@@ -139,6 +139,16 @@ def test_sums_past_the_float_range_exit_2_with_one_line(capsys, tmp_path, rule):
     assert err.startswith("error: ") and "rescale the data" in err and err.count("\n") == 1
 
 
+def test_penalties_past_the_float_range_exit_2_with_one_line(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out, err = run(capsys, "penalty", "--n", "1000", "--prior", "rpoisson:lambda=500",
+                           "--gamma", "100", "--sigma", "1e153")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "rescale the data" in err and err.count("\n") == 1
+
+
 def test_missing_scales_exit_2(capsys, noisy_input):
     _, path = noisy_input
     rc, _, err = run(capsys, "estimate", "--input", path, "--prior", "binomial:xi=0.1")

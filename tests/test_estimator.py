@@ -840,6 +840,23 @@ def test_sums_past_the_float_range_are_a_domain_error(rule, scale):
         assert map_estimate(y, HyperParams(1e153, 1e154), BinomialPrior(0.05)).k_hat > 0
 
 
+@pytest.mark.parametrize("spec", [
+    BinomialPrior(0.05),
+    TruncatedPoissonPrior(50.0),
+    ReflectedPoissonPrior(500.0),
+    CustomLogWeightsPrior(-5 * np.arange(1001.0)),
+])
+def test_penalties_past_the_float_range_are_a_domain_error(spec):
+    # at sigma = tau = 5e153 the penalty rate is 1e308, and every prior's
+    # increments overflow; they are refused without an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="float range; rescale the data"):
+            penalty_increments(spec, 1000, HyperParams(5e153, 5e153))
+    # increments near the top of the float range are returned as they are
+    assert np.abs(penalty_increments(TruncatedPoissonPrior(50.0), 1000, HyperParams(1e153, 1e154))).max() > 1e308
+
+
 def test_brute_force_size_guard():
     with pytest.raises(SizeError):
         brute_force_map(np.zeros(21), UNIT_HYPER, BinomialPrior(0.1))

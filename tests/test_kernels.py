@@ -348,6 +348,23 @@ def test_scan_of_a_matrix_equals_a_scan_of_each_row():
             assert objective[row].tobytes() == obj.tobytes()
 
 
+def test_a_stack_of_penalties_equals_one_scan_per_penalty():
+    rng = np.random.default_rng(31)
+    n = 203
+    sorted_sq = -np.sort(-rng.standard_normal((6, n)) ** 2, axis=-1)
+    stacks = (
+        np.cumsum(rng.uniform(-1.0, 5.0, (3, 1, n + 1)), axis=-1),  # one penalty per prior, shared by the rows
+        np.cumsum(rng.uniform(-1.0, 5.0, (3, 6, n + 1)), axis=-1),  # one per prior and row
+    )
+    for stack in stacks:
+        k_hat, objective = _kernels.penalized_scan(sorted_sq, stack)
+        assert k_hat.shape == (3, 6) and objective.shape == (3, 6, n + 1)
+        for prior, penalty in enumerate(stack):
+            k, obj = _kernels.penalized_scan(sorted_sq, penalty)
+            assert np.array_equal(k_hat[prior], k)
+            assert objective[prior].tobytes() == obj.tobytes()
+
+
 def test_em_calls_the_kernel_by_its_package_binding():
     # callers and per-layer timers look the kernels up under these names
     assert mapthresh.em.em_loop is mapthresh._kernels.em_loop

@@ -13,6 +13,7 @@ from conftest import bundled_config
 from mapthresh import (
     BinomialPrior,
     ConfigurationError,
+    CustomLogWeightsPrior,
     DomainError,
     ExperimentConfig,
     HyperParams,
@@ -375,17 +376,26 @@ def test_report_matches_golden_csv(use_em):
 
 
 def test_one_ranking_per_cell(monkeypatch):
-    calls = []
-    argsort = np.argsort
+    # one value sort per block; no row of untied draws needs an index ranking
+    calls = {"sort": 0, "argsort": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(np, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
 
-    def counting_argsort(*args, **kwargs):
-        calls.append(1)
-        return argsort(*args, **kwargs)
+        monkeypatch.setattr(np, name, counting)
+    blocks = []
+    score = risk._score_block
 
-    monkeypatch.setattr(np, "argsort", counting_argsort)
+    def counted_score(*args):
+        blocks.append(args[-1].shape[0])
+        return score(*args)
+
+    monkeypatch.setattr(risk, "_score_block", counted_score)
     report = small_report(use_em=False, methods=("bin", "pois1", "pois2", "universal"))
     cells = len(report.config.xi_grid) * len(report.config.tau_grid)
-    assert len(calls) == cells
+    assert len(blocks) == cells
+    assert calls == {"sort": len(blocks), "argsort": 0}
 
 
 @pytest.mark.parametrize("use_em", [True, False])
@@ -473,6 +483,63 @@ def test_cell_errors_equal_the_single_sequence_estimators(monkeypatch, case, use
         expected = single_sequence_errors(config, xi, tau, mu[row], y[row])
         for method in risk.KNOWN_METHODS:
             assert errors[method][row] == expected[method], (method, row)
+
+
+def test_only_rows_tied_at_their_cut_are_ranked(monkeypatch):
+    # The Poisson priors' increments never increase, so a run of equal
+    # squares never straddles their cut.  A prior whose increments rise
+    # through 9 puts the cut inside the run of twenty magnitudes 3.0 of
+    # rows 1 and 4, and only those rows are ranked.
+    n, reps, xi, tau = 60, 6, 0.1, 4.0
+    config = ExperimentConfig(
+        n=n, sigma=1.0, xi_grid=(xi,), tau_grid=(tau,), replications=reps,
+        methods=risk.KNOWN_METHODS, use_em=False, master_seed=31,
+    )
+    k = np.arange(n + 1)
+    log_choose_n = np.array([math.lgamma(n + 1) - math.lgamma(i + 1) - math.lgamma(n - i + 1) for i in k])
+    rising = CustomLogWeightsPrior(log_choose_n - (1.9 * k + 0.05 * k * k))
+    draw, rank = risk._draw_block, risk._rank
+    ranked = []
+
+    def tied_draw(*args):
+        mu, y = draw(*args)
+        y[[1, 4], :20] = np.copysign(3.0, y[[1, 4], :20])
+        return mu, y
+
+    def recorded_rank(y, *args):
+        ranked.append(y.copy())
+        return rank(y, *args)
+
+    monkeypatch.setitem(risk._SCANNED_PRIORS, "pois1", lambda lam: rising)
+    monkeypatch.setattr(risk, "_draw_block", tied_draw)
+    monkeypatch.setattr(risk, "_rank", recorded_rank)
+    _, errors, _, _ = risk._run_cell((config, 0, xi, tau))
+
+    mu, y = risk._draw_block(config, 0, xi, tau, range(reps))
+    hyper = HyperParams(config.sigma, tau)
+    for row in range(reps):
+        expected = single_sequence_errors(config, xi, tau, mu[row], y[row])
+        fit = map_estimate(y[row], hyper, rising)
+        mags = np.sort(np.abs(y[row]))[::-1]
+        straddles = 0 < fit.k_hat < n and mags[fit.k_hat - 1] == mags[fit.k_hat]
+        assert straddles == (row in (1, 4)), row
+        expected["pois1"] = np.sum((fit.mu_hat - mu[row]) ** 2) / n
+        for method in risk.KNOWN_METHODS:
+            assert errors[method][row] == expected[method], (method, row)
+    assert len(ranked) == 1 and np.array_equal(ranked[0], y[[1, 4]])
+
+
+def test_mean_and_std_err_of_a_matrix_is_row_by_row():
+    rng = np.random.default_rng(6)
+    for size in (1, 2, 3, 10, 100):
+        e = rng.random((5, size)) ** 3
+        # rows whose squares underflow and whose sums overflow unscaled, and a row of zeros
+        e[1], e[2], e[4] = np.ldexp(e[1], -900), np.ldexp(e[2], 1020), 0.0
+        mean, std_err = risk._mean_and_std_err(e)
+        assert mean.shape == std_err.shape == (5,)
+        for row in range(5):
+            expected = risk._mean_and_std_err(e[row])
+            assert (float(mean[row]).hex(), float(std_err[row]).hex()) == tuple(float(v).hex() for v in expected)
 
 
 def test_mean_and_std_err_match_numpy_and_scale_exactly():

@@ -2,7 +2,7 @@
 """Run the benchmark in alternating parent/change pairs and write BENCH_<label>.json.
 
     python3 tools/bench_pairs.py --label em_iter --seed 5151 --pairs 10 \\
-        --workload table1 --workload large_n --traced table1
+        --workload table1 --workload large_n:5 --traced table1
 
 Each side runs from its own copy of the tree in a temporary directory: the
 parent is ``git archive`` of ``--parent`` (default ``HEAD``), and the change
@@ -11,7 +11,8 @@ tree that git tracks or would add (so run it before committing the change,
 or pass ``--parent HEAD^ --change HEAD`` after).  Pair i runs
 ``python3 perfbench/run.py --workload W --seed S --seconds T`` once on each
 side, the parent first in odd pairs and the change first in even ones; the
-workloads run one after another, all pairs of one before the next.
+workloads run one after another, all pairs of one before the next.  A
+workload given as ``W:N`` runs N pairs, in place of ``--pairs``.
 
 The output has the shape of ``BENCH_cell.json``: ``command``, ``seed``,
 ``note``, ``workloads`` (per workload the ``pairs``, each with ``pair``,
@@ -106,7 +107,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--workload", action="append", required=True,
-                        help="a workload of BENCHMARK.json; repeat for several")
+                        help="a workload of BENCHMARK.json, as NAME or NAME:PAIRS; repeat for several")
     parser.add_argument("--seed", type=int, required=True, help="the workload seed of every run")
     parser.add_argument("--pairs", type=int, default=10, help="pairs per workload (default 10)")
     parser.add_argument("--seconds", type=float, default=30.0, help="run.py --seconds (default 30)")
@@ -117,8 +118,14 @@ def main(argv=None) -> int:
                         help=f"also {TRACED_RUNS} --trace 1 runs per side of this workload, after the pairs")
     parser.add_argument("--note", default="", help="prepended to the note written in the file")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    pair_counts = {}
+    for spec in args.workload:
+        name, _, count = spec.partition(":")
+        if count and not count.isdigit():
+            parser.error(f"--workload {spec}: PAIRS must be a whole number")
+        pair_counts[name] = int(count) if count else args.pairs
+    if min(pair_counts.values()) < 1:
+        parser.error("pairs must be at least 1")
 
     repo = Path(git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
     out_path = repo / f"BENCH_{args.label}.json"
@@ -131,7 +138,8 @@ def main(argv=None) -> int:
     command = f"python3 perfbench/run.py --workload <w> --seed {args.seed} --seconds {args.seconds:g}"
     note = (
         f"{args.note + ' ' if args.note else ''}Parent: {parent_name}; change: {change_name}. "
-        f"{args.pairs} pairs per workload; pairs alternate which side runs first (pair 1: parent "
+        f"Pairs per workload: {', '.join(f'{w} {c}' for w, c in pair_counts.items())}; "
+        "pairs alternate which side runs first (pair 1: parent "
         "first). Each side runs from its own copy of the tree; each parent/change entry is the "
         "JSON last line of run.py. Quartiles are inclusive. Written by tools/bench_pairs.py."
     )
@@ -161,10 +169,10 @@ def main(argv=None) -> int:
         else:
             export_rev(repo, args.change, trees["change"])
 
-        for workload in args.workload:
+        for workload, count in pair_counts.items():
             pairs = []
             result["workloads"][workload] = {"pairs": pairs}
-            for i in range(1, args.pairs + 1):
+            for i in range(1, count + 1):
                 order = ("parent", "change") if i % 2 else ("change", "parent")
                 entry = {"pair": i, "first": order[0]}
                 for side in order:
