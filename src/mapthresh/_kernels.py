@@ -8,14 +8,14 @@ block: every E-step quantity comes from a single vector of
 per-observation odds, held with its scratch vector in one two-row buffer
 of at most ``E_BLOCK`` columns allocated once per fit, so each block's
 chain runs in cache.  A block is 11 NumPy calls with 4 reductions: the
-log-likelihood sum, one row-wise sum of the buffer and two dot products,
-and the blocks' sums are added in the order of NumPy's pairwise
-summation.  A fit of several blocks, on a host with more than one usable
-CPU, runs about half of each E-step's blocks on one helper thread with
-its own scratch; its dot products are ``np.einsum`` sums, not BLAS
-``ddot``, so its result does not depend on the thread or CPU count.  It
-keeps the mixture weight in [1/n, 1 - 1/n] and the variance ratio at or
-above ``TAU_SQ_FLOOR``.
+log-likelihood sum, one row-wise sum of the buffer and two dot products.
+A fit of several blocks cuts the vector into equal blocks, runs about
+half of them on one helper thread where more than one CPU is usable, and
+adds their sums exactly rounded (``math.fsum``), so its result does not
+depend on which thread ran a block; its dot products are ``np.einsum``
+sums, not BLAS ``ddot``, so nor on the BLAS thread count.  It keeps the
+mixture weight in [1/n, 1 - 1/n] and the variance ratio at or above
+``TAU_SQ_FLOOR``.
 """
 
 import contextlib
@@ -99,38 +99,12 @@ def weight_floor(gamma):
     return e / (1.0 + e)
 
 
-def _split(n):
-    """Where NumPy's pairwise summation splits a run of n > 128 values:
-    the largest multiple of 8 not above n / 2."""
-    return n // 2 - (n // 2) % 8
-
-
 def _blocks(values):
-    """The E-step blocks of a vector, in order, as views: the leaves of
-    NumPy's pairwise-sum tree over its values, cut where a run has at most
-    ``E_BLOCK`` values."""
-    if values.shape[0] <= E_BLOCK:
-        return [values]
-    half = _split(values.shape[0])
-    return _blocks(values[:half]) + _blocks(values[half:])
-
-
-def _tree_sum(sums, n):
-    """Add per-block sums, one float or one row of floats per block of a
-    vector of n values, in the order NumPy's pairwise summation adds them.
-
-    Per-block ``np.add.reduce`` results then add up to the reduction of
-    all n values, to the bit.  Returns a float or a list of floats.
-    """
-    leaf = iter(np.asarray(sums))
-
-    def node(m):
-        if m <= E_BLOCK:
-            return next(leaf)
-        half = _split(m)
-        return node(half) + node(m - half)
-
-    return node(n).tolist()
+    """The E-step blocks of a vector, in order, as views: ceil(n / ``E_BLOCK``)
+    of them, whose sizes differ by at most one."""
+    n = values.shape[0]
+    k = max(1, -(-n // E_BLOCK))
+    return [values[i * n // k : (i + 1) * n // k] for i in range(k)]
 
 
 # The dot product of the E-step blocks of a fit of several blocks: NumPy's
@@ -140,25 +114,34 @@ def _tree_sum(sums, n):
 _einsum_dot = functools.partial(np.einsum, "i,i->")
 
 
-def _block_sums(ys, rows, scale, shift):
-    """``em_loop``'s E-step chain on one block of squares ``ys``, with the
-    scratch ``rows``: the sums of log1p(e), c, r, c y^2 and r y^2."""
-    e, w = rows
+def _log1p_sum(ys, e, w, scale, shift):
+    """The first half of ``em_loop``'s E-step chain on a block of squares
+    ``ys``: the odds into ``e`` and the sum of log1p(e), through ``w``."""
     np.multiply(ys, scale, out=e)
     e += shift
     np.exp(e, out=e)
     np.log1p(e, out=w)
-    log1p_sum = float(np.add.reduce(w))
+    return float(np.add.reduce(w))
+
+
+def _weight_sums(ys, rows, e, w, dot):
+    """The second half, after ``_log1p_sum``: ``rows`` = [e; w] becomes
+    [c; r], and the sums of c, r, c y^2 and r y^2."""
     np.add(e, 1.0, out=w)
     np.reciprocal(w, out=w)
     e *= w
     c_sum, r_sum = np.add.reduce(rows, axis=1).tolist()
-    return log1p_sum, c_sum, r_sum, float(_einsum_dot(e, ys)), float(_einsum_dot(w, ys))
+    return c_sum, r_sum, float(dot(e, ys)), float(dot(w, ys))
 
 
 def _head_sums(blocks, scale, shift, scratch):
-    """``_block_sums`` of each block in turn, on one scratch buffer."""
-    return [_block_sums(b, scratch[:, : b.size], scale, shift) for b in blocks]
+    """The whole chain on each block in turn, on one scratch buffer: per
+    block, the sums of log1p(e), c, r, c y^2 and r y^2."""
+    sums = []
+    for ys in blocks:
+        e, w = rows = scratch[:, : ys.size]
+        sums.append((_log1p_sum(ys, e, w, scale, shift), *_weight_sums(ys, rows, e, w, _einsum_dot)))
+    return sums
 
 
 def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
@@ -188,17 +171,18 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
     closed form, plus sum(log1p(e)); the wide responsibility is
     r = 1/(1 + e) and the noise one c = e r.
 
-    The E-step runs over the blocks of ``_blocks(y_sq)``, at most
-    ``E_BLOCK`` observations each, so each block's chain stays in cache.
-    ``e`` and the scratch vector are the two rows of one buffer as wide as
-    the largest block, allocated once per fit, which ends a block's chain
-    as [c; r], so one row-wise ``np.add.reduce`` gives both weight sums
-    with the same pairwise sum per row as a sum of each row alone.  The
-    blocks' sums are added in the order of NumPy's pairwise summation, so
-    the log-likelihood and weight sums equal one ``np.add.reduce`` over
-    all n values to the bit.  Every block but the last runs the whole
-    chain; the last one runs around the convergence check, so a converged
-    pass computes no responsibilities there.
+    The E-step runs over ``_blocks(y_sq)``: ceil(n / ``E_BLOCK``) in-order
+    views whose sizes differ by at most one, so each block's chain stays in
+    cache.  ``e`` and the scratch vector are the two rows of one buffer as
+    wide as the largest block, allocated once per fit, which ends a block's
+    chain as [c; r], so one row-wise ``np.add.reduce`` gives both weight
+    sums with the same pairwise sum per row as a sum of each row alone.
+    Every block but the last runs ``_log1p_sum`` then ``_weight_sums``; the
+    last one runs them around the convergence check, so a converged pass
+    computes no responsibilities there.  A fit of several blocks adds the
+    blocks' sums exactly rounded (``math.fsum``), to the same total in any
+    order; ``em_fit`` keeps n max(y^2) at or below half the float max, so
+    no sum overflows.
 
     At n <= ``E_BLOCK`` an iteration is 11 NumPy calls on the whole
     vector, and the variance sums are two ``np.dot`` calls (the same BLAS
@@ -210,8 +194,8 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
     usable, one helper thread, started per fit and ended with it, runs the
     first half of the blocks of each E-step on a scratch buffer of its
     own, under the caller's ``np.errstate``, while the calling thread runs
-    the rest and the last block; the sums are added in the same order
-    whichever thread ran a block, so the helper does not change the
+    the rest and the last block; the exactly rounded totals do not depend
+    on which thread ran a block, so the helper does not change the
     result.  The usable CPUs are the process's affinity set where the OS
     reports one, else ``os.cpu_count()``.  Both variance sums are taken
     directly (c y^2, not sum(y^2) - r y^2), so one huge observation cannot
@@ -234,8 +218,7 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
     blocks = _blocks(y_sq)
     scratch = np.empty((2, max(map(len, blocks))))
     *head, ys = blocks
-    rows = scratch[:, : ys.size]
-    e, w = rows
+    e, w = rows = scratch[:, : ys.size]
     dot = _einsum_dot if head else np.dot
     # a helper thread takes about half the blocks, as this thread also runs
     # the last one, when another CPU is usable
@@ -270,16 +253,13 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
                 )
             if head:
                 head_sums = _head_sums(mine, scale, shift, scratch)
-            # the last block: _block_sums's chain, split around the convergence check
-            np.multiply(ys, scale, out=e)
-            e += shift
-            np.exp(e, out=e)
-            np.log1p(e, out=w)
-            log1p_sum = float(np.add.reduce(w))
+            # the last block: the chain's first half, the convergence check, then its second half
+            log1p_sum = _log1p_sum(ys, e, w, scale, shift)
             if head:
                 if theirs:
-                    head_sums = pending.result() + head_sums
-                log1p_sum = _tree_sum([s[0] for s in head_sums] + [log1p_sum], n)
+                    head_sums += pending.result()
+                logs, *weights = zip(*head_sums)
+                log1p_sum = math.fsum((*logs, log1p_sum))
             loglik = (
                 n * (math.log(xi) - 0.5 * (_LOG_2PI + math.log(v1)))
                 - 0.5 * y_total / v1
@@ -292,15 +272,10 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
             if iterations >= max_iter:
                 break
             previous = loglik
-            np.add(e, 1.0, out=w)
-            np.reciprocal(w, out=w)
-            e *= w
-            c_sum, r_sum = np.add.reduce(rows, axis=1).tolist()
-            c_y = float(dot(e, ys))
-            r_y = float(dot(w, ys))
+            sums = _weight_sums(ys, rows, e, w, dot)
             if head:
-                last = (c_sum, r_sum, c_y, r_y)
-                c_sum, r_sum, c_y, r_y = _tree_sum([s[1:] for s in head_sums] + [last], n)
+                sums = [math.fsum((*column, last)) for column, last in zip(weights, sums)]
+            c_sum, r_sum, c_y, r_y = sums
             if c_sum == 0.0:
                 raise DegenerateDataError(
                     "every noise responsibility underflowed: no observation fits the noise component"

@@ -310,11 +310,18 @@ def _increments(spec: PriorSpec, n: int, hyper: HyperParams) -> np.ndarray:
 
 
 def penalty_table(table: PriorTable, hyper: HyperParams) -> PenaltyTable:
-    """Per-size penalty vector and increments for the scan criterion."""
+    """Per-size penalty vector and increments for the scan criterion.
+
+    Raises DomainError when a penalty or an increment leaves the float range.
+    """
     rate, half_log_1pg = _rate(hyper)
     k = np.arange(table.n + 1, dtype=float)
-    penalty = rate * (_complexity(table) + k * half_log_1pg)
-    return PenaltyTable(penalty=penalty, increments=_increments(table.spec, table.n, hyper))
+    with np.errstate(over="ignore"):  # refused below
+        penalty = rate * (_complexity(table) + k * half_log_1pg)
+        inc = _increments(table.spec, table.n, hyper)
+    if not (np.isfinite(penalty).all() and np.isfinite(inc).all()):
+        raise DomainError("the penalties leave the float range; rescale the data")
+    return PenaltyTable(penalty=penalty, increments=inc)
 
 
 def select_k(sorted_sq: np.ndarray, penalties: PenaltyTable | np.ndarray) -> tuple[int, np.ndarray]:

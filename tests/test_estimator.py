@@ -840,12 +840,15 @@ def test_sums_past_the_float_range_are_a_domain_error(rule, scale):
         assert map_estimate(y, HyperParams(1e153, 1e154), BinomialPrior(0.05)).k_hat > 0
 
 
-@pytest.mark.parametrize("spec", [
+FLOAT_RANGE_SPECS = [
     BinomialPrior(0.05),
     TruncatedPoissonPrior(50.0),
     ReflectedPoissonPrior(500.0),
     CustomLogWeightsPrior(-5 * np.arange(1001.0)),
-])
+]
+
+
+@pytest.mark.parametrize("spec", FLOAT_RANGE_SPECS)
 def test_penalties_past_the_float_range_are_a_domain_error(spec):
     # at sigma = tau = 5e153 the penalty rate is 1e308, and every prior's
     # increments overflow; they are refused without an overflow warning
@@ -855,6 +858,20 @@ def test_penalties_past_the_float_range_are_a_domain_error(spec):
             penalty_increments(spec, 1000, HyperParams(5e153, 5e153))
     # increments near the top of the float range are returned as they are
     assert np.abs(penalty_increments(TruncatedPoissonPrior(50.0), 1000, HyperParams(1e153, 1e154))).max() > 1e308
+
+
+@pytest.mark.parametrize("spec", FLOAT_RANGE_SPECS)
+def test_penalty_tables_past_the_float_range_are_a_domain_error(spec):
+    # penalty_table refuses what penalty_increments refuses, also without
+    # an overflow warning
+    table = build_prior_table(spec, 1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="float range; rescale the data"):
+            penalty_table(table, HyperParams(5e153, 5e153))
+    # penalties near the top of the float range are returned as they are
+    pen = penalty_table(build_prior_table(TruncatedPoissonPrior(50.0), 1000), HyperParams(1e152, 1e153))
+    assert np.abs(pen.penalty).max() > 8e307
 
 
 def test_brute_force_size_guard():

@@ -200,22 +200,14 @@ def test_em_loop_bit_identity_at_an_iteration_cutoff():
 @pytest.mark.parametrize(
     "n", [1, 7, 8, 9, 128, 129, E_BLOCK, E_BLOCK + 1, 2 * E_BLOCK + 3, 1_000_003]
 )
-def test_block_sums_add_up_to_one_pairwise_reduction(n):
-    rng = np.random.default_rng(n)
-    values = rng.standard_normal((2, n)) * np.exp(8.0 * rng.standard_normal((2, n)))
-    blocks = _kernels._blocks(np.arange(n))
-    assert np.array_equal(np.concatenate(blocks), np.arange(n))
-    assert all(0 < b.size <= E_BLOCK for b in blocks)
-    # each block's rows summed in a scratch buffer, as em_loop sums [c; r]
-    scratch = np.empty((2, max(map(len, blocks))))
-    rows = []
-    for b in blocks:
-        block = scratch[:, : b.size]
-        block[...] = values[:, b]
-        rows.append(np.add.reduce(block, axis=1).tolist())
-    assert _kernels._tree_sum(rows, n) == np.add.reduce(values, axis=1).tolist()
-    firsts = [row[0] for row in rows]
-    assert _kernels._tree_sum(firsts, n) == float(np.add.reduce(values[0]))
+def test_blocks_are_equal_in_order_views(n):
+    values = np.arange(n, dtype=float)
+    blocks = _kernels._blocks(values)
+    assert len(blocks) == -(-n // E_BLOCK)
+    assert all(np.shares_memory(b, values) for b in blocks)
+    assert np.array_equal(np.concatenate(blocks), values)
+    sizes = [b.size for b in blocks]
+    assert max(sizes) - min(sizes) <= 1
 
 
 def test_em_loop_over_several_blocks_follows_the_previous_kernel():
