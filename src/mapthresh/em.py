@@ -170,23 +170,34 @@ def init_heuristic(y) -> tuple[float, float, float]:
     if y.size < 2:
         raise DomainError(f"need at least 2 observations, got {y.size}")
     _check_magnitudes(y)
-    return _start(y)[0]
+    return _start(y, _mad_scale(y))[0][0]
 
 
-def _start(y: np.ndarray) -> tuple[tuple[float, float, float], np.ndarray]:
-    """``init_heuristic`` for at least 2 observations that passed
-    ``_check_magnitudes``, and the squares y * y it sums, for ``em_loop``.
+def _start(y: np.ndarray, sigma0) -> tuple[list[tuple[float, float, float]], np.ndarray]:
+    """``init_heuristic`` of each row of ``y`` (a vector is one row) from
+    the rows' robust scales ``sigma0``, and the squares y * y it sums, for
+    ``em_loop``.  Each row has at least 2 observations and passed
+    ``_check_magnitudes``.
 
-    The squares are formed after the robust scale, so they are not held
-    while its temporaries are.
+    Only the exceedance counts and the sums of squares are taken over the
+    rows, and a row-wise count or ``np.add.reduce`` equals the row's own
+    to the bit, so a row's start does not depend on the rows beside it.
+    The squares are formed after the counts' temporaries are freed.
     """
-    n = y.size
-    sigma0 = float(_mad_scale(y))
-    exceed = np.count_nonzero(np.abs(y) > universal_threshold(n, sigma0)) / n
-    xi0 = min(max(1.0 / n, exceed), 1.0 - 1.0 / n)
+    n = y.shape[-1]
+    scales = np.atleast_1d(sigma0).tolist()
+    exceed = [
+        np.count_nonzero(np.abs(row) > universal_threshold(n, s))
+        for row, s in zip(np.atleast_2d(y), scales)
+    ]
     y_sq = y * y
-    tau0_sq = max(float(np.add.reduce(y_sq)) / n - sigma0**2, sigma0**2) / xi0
-    return (sigma0, math.sqrt(tau0_sq), xi0), y_sq
+    sums = np.atleast_1d(np.add.reduce(y_sq, axis=-1)).tolist()
+    starts = []
+    for s, count, total in zip(scales, exceed, sums):
+        xi0 = min(max(1.0 / n, count / n), 1.0 - 1.0 / n)
+        tau0_sq = max(total / n - s**2, s**2) / xi0
+        starts.append((s, math.sqrt(tau0_sq), xi0))
+    return starts, y_sq
 
 
 def em_fit(
@@ -226,7 +237,7 @@ def em_fit(
     if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
         raise DomainError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     if init is None:
-        init, y_sq = _start(y)
+        (init,), y_sq = _start(y, _mad_scale(y))
     else:
         y_sq = y * y
     sigma0, tau0, xi0 = (float(v) for v in init)

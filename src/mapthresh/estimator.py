@@ -34,6 +34,32 @@ keys tie; when two sorted keys are equal, a second default sort puts
 each run of ties in index order.  Sorting by -|y|, not -y^2, matters:
 two magnitudes one ulp apart can square to the same float.
 
+Under both Poisson priors inc[1..n] strictly decrease (priors docstring),
+so P is concave and t = inc[ceil(n/2)]: the float increments do not rise
+either, since each is the log of an argument at least 1/n (relative)
+from its neighbours', far above the log's rounding.  With
+D(j) = P[K + j] - P[K] and m = min(n - K, floor(S / t)), the bound asks
+D(j) - j t >= 0 on [1, m] and D(j) >= S on [m + 1, n - K].  Both left
+sides are concave in j, so each is checked at the ends of its interval,
+from the closed form of D in log-gamma (``priors._complexity_gap``), and
+only inc[0..K] are built.  A check passes only when it clears its
+threshold by
+
+    eps (8 r L + Q (J + 9)^2),   L = (n + 1) log(n + 1) + 1,
+    Q = r (2 log(n + 1) + h + 1) + 2 t,
+
+with eps = 2^-52 and J the last j of its interval.  The increments span
+inc[1] - inc[n] = r log n, so Q bounds every |inc[i]| + t and r (1 + h),
+and with np.log within 4 ulp each float increment is within 3 eps Q of
+its exact value.  The closed form is within eps (8 r L + 2 J Q) of D
+(its log-gamma terms are at most L in size and within 8 ulp of it;
+measured, under 2), the float bound of the whole vector, a running sum
+of J terms of size at most Q, is within eps Q (J^2 + 8 J) / 2 of the
+exact one, and the thresholds round by at most 2 eps (J + 1) Q: less
+than the margin together.  So the closed form certifies only calls that
+the whole vector certifies, and every other call builds the whole
+vector and checks it.
+
 Under the binomial prior the increments inc[1..n] are one constant a, so
 the steps a - y_(k)^2 change sign once and the rule is the fixed
 threshold y_i^2 > a, with no scan at all; a square equal to a ties and
@@ -48,7 +74,9 @@ size is
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -59,8 +87,11 @@ from .priors import (
     HyperParams,
     PriorSpec,
     PriorTable,
+    ReflectedPoissonPrior,
+    TruncatedPoissonPrior,
     _check_prior_size,
     _complexity,
+    _complexity_gap,
     _log_poisson_cdf,  # read by the tests as estimator._log_poisson_cdf
     _unit_steps,
     build_prior_table,
@@ -205,15 +236,29 @@ def _keep_flagged(y: np.ndarray, flagged: np.ndarray) -> EstimateResult:
     return _keep_largest(y, order, order.size)
 
 
-def _scan_largest(y: np.ndarray, inc: np.ndarray) -> EstimateResult:
+def _scan_largest(
+    y: np.ndarray,
+    inc: np.ndarray | Callable[[int, int], np.ndarray],
+    certify: Callable[[int, float, float], bool] | None = None,
+) -> EstimateResult:
     """Keep the k largest magnitudes of the validated ``y``, for the k that
     minimizes the tail sum of squares plus the penalty cumsum(inc); ties go
     to the smaller size.  The cut is certified before anything is ranked.
+
+    ``inc`` holds inc[0..n], or returns inc[start:stop] for (start, stop),
+    so that only the increments the scan reads are built.  ``certify(k,
+    rest, cut)``, given for a penalty whose increments strictly decrease
+    past inc[0], checks the bound from the penalty's closed form
+    (``_certifies_concave``); the cut is then inc[ceil(n/2)], and where
+    ``certify`` is not sure, ``_certifies`` decides on the whole vector.
     Callers run it under ``np.errstate(over="ignore", invalid="ignore")``:
     a square that overflows is the +inf limit, and sums past the float
     range raise DomainError.
     """
-    cut = float(inc[1 : (y.size + 1) // 2 + 1].min())
+    n = y.size
+    increments = (lambda start, stop: inc[start:stop]) if isinstance(inc, np.ndarray) else inc
+    half = (n + 1) // 2
+    cut = float(increments(half, half + 1)[0] if certify else increments(1, half + 1).min())
     candidates, rest, sq = None, 0.0, None
     if cut > 0.0:
         sq = y * y
@@ -222,11 +267,16 @@ def _scan_largest(y: np.ndarray, inc: np.ndarray) -> EstimateResult:
         rest = float(sq.sum())
         if not math.isfinite(rest):
             raise DomainError("the squares below the cut sum past the float range; rescale the data")
-        if not _certifies(inc, candidates.size, rest, cut, scratch=sq):
+        certified = certify is not None and certify(candidates.size, rest, cut)
+        if not certified:
+            full = increments(0, n + 1)
+            increments = lambda start, stop: full[start:stop]  # the scan reads it too
+            certified = _certifies(full, candidates.size, rest, cut, scratch=sq)
+        if not certified:
             candidates, rest, sq = None, 0.0, None
     order, sorted_sq = _rank(y, candidates)
     np.square(sorted_sq, out=sorted_sq)
-    k_hat, objective = penalized_scan(sorted_sq, np.cumsum(inc[: order.size + 1]), rest)
+    k_hat, objective = penalized_scan(sorted_sq, np.cumsum(increments(0, order.size + 1)), rest)
     if not math.isfinite(objective[k_hat]):
         raise DomainError("the criterion at every size sums past the float range; rescale the data")
     del sq  # kept to here so that the ranking does not split the block mu_hat then reuses
@@ -248,6 +298,29 @@ def _certifies(inc: np.ndarray, k: int, rest: float, cut: float, scratch: np.nda
     return bool(
         bound[:m].min(initial=0.0) >= 0.0 and bound[m:].min(initial=math.inf) >= rest - m * cut
     )
+
+
+def _certifies_concave(
+    spec: PriorSpec, n: int, hyper: HyperParams, k: int, rest: float, cut: float
+) -> bool:
+    """``_certifies`` for a Poisson prior checked against n, from the closed
+    form of D(j) = P[k + j] - P[k] at four sizes, with no increment built
+    past the cut.  A check that clears its threshold by less than the
+    rounding margin of the module docstring fails, so this certifies only
+    where ``_certifies`` does.
+    """
+    last = n - k
+    m = min(last, int(rest // cut))
+    rate, half_log_1pg = _rate(hyper)
+    size = rate * (2.0 * math.log(n + 1.0) + half_log_1pg + 1.0) + 2.0 * cut
+    lgamma_size = rate * ((n + 1.0) * math.log(n + 1.0) + 1.0)
+
+    def clears(j: int, threshold: float, top: int) -> bool:
+        gap = rate * (_complexity_gap(spec, n, k, k + j) + j * half_log_1pg)
+        return gap - threshold >= sys.float_info.epsilon * (8.0 * lgamma_size + size * (top + 9.0) ** 2)
+
+    below = m == 0 or (clears(1, cut, m) and clears(m, m * cut, m))
+    return below and (m == last or (clears(m + 1, rest, last) and clears(last, rest, last)))
 
 
 def bayes_factor(y_i: float, hyper: HyperParams) -> float:
@@ -297,11 +370,15 @@ def _binomial_cut(xi: float, hyper: HyperParams) -> float:
     return rate * _binomial_step(xi, half_log_1pg) + 0.0
 
 
-def _increments(spec: PriorSpec, n: int, hyper: HyperParams) -> np.ndarray:
-    """``penalty_increments`` for a spec already checked against n."""
+def _increments(
+    spec: PriorSpec, n: int, hyper: HyperParams, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """``penalty_increments`` for a spec already checked against n, at the
+    indices start <= i < stop (default n + 1): to the bit the same entries
+    of the whole vector."""
     rate, half_log_1pg = _rate(hyper)
-    inc = _unit_steps(spec, n)
-    inc[1:] += half_log_1pg
+    inc = _unit_steps(spec, n, start, stop)
+    inc[1 if start == 0 else 0 :] += half_log_1pg
     inc *= rate
     # + 0.0 drops signed zeros: the binomial inc[0] at n = 0, and products
     # that underflow when the rate is near the smallest floats
@@ -362,6 +439,12 @@ def map_estimate(
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(spec, BinomialPrior):
             return _keep_flagged(y, y * y > _binomial_cut(spec.xi, hyper))
+        if isinstance(spec, (TruncatedPoissonPrior, ReflectedPoissonPrior)):
+            return _scan_largest(
+                y,
+                lambda start, stop: _increments(spec, n, hyper, start, stop),
+                lambda k, rest, cut: _certifies_concave(spec, n, hyper, k, rest, cut),
+            )
         return _scan_largest(y, _increments(spec, n, hyper))
 
 

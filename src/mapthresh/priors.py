@@ -19,6 +19,9 @@ c[i] - c[i-1] of ``_unit_steps`` need no log-gamma table:
     binomial(xi):       c[0] = -n log(1-xi),             steps log((1-xi)/xi)
     truncated Poisson:  c[0] = lam + log Q(n+1, lam),     steps log((n-i+1)/lam)
     reflected Poisson:  c[0] = m + log Q(n+1, m) - n log m + log n!,  steps log(m/i)
+
+Both Poisson steps strictly decrease in i, and their sums c[b] - c[a]
+are log-gamma differences (``_complexity_gap``).
 """
 
 from __future__ import annotations
@@ -346,31 +349,62 @@ def build_prior_table(spec: PriorSpec, n: int) -> PriorTable:
     return PriorTable(n=n, log_pmf=log_pmf, spec=spec)
 
 
-def _unit_steps(spec: PriorSpec, n: int) -> np.ndarray:
-    """c[0], then the steps c[i] - c[i-1] of the complexity, for a spec checked against n."""
+def _unit_steps(spec: PriorSpec, n: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """c[0], then the steps c[i] - c[i-1] of the complexity, at the indices
+    start <= i < stop (default n + 1, and start < stop) for a spec checked
+    against n.  A slice equals the same entries of the whole vector to the
+    bit; a custom prior builds the whole vector and slices it."""
+    stop = n + 1 if stop is None else stop
     if isinstance(spec, CustomLogWeightsPrior):
         log_pmf = build_prior_table(spec, n).log_pmf
         steps = np.empty(n + 1)
         steps[0] = -log_pmf[0]
         i = np.arange(1, n + 1, dtype=float)
         steps[1:] = np.log((n - i + 1.0) / i) + log_pmf[:-1] - log_pmf[1:]
-    elif isinstance(spec, BinomialPrior):
-        steps = np.full(n + 1, math.log1p(-spec.xi) - math.log(spec.xi))
-        steps[0] = -n * math.log1p(-spec.xi)
-    elif isinstance(spec, TruncatedPoissonPrior):
-        steps = np.arange(n + 1, 0, -1, dtype=float)  # steps[i] = n - i + 1, then in place
-        steps[0] = spec.lam + _log_poisson_cdf(n, spec.lam)
-        body = steps[1:]
+        return steps[start:stop]
+    if isinstance(spec, BinomialPrior):
+        steps = np.full(stop - start, math.log1p(-spec.xi) - math.log(spec.xi))
+        if start == 0:
+            steps[0] = -n * math.log1p(-spec.xi)
+        return steps
+    if isinstance(spec, TruncatedPoissonPrior):
+        steps = np.arange(n + 1 - start, n + 1 - stop, -1, dtype=float)  # n - i + 1, then in place
+        body = steps[1:] if start == 0 else steps
         body /= spec.lam
-        np.log(body, out=body)
     else:  # ReflectedPoissonPrior
-        m = n - spec.lam
-        steps = np.arange(n + 1, dtype=float)  # steps[i] = i, then in place
-        steps[0] = m + _log_poisson_cdf(n, m) - n * math.log(m) + math.lgamma(n + 1.0)
-        body = steps[1:]
-        np.divide(m, body, out=body)
-        np.log(body, out=body)
+        steps = np.arange(start, stop, dtype=float)  # i, then in place
+        body = steps[1:] if start == 0 else steps
+        np.divide(n - spec.lam, body, out=body)
+    np.log(body, out=body)
+    if start == 0:
+        steps[0] = _poisson_c0(spec, n)
     return steps
+
+
+def _poisson_c0(spec: PriorSpec, n: int) -> float:
+    """c[0] of a Poisson prior checked against n (module docstring)."""
+    if isinstance(spec, TruncatedPoissonPrior):
+        return spec.lam + _log_poisson_cdf(n, spec.lam)
+    m = n - spec.lam
+    return m + _log_poisson_cdf(n, m) - n * math.log(m) + math.lgamma(n + 1.0)
+
+
+def _complexity_gap(spec: PriorSpec, n: int, a: int, b: int) -> float:
+    """c[b] - c[a] for 0 <= a <= b <= n under a Poisson prior checked
+    against n, in closed form, with m = n - lam:
+
+        truncated Poisson:  lgamma(n - a + 1) - lgamma(n - b + 1) - (b - a) log lam
+        reflected Poisson:  (b - a) log m - lgamma(b + 1) + lgamma(a + 1)
+
+    Each log-gamma term is at most (n + 1) log(n + 1) + 1 in size and is
+    rounded by at most 8 ulp of that (CPython's ``math.lgamma``), and the
+    coefficient of b - a is the step at one end (the last truncated step
+    is -log lam, the first reflected one log m).  Under both priors the
+    steps fall by log n in all, from c[1] - c[0] to c[n] - c[n-1].
+    """
+    if isinstance(spec, TruncatedPoissonPrior):
+        return math.lgamma(n - a + 1.0) - math.lgamma(n - b + 1.0) - (b - a) * math.log(spec.lam)
+    return (b - a) * math.log(n - spec.lam) - math.lgamma(b + 1.0) + math.lgamma(a + 1.0)
 
 
 def _complexity(table: PriorTable) -> np.ndarray:

@@ -27,7 +27,8 @@ then scored.  Under EM each row is fitted by its own ``em_fit`` call;
 without EM every row shares the cell's hyperparameters, so each prior's
 penalties are built once per cell.  Scoring receives those fits and
 fits nothing itself: the universal rule takes the robust scale of the
-block's rows, EM on or off.
+block's rows, EM on or off.  Under EM those scales are taken once per
+block and also give every row's EM starting point.
 """
 
 from __future__ import annotations
@@ -44,8 +45,15 @@ import numpy as np
 
 from ._kernels import penalized_scan
 from .baselines import _mad_scale, universal_threshold
-from .em import em_fit
-from .errors import ConfigurationError, DomainError, UnsupportedBallError, check_between, check_integer
+from .em import _start, em_fit
+from .errors import (
+    ConfigurationError,
+    DegenerateDataError,
+    DomainError,
+    UnsupportedBallError,
+    check_between,
+    check_integer,
+)
 from .estimator import _binomial_cut, _rank, map_estimate, penalty_increments
 from .priors import (
     BallSpec,
@@ -290,9 +298,20 @@ class _Fits:
         return cls(cuts, np.cumsum(increments, axis=-1) if increments else None, flat)
 
 
-def _score_block(config: ExperimentConfig, fits: _Fits, mu: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _robust_scales(y: np.ndarray) -> np.ndarray | None:
+    """``_mad_scale`` of every row of a block, None where a row has none."""
+    try:
+        return _mad_scale(y)
+    except (DegenerateDataError, DomainError):
+        return None
+
+
+def _score_block(
+    config: ExperimentConfig, fits: _Fits, mad: np.ndarray | None, mu: np.ndarray, y: np.ndarray
+) -> np.ndarray:
     """Squared error per method, in the order of ``config.methods``, and
-    row of a block, given the MAP methods' hyperparameters for every row.
+    row of a block, given the MAP methods' hyperparameters for every row
+    and, when already taken, the rows' robust scales ``mad``.
 
     A method's error sums (y - mu)^2 where it keeps and mu^2, which is
     (0 - mu)^2 to the bit, elsewhere; both are formed once per block.
@@ -311,7 +330,8 @@ def _score_block(config: ExperimentConfig, fits: _Fits, mu: np.ndarray, y: np.nd
             if config.universal_scale == "true":
                 lam = universal_threshold(n, config.sigma)
             else:
-                mad = _mad_scale(y)
+                if mad is None:
+                    mad = _mad_scale(y)
                 scale = 0.6745 * mad if config.universal_scale == "mad_raw" else mad
                 # universal_threshold(n, s) is s times the unit cutoff, to the bit
                 lam = scale[:, None] * universal_threshold(n, 1.0)
@@ -368,12 +388,16 @@ def _run_cell(args) -> tuple[int, dict[str, np.ndarray], int, int]:
         for start in range(0, reps, step):
             block = range(start, min(start + step, reps))
             mu, y = _draw_block(config, cell_index, xi, tau, block)
+            scale = None
             if fitting:
-                row_fits = [em_fit(y_r) for y_r in y]
+                scale = _robust_scales(y)
+                # without a scale for every row, each row's fit raises as it would alone
+                inits = [None] * len(y) if scale is None else _start(y, scale)[0]
+                row_fits = [em_fit(y_r, init=init) for y_r, init in zip(y, inits)]
                 nonconverged += sum(not fit.converged for fit in row_fits)
                 fits = _Fits.of(config, [(HyperParams(f.sigma_hat, f.tau_hat), f.xi_hat) for f in row_fits])
                 flat += sum(fits.flat)
-            errors[:, block.start : block.stop] = _score_block(config, fits, mu, y)
+            errors[:, block.start : block.stop] = _score_block(config, fits, scale, mu, y)
     return cell_index, dict(zip(config.methods, errors)), nonconverged, flat
 
 

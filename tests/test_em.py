@@ -16,7 +16,7 @@ from mapthresh import (
     slab_log_odds,
     universal_threshold,
 )
-from mapthresh import em
+from mapthresh import baselines, em
 
 FIXTURE5 = np.array([-1.2, 0.4, 3.5, 0.0, -2.1])
 FIXTURE10 = np.array([-1.2, 0.4, 3.5, 0.0, -2.1, 0.9, -0.3, 5.2, 0.7, -1.6])
@@ -410,3 +410,17 @@ def test_init_exceedance_fraction_definition():
     sigma0, _, xi0 = init_heuristic(y)
     frac = np.mean(np.abs(y) > sigma0 * universal_threshold(2000, 1.0))
     assert xi0 == pytest.approx(max(frac, 1.0 / 2000), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [10, 203, 1000, 50_001])
+def test_starts_of_a_block_equal_each_rows_own(n):
+    # the Monte Carlo grid takes a block's robust scales once and starts
+    # every row's fit from them; each start must be the row's own
+    rows = np.vstack([mixture_dataset(n, 0.1, 4.0, sigma, seed=30) for sigma in (1.0, 1e-100, 1e100)])
+    rows[0, : n // 3] = np.round(rows[0, : n // 3], 1)  # ties
+    squares = rows * rows
+    sums = np.add.reduce(squares, axis=-1)
+    assert [s.hex() for s in sums.tolist()] == [float(np.add.reduce(row)).hex() for row in squares]
+    starts, block_squares = em._start(rows, baselines._mad_scale(rows))
+    assert starts == [init_heuristic(row) for row in rows]
+    assert np.array_equal(block_squares, squares)

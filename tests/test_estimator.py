@@ -1,8 +1,12 @@
 """Penalty construction, the penalized scan, and the selection estimate."""
 
 import math
+import os
 import pickle
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -250,6 +254,82 @@ def test_named_prior_increments_are_bit_identical_to_the_previous_build(n):
             assert np.array_equal(np.signbit(got), np.signbit(want)), (spec, hyper)
 
 
+def assert_slices_match_the_whole(n):
+    """Every prefix and single entry ``_increments`` builds equals the same
+    entries of the whole vector, bit for bit and sign for sign."""
+    half = (n + 1) // 2
+    spike = np.zeros(n + 1)
+    spike[n] = 30.0
+    specs = _named_priors_at_edges(n) + [TruncatedPoissonPrior(n / 2), CustomLogWeightsPrior(spike)]
+    if n > 1:
+        specs.append(ReflectedPoissonPrior(n / 2))
+    for spec in specs:
+        for hyper in (UNIT_HYPER, make_hyper(1.3, 9.0), HyperParams(1e-161, 1e-161)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # small-lambda reflected priors warn
+                whole = penalty_increments(spec, n, hyper)
+                spans = [(0, stop) for stop in sorted({1, 2, half, n // 3 + 1, n + 1})]
+                spans += [(i, i + 1) for i in sorted({1, half, n})] + [(1, half + 1)]
+                for start, stop in spans:
+                    got = estimator._increments(spec, n, hyper, start, stop)
+                    want = whole[start:stop]
+                    assert np.array_equal(got, want), (spec, hyper, start, stop)
+                    assert np.array_equal(np.signbit(got), np.signbit(want)), (spec, hyper, start, stop)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 10**5])
+def test_increment_slices_are_bit_identical_to_the_whole_vector(n):
+    assert_slices_match_the_whole(n)
+
+
+def test_increment_slices_match_the_whole_vector_under_sse_only_dispatch():
+    from test_cli import SIMD_TARGETS, _cpu_features
+
+    if not any(_cpu_features().get(target) for target in SIMD_TARGETS):
+        pytest.skip("this CPU has none of the SIMD targets that the SSE-only run disables")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(SIMD_TARGETS), PYTHONPATH=os.pathsep.join(
+        [str(Path(estimator.__file__).parents[1]), str(Path(__file__).parent)]))
+    check = (
+        "from test_cli import SIMD_TARGETS, _cpu_features as f\n"
+        "assert not any(f().get(t) for t in SIMD_TARGETS)\n"  # the variable took effect
+        "from test_estimator import assert_slices_match_the_whole as check\n"
+        "for n in (1, 2, 7, 1000, 10**5):\n"
+        "    check(n)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("n", [1, 2, 20, 1000, 100_000])
+def test_complexity_gap_matches_the_summed_increments(n):
+    # P[b] - P[a] = r (c[b] - c[a] + (b - a) h).  Against np.cumsum
+    # differences the closed form agrees to 1e-9 of the terms' size (the
+    # running sum's own rounding is far below that); against the exact sum
+    # of the float increments it keeps the estimator docstring's bound,
+    # eps (8 r L + 2 j Q), plus the increments' own 3 eps Q each.
+    hyper = make_hyper(1.3, 9.0)
+    rate, half_log_1pg = estimator._rate(hyper)
+    eps = np.finfo(float).eps
+    lgamma_size = rate * ((n + 1) * math.log(n + 1) + 1)
+    starts = sorted({0, 1, n // 3, n - 1} & set(range(n)))
+    for spec in _named_priors_at_edges(n):
+        if isinstance(spec, BinomialPrior):
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # small-lambda reflected priors warn
+            inc = penalty_increments(spec, n, hyper)
+        penalty = np.cumsum(inc)
+        size = rate * (2 * math.log(n + 1) + half_log_1pg + 1) + 2 * np.abs(inc[1:]).max()
+        for a in starts:
+            for b in sorted({a, a + 1, a + 2, (a + n) // 2, n - 1, n} & set(range(a, n + 1))):
+                j = b - a
+                closed = rate * (estimator._complexity_gap(spec, n, a, b) + j * half_log_1pg)
+                scale = lgamma_size + abs(penalty[a]) + abs(penalty[b])
+                assert abs(closed - (penalty[b] - penalty[a])) <= 1e-9 * scale, (spec, a, b)
+                exact = math.fsum(inc[a + 1 : b + 1])
+                assert abs(closed - exact) <= eps * (8 * lgamma_size + 5 * j * size), (spec, a, b)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 37, 100, 999, 1000, 10**4, 10**5, 10**6])
 def test_log_poisson_cdf_against_scipy(n):
     # scipy's gammaincc is the independent oracle; it is not used by the package
@@ -367,6 +447,27 @@ def test_candidates_match_the_full_ranking_on_rounded_data():
         if n > 1:
             specs.append(ReflectedPoissonPrior(0.5 * n))
         assert_candidates_match_full(y, hyper, specs, lams=(0.0, 1.5, math.inf))
+
+
+def test_candidates_match_the_full_ranking_at_n_1e5(monkeypatch):
+    # sparse data certify in closed form; dense data refuse it, and the
+    # whole vector then decides (here: the bound fails, all n are ranked)
+    n = 100_000
+    rng = np.random.default_rng(n)
+    verdicts = []
+    closed_form = estimator._certifies_concave
+
+    def recorded(*args):
+        verdicts.append(closed_form(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(estimator, "_certifies_concave", recorded)
+    for xi, tau, share, expected in ((0.01, 5.0, 0.05, [True, True]), (0.9, 3.0, 0.5, [False, False])):
+        y = np.where(rng.random(n) < xi, tau * rng.standard_normal(n), 0.0) + rng.standard_normal(n)
+        specs = [TruncatedPoissonPrior(share * n), ReflectedPoissonPrior(share * n)]
+        verdicts.clear()
+        assert_candidates_match_full(y, HyperParams(1.0, tau), specs)
+        assert verdicts == expected
 
 
 def test_results_own_their_kept():
@@ -499,6 +600,31 @@ def test_raw_selection_sorts_only_candidates(monkeypatch):
     for result, penalty in zip(results, penalties):
         _, objective = select_k(sorted_sq, penalty)
         assert objective[result.k_hat] == objective.min()
+
+
+def test_poisson_selection_builds_only_the_increments_it_reads(monkeypatch):
+    n = 100_000
+    rng = np.random.default_rng(14)
+    y = np.where(rng.random(n) < 0.01, 5.0 * rng.standard_normal(n), 0.0) + rng.standard_normal(n)
+    hyper = HyperParams(1.0, 5.0)
+    unit_steps = estimator._unit_steps
+    for spec in (TruncatedPoissonPrior(0.01 * n), ReflectedPoissonPrior(0.05 * n)):
+        sizes = []
+
+        def recording(*args):
+            steps = unit_steps(*args)
+            sizes.append(steps.size)
+            return steps
+
+        monkeypatch.setattr(estimator, "_unit_steps", recording)
+        result = map_estimate(y, hyper, spec)
+        built = sizes.copy()
+        inc = penalty_increments(spec, n, hyper)
+        candidates = np.count_nonzero(y * y > inc[(n + 1) // 2])
+        # the cut, then the increments of sizes 0..K for the K candidates
+        assert built == [1, candidates + 1]
+        assert candidates < n // 10
+        assert_same_result(result, full_ranking_estimate(y, full_scan_k(y, inc)))
 
 
 def test_results_pickle():

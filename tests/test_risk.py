@@ -3,8 +3,10 @@
 import dataclasses
 import io
 import math
+import re
 import types
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from mapthresh import (
     BinomialPrior,
     ConfigurationError,
     CustomLogWeightsPrior,
+    DegenerateDataError,
     DomainError,
     ExperimentConfig,
     HyperParams,
@@ -35,6 +38,7 @@ from mapthresh import (
     rate_check,
     universal_threshold,
 )
+from mapthresh import em as em_module
 from mapthresh import risk
 
 ROOT_2LOG5 = math.sqrt(2.0 * math.log(5.0))
@@ -415,6 +419,58 @@ def test_penalties_once_per_cell_without_em(monkeypatch, use_em):
     assert len(calls) == 2 * cells * (cfg.replications if use_em else 1)
 
 
+def test_one_robust_scale_per_block_under_em(monkeypatch):
+    # the block's scales start every row's EM fit and set the universal rule
+    baseline = small_report()
+    calls = []
+    mad_scale = risk._mad_scale
+
+    def counting(y):
+        calls.append(y.shape)
+        return mad_scale(y)
+
+    for module in (risk, em_module):
+        monkeypatch.setattr(module, "_mad_scale", counting)
+    report = small_report()
+    cfg = report.config
+    assert calls == [(cfg.replications, cfg.n)] * (len(cfg.xi_grid) * len(cfg.tau_grid))
+    assert report_bytes(report) == report_bytes(baseline)
+    assert report.em_nonconverged == baseline.em_nonconverged
+
+
+@pytest.mark.parametrize(
+    "bad_rows, error, message",
+    [
+        ({2: "half zeros"}, DegenerateDataError, "median absolute deviation is zero"),
+        ({1: "tiny", 2: "half zeros"}, DomainError, "max |y| must be at least"),
+        ({1: "constant"}, DegenerateDataError, "constant data cannot identify the mixture"),
+    ],
+)
+def test_a_row_em_refuses_raises_as_its_own_fit_does(monkeypatch, bad_rows, error, message):
+    draw = risk._draw_block
+
+    def spoiled_draw(*args):
+        mu, y = draw(*args)
+        for row, kind in bad_rows.items():
+            if kind == "half zeros":  # a zero median absolute deviation
+                y[row, : y.shape[1] // 2 + 1] = 0.0
+            elif kind == "tiny":  # squares that underflow
+                y[row] *= 1e-160
+            else:
+                y[row] = 2.5
+        return mu, y
+
+    config = ExperimentConfig(**{**GOOD, "replications": 4, "use_em": True})
+    mu, y = spoiled_draw(config, 0, 0.1, 3.0, range(4))
+    first_bad = min(bad_rows)
+    with pytest.raises(error, match=re.escape(message)) as alone:
+        em_fit(y[first_bad])
+    monkeypatch.setattr(risk, "_draw_block", spoiled_draw)
+    with pytest.raises(error) as in_cell:
+        risk._run_cell((config, 0, 0.1, 3.0))
+    assert str(in_cell.value) == str(alone.value)
+
+
 def single_sequence_errors(config, xi, tau, mu, y):
     """Each method's squared error on one row, from the single-sequence estimators."""
     n, sigma = config.n, config.sigma
@@ -586,6 +642,72 @@ def test_flat_reflected_priors_are_counted_not_warned(monkeypatch):
     y = np.random.default_rng(0).standard_normal(100)
     with pytest.warns(UserWarning, match="nearly flat"):
         map_estimate(y, HyperParams(1.0, 3.0), ReflectedPoissonPrior(5.0))
+
+
+# ---------------------------------------------------------------------------
+# exact risk of the fixed-cut columns
+
+
+def spike_slab_risk(cut: float, xi: float, tau: float, sigma: float) -> float:
+    """Expected per-coordinate squared error of keeping y where |y| > cut,
+    for mu = 0 with probability 1 - xi, else N(0, tau^2), and y = mu + N(0, sigma^2).
+
+    With T(a) = E[Z^2 1{|Z| > a}] = 2 (a phi(a) + 1 - Phi(a)): noise adds
+    sigma^2 T(cut / sigma).  Given a signal, y ~ N(0, s^2) with
+    s^2 = tau^2 + sigma^2 and mu | y ~ N(rho y, v), rho = tau^2 / s^2,
+    v = rho sigma^2, so keeping costs (1 - rho)^2 y^2 + v and dropping
+    rho^2 y^2 + v.
+    """
+    unit = NormalDist()
+
+    def tail_second_moment(a):
+        return 2.0 * (a * unit.pdf(a) + 1.0 - unit.cdf(a))
+
+    s_sq = tau * tau + sigma * sigma
+    rho = tau * tau / s_sq
+    t_slab = tail_second_moment(cut / math.sqrt(s_sq))
+    slab = rho * sigma * sigma + s_sq * ((1.0 - rho) ** 2 * t_slab + rho**2 * (1.0 - t_slab))
+    return (1.0 - xi) * sigma * sigma * tail_second_moment(cut / sigma) + xi * slab
+
+
+def oracle_slab_risk(xi: float, tau: float, sigma: float) -> float:
+    """E[min(mu^2, sigma^2)] per coordinate under the same draw."""
+    unit = NormalDist()
+    a = sigma / tau
+    kept_share = 2.0 * (1.0 - unit.cdf(a))
+    below = 1.0 - 2.0 * (a * unit.pdf(a) + 1.0 - unit.cdf(a))  # E[Z^2 1{|Z| <= a}]
+    return xi * (tau * tau * below + sigma * sigma * kept_share)
+
+
+def test_fixed_cut_columns_match_their_exact_risk():
+    # Fixed before looking at any z-score: seed 4242, 200 replications,
+    # n = 1000, sigma = 2 (so that a fault in how sigma is applied shows),
+    # the table1 grid with tau scaled by sigma, and |z| <= 4.5 in each of
+    # the 27 cells (a normal tail of 1.8e-4 over all of them).
+    sigma = 2.0
+    config = ExperimentConfig(
+        n=1000, sigma=sigma, xi_grid=(0.005, 0.05, 0.5), tau_grid=(6.0, 10.0, 14.0),
+        replications=200, methods=("bin", "universal", "oracle"), use_em=False,
+        master_seed=4242, universal_scale="true",
+    )
+    report = monte_carlo_amse(config)
+    z = {}
+    for xi in config.xi_grid:
+        for tau in config.tau_grid:
+            gamma = (tau / sigma) ** 2
+            rate = 2.0 * sigma**2 * (1.0 + 1.0 / gamma)
+            # the binomial MAP keeps y^2 / rate > log((1 - xi) / xi) + log(1 + gamma) / 2
+            bin_cut = math.sqrt(rate * (math.log((1.0 - xi) / xi) + 0.5 * math.log1p(gamma)))
+            exact = {
+                "bin": spike_slab_risk(bin_cut, xi, tau, sigma),
+                "universal": spike_slab_risk(sigma * math.sqrt(2.0 * math.log(config.n)), xi, tau, sigma),
+                "oracle": oracle_slab_risk(xi, tau, sigma),
+            }
+            for method, risk_value in exact.items():
+                cell = report.cells[(method, xi, tau)]
+                z[(method, xi, tau)] = (cell.amse - risk_value) / cell.std_err
+    worst = max(z, key=lambda cell: abs(z[cell]))
+    assert abs(z[worst]) <= 4.5, (worst, z[worst])
 
 
 # ---------------------------------------------------------------------------

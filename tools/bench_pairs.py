@@ -17,7 +17,9 @@ workload given as ``W:N`` runs N pairs, in place of ``--pairs``.
 The output has the shape of ``BENCH_cell.json``: ``command``, ``seed``,
 ``note``, ``workloads`` (per workload the ``pairs``, each with ``pair``,
 ``first``, ``parent`` and ``change``, the JSON last line of ``run.py``, and a
-``summary`` of medians with inclusive quartiles), ``env_lines`` (the
+``summary`` of medians with inclusive quartiles and, per metric, the median
+of the per-pair change/parent ratios, the number of them below 1 and a
+sign-test interval for their median from their order statistics), ``env_lines`` (the
 ``# env`` line of ``run.py``) and, with ``--traced``, ``traced_runs``: three
 ``--trace 1`` runs per side, alternating which side runs first, each with
 its ``# env`` line, and per side the median of each metric over the three.
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import shutil
 import statistics
 import subprocess
@@ -84,8 +87,42 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
+# coverage asked of the sign-test interval of the per-pair ratios
+SIGN_TEST_LEVEL = 0.95
+
+
+def sign_test_interval(values: list[float], level: float = SIGN_TEST_LEVEL) -> tuple[float, float, float]:
+    """(low, high, coverage): the order statistics v_(d) and v_(k+1-d) of
+    the k sorted values, for the largest d whose sign-test coverage
+    1 - 2 P(Binomial(k, 1/2) < d) is at least ``level``, as an interval
+    for their median; the whole range (d = 1) when no d reaches it."""
+    ordered = sorted(values)
+    k = len(ordered)
+    d, tail = 1, 1  # tail = the sum of C(k, i) for i < d
+    while d < (k + 1) // 2 and 1.0 - 2.0 * (tail + math.comb(k, d)) / 2**k >= level:
+        tail += math.comb(k, d)
+        d += 1
+    return ordered[d - 1], ordered[k - d], 1.0 - 2.0 * tail / 2**k
+
+
+def paired_ratios(parent: list[float], change: list[float]) -> dict:
+    """The per-pair change/parent ratios: their median, how many are below
+    1, and their sign-test interval; empty when a parent value is 0."""
+    if any(p == 0 for p in parent):
+        return {}
+    ratios = [c / p for p, c in zip(parent, change)]
+    low, high, coverage = sign_test_interval(ratios)
+    return {
+        "ratio_median": statistics.median(ratios),
+        "ratio_below_1_in_pairs": f"{sum(r < 1.0 for r in ratios)}/{len(ratios)}",
+        "ratio_sign_test_interval": [low, high],
+        "ratio_interval_coverage": coverage,
+    }
+
+
 def summarize(pairs: list[dict]) -> dict:
-    """Medians, inclusive quartiles and pair wins of each metric; failed ops summed."""
+    """Medians, inclusive quartiles, pair wins and paired ratios of each
+    metric; failed ops summed."""
     summary = {}
     for metric in pairs[0]["parent"]["metrics"]:
         parent = [p["parent"]["metrics"][metric]["value"] for p in pairs]
@@ -98,6 +135,7 @@ def summarize(pairs: list[dict]) -> dict:
             "change_median": c_med, "change_q1": c_q1, "change_q3": c_q3,
             "change_lower_in_pairs": f"{lower}/{len(pairs)}",
             "relative_change": c_med / p_med - 1.0,
+            **paired_ratios(parent, change),
         }
     summary["failed_ops"] = sum(p[side]["failed"] for p in pairs for side in ("parent", "change"))
     return summary
