@@ -28,7 +28,8 @@ without EM every row shares the cell's hyperparameters, so each prior's
 penalties are built once per cell.  Scoring receives those fits and
 fits nothing itself: the universal rule takes the robust scale of the
 block's rows, EM on or off.  Under EM those scales are taken once per
-block and also give every row's EM starting point.
+block and also give every row's EM starting point, and the block's
+squares that the starts sum are the ones scoring reads.
 """
 
 from __future__ import annotations
@@ -298,26 +299,25 @@ class _Fits:
         return cls(cuts, np.cumsum(increments, axis=-1) if increments else None, flat)
 
 
-def _robust_scales(y: np.ndarray) -> np.ndarray | None:
-    """``_mad_scale`` of every row of a block, None where a row has none."""
-    try:
-        return _mad_scale(y)
-    except (DegenerateDataError, DomainError):
-        return None
-
-
 def _score_block(
-    config: ExperimentConfig, fits: _Fits, mad: np.ndarray | None, mu: np.ndarray, y: np.ndarray
+    config: ExperimentConfig,
+    fits: _Fits,
+    mad: np.ndarray | None,
+    y_sq: np.ndarray | None,
+    mu: np.ndarray,
+    y: np.ndarray,
 ) -> np.ndarray:
     """Squared error per method, in the order of ``config.methods``, and
     row of a block, given the MAP methods' hyperparameters for every row
-    and, when already taken, the rows' robust scales ``mad``.
+    and, when already taken, the rows' robust scales ``mad`` and the
+    squares ``y_sq = y * y``.
 
     A method's error sums (y - mu)^2 where it keeps and mu^2, which is
     (0 - mu)^2 to the bit, elsewhere; both are formed once per block.
     """
     n = y.shape[1]
-    y_sq = y * y
+    if y_sq is None:
+        y_sq = y * y
     scanned = [m for m in config.methods if m in _SCANNED_PRIORS]
     scanned_keep = _keep_scanned(y, y_sq, fits.penalties) if scanned else None
     sq_err, mu_sq = np.square(y - mu), np.square(mu)
@@ -388,16 +388,21 @@ def _run_cell(args) -> tuple[int, dict[str, np.ndarray], int, int]:
         for start in range(0, reps, step):
             block = range(start, min(start + step, reps))
             mu, y = _draw_block(config, cell_index, xi, tau, block)
-            scale = None
+            scale = y_sq = None
             if fitting:
-                scale = _robust_scales(y)
-                # without a scale for every row, each row's fit raises as it would alone
-                inits = [None] * len(y) if scale is None else _start(y, scale)[0]
+                try:
+                    scale = _mad_scale(y)
+                except (DegenerateDataError, DomainError):
+                    # without a scale for every row, each row's fit raises as it would alone
+                    inits = [None] * len(y)
+                else:
+                    # the block's squares, summed for the starts, are scored below
+                    inits, y_sq = _start(y, scale)
                 row_fits = [em_fit(y_r, init=init) for y_r, init in zip(y, inits)]
                 nonconverged += sum(not fit.converged for fit in row_fits)
                 fits = _Fits.of(config, [(HyperParams(f.sigma_hat, f.tau_hat), f.xi_hat) for f in row_fits])
                 flat += sum(fits.flat)
-            errors[:, block.start : block.stop] = _score_block(config, fits, scale, mu, y)
+            errors[:, block.start : block.stop] = _score_block(config, fits, scale, y_sq, mu, y)
     return cell_index, dict(zip(config.methods, errors)), nonconverged, flat
 
 

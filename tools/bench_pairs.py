@@ -91,15 +91,15 @@ def quartiles(values: list[float]) -> tuple[float, float]:
 SIGN_TEST_LEVEL = 0.95
 
 
-def sign_test_interval(values: list[float], level: float = SIGN_TEST_LEVEL) -> tuple[float, float, float]:
+def sign_test_interval(values: list[float]) -> tuple[float, float, float]:
     """(low, high, coverage): the order statistics v_(d) and v_(k+1-d) of
     the k sorted values, for the largest d whose sign-test coverage
-    1 - 2 P(Binomial(k, 1/2) < d) is at least ``level``, as an interval
+    1 - 2 P(Binomial(k, 1/2) < d) is at least ``SIGN_TEST_LEVEL``, as an interval
     for their median; the whole range (d = 1) when no d reaches it."""
     ordered = sorted(values)
     k = len(ordered)
     d, tail = 1, 1  # tail = the sum of C(k, i) for i < d
-    while d < (k + 1) // 2 and 1.0 - 2.0 * (tail + math.comb(k, d)) / 2**k >= level:
+    while d < (k + 1) // 2 and 1.0 - 2.0 * (tail + math.comb(k, d)) / 2**k >= SIGN_TEST_LEVEL:
         tail += math.comb(k, d)
         d += 1
     return ordered[d - 1], ordered[k - d], 1.0 - 2.0 * tail / 2**k
