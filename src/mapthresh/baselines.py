@@ -167,7 +167,7 @@ def mad_sigma(y) -> float:
     return float(_mad_scale(y))
 
 
-def _mad_scale(y: np.ndarray) -> np.ndarray | float:
+def _mad_scale(y: np.ndarray) -> np.ndarray:
     """``mad_sigma`` along the last axis of finite data, one scale per row.
 
     Raises as ``mad_sigma`` does when any row's scale is zero or overflows.
@@ -176,23 +176,19 @@ def _mad_scale(y: np.ndarray) -> np.ndarray | float:
     # an infinite deviation only moves the median to +inf, and an infinite
     # scale is refused below
     with np.errstate(over="ignore"):
-        deviations = y - (centre if y.ndim == 1 else centre[:, None])
+        deviations = y - centre[..., None]
         mad = _median(np.abs(deviations, out=deviations))
         scale = mad / 0.6745
-    if y.ndim == 1:  # one scale: scalar checks, no reductions
-        zero, overflow = mad == 0.0, not math.isfinite(scale)
-    else:
-        zero, overflow = (mad == 0.0).any(), not np.isfinite(scale).all()
-    if zero:
+    if (mad == 0.0).any():
         raise DegenerateDataError("median absolute deviation is zero")
-    if overflow:
+    if not np.isfinite(scale).all():
         raise DomainError("the robust scale overflows; rescale the data")
     return scale
 
 
-def _median(a: np.ndarray) -> np.ndarray | float:
+def _median(a: np.ndarray) -> np.ndarray:
     """``np.median(a, axis=-1)`` of an array without NaNs, to the bit
-    wherever that is finite; a float for a 1-D array.
+    wherever that is finite; a NumPy scalar or 0-d array for a 1-D array.
 
     Rows of fewer than 50,000 values are partitioned directly, all rows
     in one call.  Longer rows are taken one at a time and first narrowed
@@ -219,20 +215,13 @@ def _median(a: np.ndarray) -> np.ndarray | float:
         if below <= rank - 1 + n % 2 and rank < below + inside.size:
             a, rank = inside, rank - below
     part = np.partition(a, rank)  # along the last axis
-    if a.ndim > 1:
-        upper = part[:, rank]
-        if n % 2:
-            return upper
-        lower = part[:, :rank].max(axis=-1)
-        with np.errstate(over="ignore"):
-            middle = (lower + upper) / 2
-        return np.where(np.isinf(middle), lower / 2 + upper / 2, middle)
-    upper = float(part[rank])
+    upper = part[..., rank]
     if n % 2:
         return upper
-    lower = float(part[:rank].max())
-    middle = (lower + upper) / 2  # a float sum overflows to inf without a warning
-    return middle if math.isfinite(middle) else lower / 2 + upper / 2
+    lower = part[..., :rank].max(axis=-1)
+    with np.errstate(over="ignore"):
+        middle = (lower + upper) / 2
+    return np.where(np.isinf(middle), lower / 2 + upper / 2, middle)
 
 
 # --------------------------------------------------------------------------

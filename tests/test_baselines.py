@@ -251,6 +251,17 @@ def test_median_helper_equals_np_median(n):
         assert baselines._median(a) == np.median(a), name
 
 
+def test_median_helper_halves_middle_values_whose_sum_overflows():
+    lower, upper = 1.6e308, 1.7e308
+    row = np.array([1.8e308, upper, -1.0, lower, 1.75e308, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert baselines._median(row) == lower / 2 + upper / 2
+        block = baselines._median(np.vstack([row, -row]))
+    assert block.tolist() == [lower / 2 + upper / 2, -(lower / 2 + upper / 2)]
+    assert math.isfinite(lower / 2 + upper / 2) and math.isinf(lower + upper)
+
+
 @pytest.mark.parametrize("n", [10, 11, 1000, 1001, 50_000, 50_001])
 def test_mad_scale_of_rows_equals_mad_sigma_of_each(n):
     rng = np.random.default_rng(23)

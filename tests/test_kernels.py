@@ -372,3 +372,18 @@ def test_identifiability_floors_are_inverse():
     assert _kernels.slab_floor(0.5) == 0.0
     assert _kernels.slab_floor(0.8) == 0.0
     assert _kernels.weight_floor(0.0) == 0.5
+
+
+@pytest.mark.parametrize("n", [1000, 200_001])
+def test_em_loop_raises_no_floating_point_error_on_any_block(n):
+    # every pass, the converging one included, runs the whole chain on
+    # every block, so the responsibilities of the last block are computed
+    # on the pass that stops too
+    args = fit_args(mixture(n, 0.05, 4.0, 36))
+    assert len(_kernels._blocks(args[0])) == (1 if n <= E_BLOCK else 4)
+    want = _kernels.em_loop(*args)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        got = _kernels.em_loop(*args)
+    assert got[5]
+    assert got[:3] == want[:3] and got[4:] == want[4:]
+    assert got[3].tobytes() == want[3].tobytes()
