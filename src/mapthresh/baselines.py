@@ -127,7 +127,7 @@ def fixed_threshold_estimate(
     """
     lam = rule.lam if isinstance(rule, FixedThreshold) else FixedThreshold(float(rule)).lam
     values = _values(y)
-    return _keep_flagged(values, np.abs(values) >= lam)
+    return _keep_flagged(values, np.flatnonzero(np.abs(values) >= lam))
 
 
 def variable_threshold_estimate(
@@ -148,7 +148,8 @@ def variable_threshold_estimate(
     inc[0] = 0.0
     np.square(lams, out=inc[1:])
     with np.errstate(over="ignore", invalid="ignore"):  # _scan_largest refuses sums past the float range
-        return _scan_largest(values, inc)
+        kept = _scan_largest(values, inc)
+    return _keep_flagged(values, kept)
 
 
 def mad_sigma(y) -> float:

@@ -48,10 +48,10 @@ def check_integer(value, name: str, minimum: int, error: type[MapThreshError] = 
 
 
 def check_between(value, name: str, low: float, high: float, error: type[MapThreshError] = DomainError):
-    """``value`` unchanged if low < value < high (NaN is not); else raise
-    ``error``, naming the argument ``name``."""
+    """``value`` unchanged if low < value < high (NaN is not, nor is a
+    bool); else raise ``error``, naming the argument ``name``."""
     try:
-        usable = low < value < high
+        usable = low < value < high and not isinstance(value, bool)
     except (TypeError, ValueError):  # None, strings, arrays
         usable = False
     if not usable:

@@ -13,7 +13,7 @@ h = (1/2) log(1 + gamma) and the complexity c[k] = log C(n,k) - log pi_n(k):
 
 and P[k] telescopes as the cumulative sum of the increments; ``priors`` owns c.
 
-Only the observations a minimizer can keep are ranked.  The criterion is
+Only the observations a minimizer can keep are sorted.  The criterion is
 obj[k] = sum of the n - k smallest squares + P[k].  Pick a cut t > 0, let
 K = #{y_i^2 > t} and let S be the sum of the squares <= t.  A size k > K
 drops k - K more squares, none above t and together at most S, so
@@ -22,17 +22,18 @@ drops k - K more squares, none above t and together at most S, so
 
 When that lower bound is >= 0 for every k > K, the argmin lies in
 [0, K] (ties still go to the smaller size), and only the K candidates
-need ranking: sorting the indices with y_i^2 > t, taken in index order,
-by -|y| gives exactly the first K entries of the full stable order.
-With t = min(inc[1 .. ceil(n/2)]), K and S need no ranking, so the bound
-is checked first and ``_rank`` runs once: on the K candidates, whose
-scan starts its tail sums from S, or on all n when t <= 0 or the bound
-fails (a custom prior that favors large sizes, dense Foster-Stine).
-Sums past the float range raise DomainError.  Each ranking is NumPy's
-default (SIMD) sort, whose order is unique, and so stable, when no two
-keys tie; when two sorted keys are equal, a second default sort puts
-each run of ties in index order.  Sorting by -|y|, not -y^2, matters:
-two magnitudes one ulp apart can square to the same float.
+need sorting.  With t = min(inc[1 .. ceil(n/2)]), K and S need no sort,
+so the bound is checked first.  The selection core ``_keep_scanned``,
+which also scores the Monte Carlo blocks of ``risk``, then value-sorts
+and scans the candidates' squares from S, or all n from 0 when t <= 0 or
+the bound fails (a custom prior that favors large sizes, dense
+Foster-Stine).  Only the k_hat kept are ranked: sorting them, in index
+order, by -|y| gives the head of the full stable order.  Sums past the
+float range raise DomainError.  Each ranking is NumPy's default (SIMD)
+sort, whose order is unique, and so stable, when no two keys tie; when
+two sorted keys are equal, a second default sort puts each run of ties
+in index order.  Ranking by -|y|, not -y^2, matters: two magnitudes one
+ulp apart can square to the same float.
 
 Under both Poisson priors inc[1..n] strictly decrease (priors docstring),
 so P is concave and t = inc[ceil(n/2)]: the float increments do not rise
@@ -209,41 +210,64 @@ def _argsort_stable(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _rank(y: np.ndarray, candidates: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(order, their keys -|y|): ``candidates`` (indices in increasing order;
     all of them, row by row for a matrix, when None) stable-sorted by
-    decreasing |y|, which is the head of the full stable order.  The Monte
-    Carlo grid ranks only the rows whose tie straddles a cut."""
+    decreasing |y|, which is the head of the full stable order when the
+    candidates are closed upward in |y|.  A result ranks only its kept,
+    and the selection core only the rows whose tie straddles a cut."""
     if candidates is None:
         return _argsort_stable(-np.abs(y))
     order, keys = _argsort_stable(-np.abs(y[candidates]))
     return candidates[order], keys
 
 
-def _keep_largest(y: np.ndarray, order: np.ndarray, k_hat: int) -> EstimateResult:
-    """Estimate keeping y[order[:k_hat]] as they are."""
-    kept = order[:k_hat].copy()
-    mu_hat = np.zeros(y.size)
-    mu_hat[kept] = y[kept]
-    threshold = float(np.abs(y[kept[-1]])) if k_hat > 0 else math.inf
-    return EstimateResult(k_hat=k_hat, threshold=threshold, kept=kept, mu_hat=mu_hat)
+def _keep_flagged(y: np.ndarray, kept: np.ndarray) -> EstimateResult:
+    """Estimate keeping y[kept] as they are: ``kept``, indices in increasing
+    order, must be closed upward in |y|, so only they are ranked."""
+    mu_hat = np.zeros(y.size)  # first, to take the block a selection just freed whole
+    order, _ = _rank(y, kept)
+    mu_hat[order] = y[order]
+    threshold = float(np.abs(y[order[-1]])) if order.size else math.inf
+    return EstimateResult(k_hat=order.size, threshold=threshold, kept=order, mu_hat=mu_hat)
 
 
-def _keep_flagged(y: np.ndarray, flagged: np.ndarray) -> EstimateResult:
-    """Keep the validated observations ``y`` that ``flagged`` marks.
+def _keep_scanned(
+    y: np.ndarray, y_sq: np.ndarray, penalties: np.ndarray, rest: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """(keep, objective): each row of ``y`` keeps its k_hat largest
+    magnitudes, ties in the stable order, under a cumulative penalty or
+    several stacked on a leading axis of ``penalties``; ``objective`` is the
+    criterion of ``penalized_scan``, whose tail sums start from ``rest``.
 
-    The flagged set must be closed upward in |y|, so it is the head of the
-    stable order and only its members are ranked.
+    One value sort of the squares ``y_sq`` feeds the scan, and a row keeps
+    the squares at or above its k_hat-th largest.  Only rows whose next
+    smaller square equals that cut, a tie straddling it, are ranked.
     """
-    order, _ = _rank(y, np.flatnonzero(flagged))
-    return _keep_largest(y, order, order.size)
+    n = y.shape[-1]
+    sq = np.sort(y_sq, axis=-1)
+    k_hat, objective = penalized_scan(sq[:, ::-1], penalties, rest)
+    if n == 0:  # a positive cut that no square exceeds
+        return np.zeros(k_hat.shape + (0,), dtype=bool), objective
+    rows = np.arange(y.shape[0])
+    cut = np.where(k_hat > 0, sq[rows, -k_hat], np.inf)
+    keep = y_sq >= cut[..., None]
+    straddles = (sq[rows, n - 1 - k_hat] == cut) & (k_hat < n)
+    tied = np.flatnonzero(straddles.any(axis=tuple(range(k_hat.ndim - 1))))  # over the stacked penalties
+    if tied.size:
+        order, _ = _rank(y[tied])
+        ranks = np.empty_like(order)
+        np.put_along_axis(ranks, order, np.arange(n), axis=-1)
+        keep[..., tied, :] = ranks < k_hat[..., tied, None]
+    return keep, objective
 
 
 def _scan_largest(
     y: np.ndarray,
     inc: np.ndarray | Callable[[int, int], np.ndarray],
     certify: Callable[[int, float, float], bool] | None = None,
-) -> EstimateResult:
-    """Keep the k largest magnitudes of the validated ``y``, for the k that
-    minimizes the tail sum of squares plus the penalty cumsum(inc); ties go
-    to the smaller size.  The cut is certified before anything is ranked.
+) -> np.ndarray:
+    """The indices, in increasing order, of the k largest magnitudes of the
+    validated ``y``, for the k that minimizes the tail sum of squares plus
+    the penalty cumsum(inc); ties go to the smaller size and otherwise to
+    the stable order.  The cut is certified before anything is sorted.
 
     ``inc`` holds inc[0..n], or returns inc[start:stop] for (start, stop),
     so that only the increments the scan reads are built.  ``certify(k,
@@ -259,9 +283,8 @@ def _scan_largest(
     increments = (lambda start, stop: inc[start:stop]) if isinstance(inc, np.ndarray) else inc
     half = (n + 1) // 2
     cut = float(increments(half, half + 1)[0] if certify else increments(1, half + 1).min())
-    candidates, rest, sq = None, 0.0, None
+    sq, candidates, rest = y * y, None, 0.0
     if cut > 0.0:
-        sq = y * y
         candidates = np.flatnonzero(sq > cut)
         sq[candidates] = 0.0
         rest = float(sq.sum())
@@ -273,14 +296,17 @@ def _scan_largest(
             increments = lambda start, stop: full[start:stop]  # the scan reads it too
             certified = _certifies(full, candidates.size, rest, cut, scratch=sq)
         if not certified:
-            candidates, rest, sq = None, 0.0, None
-    order, sorted_sq = _rank(y, candidates)
-    np.square(sorted_sq, out=sorted_sq)
-    k_hat, objective = penalized_scan(sorted_sq, np.cumsum(increments(0, order.size + 1)), rest)
-    if not math.isfinite(objective[k_hat]):
+            candidates, rest = None, 0.0
+    scanned = y if candidates is None else y[candidates]
+    # squared again into sq, free now: one array fewer at the scan's peak; sq lives to the
+    # return, so that no array of the scan splits the block that mu_hat then reuses
+    scanned_sq = np.multiply(scanned, scanned, out=sq[: scanned.size])
+    penalty = np.cumsum(increments(0, scanned.size + 1))
+    keep, objective = _keep_scanned(scanned[None], scanned_sq[None], penalty, rest)
+    kept = np.flatnonzero(keep)
+    if not math.isfinite(objective[0, kept.size]):  # the minimum, at k_hat
         raise DomainError("the criterion at every size sums past the float range; rescale the data")
-    del sq  # kept to here so that the ranking does not split the block mu_hat then reuses
-    return _keep_largest(y, order, k_hat)
+    return kept if candidates is None else candidates[kept]
 
 
 def _certifies(inc: np.ndarray, k: int, rest: float, cut: float, scratch: np.ndarray) -> bool:
@@ -358,16 +384,11 @@ def penalty_increments(spec: PriorSpec, n: int, hyper: HyperParams) -> np.ndarra
     return inc
 
 
-def _binomial_step(xi: float, half_log_1pg: float) -> float:
-    """inc[i] / r for i >= 1 under the binomial prior."""
-    return float(_unit_steps(BinomialPrior(xi), 1)[1]) + half_log_1pg
-
-
 def _binomial_cut(xi: float, hyper: HyperParams) -> float:
     """inc[1] under the binomial prior, to the bit: the MAP keeps y^2 above it."""
     rate, half_log_1pg = _rate(hyper)
     # + 0.0 as in the increments
-    return rate * _binomial_step(xi, half_log_1pg) + 0.0
+    return rate * (float(_unit_steps(BinomialPrior(xi), 1)[1]) + half_log_1pg) + 0.0
 
 
 def _increments(
@@ -438,14 +459,16 @@ def map_estimate(
     # an infinite square is kept; _scan_largest refuses sums past the float range
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(spec, BinomialPrior):
-            return _keep_flagged(y, y * y > _binomial_cut(spec.xi, hyper))
-        if isinstance(spec, (TruncatedPoissonPrior, ReflectedPoissonPrior)):
-            return _scan_largest(
+            kept = np.flatnonzero(y * y > _binomial_cut(spec.xi, hyper))
+        elif isinstance(spec, (TruncatedPoissonPrior, ReflectedPoissonPrior)):
+            kept = _scan_largest(
                 y,
                 lambda start, stop: _increments(spec, n, hyper, start, stop),
                 lambda k, rest, cut: _certifies_concave(spec, n, hyper, k, rest, cut),
             )
-        return _scan_largest(y, _increments(spec, n, hyper))
+        else:
+            kept = _scan_largest(y, _increments(spec, n, hyper))
+    return _keep_flagged(y, kept)
 
 
 def posterior_log_score(

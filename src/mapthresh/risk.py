@@ -11,16 +11,17 @@ A cell's replications are stacked into matrices ``mu`` and ``y`` with one
 row per replication, and every method scores all rows with row-wise
 NumPy calls: the binomial prior and the universal rule are threshold
 compares on the whole matrix, and the robust scale takes one partition
-per median.  The Poisson priors share one value sort of every row's
-squares and one tail sum, which ``penalized_scan`` adds to each prior's
-penalties; each prior then keeps the squares at or above its k_hat-th
-largest, and only a row whose tie straddles that cut is ranked
-(``estimator._rank``).  The threshold compares and the oracle do the
-same arithmetic per row as ``map_estimate``, ``fixed_threshold_estimate``
-and ``oracle_risk``; the Poisson priors scan every row over all sizes,
-where ``map_estimate`` ranks only its certified candidates and sums the
-tails from the squares left out.  Both give the same errors to the bit
-on the tested inputs.  Rows are taken
+per median.  The Poisson priors go through the estimator's selection
+core, ``estimator._keep_scanned``: one value sort of every row's squares
+and one tail sum, added to each prior's penalties; each prior then keeps
+the squares at or above its k_hat-th largest, and only a row whose tie
+straddles that cut is ranked.  The threshold compares and the oracle do
+the same arithmetic per row as ``map_estimate``,
+``fixed_threshold_estimate`` and ``oracle_risk``.  The Poisson paths
+differ only in where their tail sums start: a block scans every row over
+all sizes from 0, where ``map_estimate`` scans its certified candidates
+from the sum of the squares left out.  Both give the same errors to the
+bit on the tested inputs.  Rows are taken
 in blocks of at most ``BLOCK_VALUES`` values, one row at a time once n
 exceeds it, so memory stays bounded for any n.  Each block is fitted,
 then scored.  Under EM each row is fitted by its own ``em_fit`` call;
@@ -44,7 +45,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._kernels import penalized_scan
 from .baselines import _mad_scale, universal_threshold
 from .em import _start, em_fit
 from .errors import (
@@ -55,7 +55,7 @@ from .errors import (
     check_between,
     check_integer,
 )
-from .estimator import _binomial_cut, _rank, map_estimate, penalty_increments
+from .estimator import _binomial_cut, _keep_scanned, map_estimate, penalty_increments
 from .priors import (
     BallSpec,
     HyperParams,
@@ -319,7 +319,7 @@ def _score_block(
     if y_sq is None:
         y_sq = y * y
     scanned = [m for m in config.methods if m in _SCANNED_PRIORS]
-    scanned_keep = _keep_scanned(y, y_sq, fits.penalties) if scanned else None
+    scanned_keep = _keep_scanned(y, y_sq, fits.penalties)[0] if scanned else None
     sq_err, mu_sq = np.square(y - mu), np.square(mu)
     errors = np.empty((len(config.methods), y.shape[0]))
     for i, method in enumerate(config.methods):
@@ -342,31 +342,6 @@ def _score_block(
             keep = scanned_keep[scanned.index(method)]
         errors[i] = np.sum(np.where(keep, sq_err, mu_sq), axis=-1)
     return errors / n
-
-
-def _keep_scanned(y: np.ndarray, y_sq: np.ndarray, penalties: np.ndarray) -> np.ndarray:
-    """Keep masks of the rows of ``y`` under each stacked penalty: each row
-    keeps its k_hat largest magnitudes.
-
-    One sort of the squares ``y_sq`` feeds the scan, and a row keeps the
-    squares at or above its k_hat-th largest.  Where the next smaller
-    square equals that cut (as when two magnitudes tie there), the tie
-    straddles it: only those rows are ranked (``estimator._rank``), to
-    keep the first k_hat in the stable order as ``map_estimate`` does.
-    """
-    n = y.shape[-1]
-    sq = np.sort(y_sq, axis=-1)
-    k_hat, _ = penalized_scan(sq[:, ::-1], penalties)
-    rows = np.arange(y.shape[0])
-    cut = np.where(k_hat > 0, sq[rows, -k_hat], np.inf)
-    keep = y_sq >= cut[..., None]
-    tied = np.flatnonzero(((sq[rows, n - 1 - k_hat] == cut) & (k_hat < n)).any(axis=0))
-    if tied.size:
-        order, _ = _rank(y[tied])
-        ranks = np.empty_like(order)
-        np.put_along_axis(ranks, order, np.arange(n), axis=-1)
-        keep[:, tied] = ranks < k_hat[:, tied, None]
-    return keep
 
 
 def _run_cell(args) -> tuple[int, dict[str, np.ndarray], int, int]:

@@ -219,7 +219,7 @@ def previous_increments(spec, n, hyper):
     body = inc[1:]
     if isinstance(spec, BinomialPrior):
         inc[0] = -n * math.log1p(-spec.xi)
-        body.fill(estimator._binomial_step(spec.xi, half_log_1pg))
+        body.fill(math.log1p(-spec.xi) - math.log(spec.xi) + half_log_1pg)
     elif isinstance(spec, TruncatedPoissonPrior):
         lam = spec.lam
         inc[0] = lam + estimator._log_poisson_cdf(n, lam)
@@ -507,10 +507,17 @@ def test_candidates_order_by_magnitude_when_squares_tie():
     assert_candidates_match_full(y, hyper, [BinomialPrior(0.2), TruncatedPoissonPrior(3.0)])
 
 
-def test_candidates_match_the_full_ranking_on_degenerate_data():
+def test_candidates_match_the_full_ranking_on_degenerate_data(monkeypatch):
     assert_candidates_match_full(np.array([2.5]), UNIT_HYPER, named_specs(1))
     assert_candidates_match_full(np.array([-0.2]), UNIT_HYPER, named_specs(1))
     assert_candidates_match_full(np.zeros(50), UNIT_HYPER, named_specs(50))
+    # a positive cut that no square exceeds: the certified call scans no
+    # candidate and keeps nothing
+    scans = ScanSizes(monkeypatch)
+    result = map_estimate(np.zeros(50), UNIT_HYPER, TruncatedPoissonPrior(2.5))
+    assert scans == [0]
+    assert (result.k_hat, result.threshold, result.kept.size) == (0, math.inf, 0)
+    assert not result.mu_hat.any()
 
 
 def test_binomial_with_nonpositive_increment_matches_the_full_ranking():
@@ -552,33 +559,51 @@ class ArgsortSizes(list):
         monkeypatch.setattr(np, "argsort", recording)
 
 
+class ScanSizes(list):
+    """Records the number of squares of every ``penalized_scan`` call."""
+
+    def __init__(self, monkeypatch):
+        super().__init__()
+        scan = estimator.penalized_scan
+
+        def recording(sorted_sq, *args):
+            self.append(sorted_sq.size)
+            return scan(sorted_sq, *args)
+
+        monkeypatch.setattr(estimator, "penalized_scan", recording)
+
+
 def test_custom_priors_fall_back_to_the_full_ranking(monkeypatch):
     n = 400
     y = np.random.default_rng(13).standard_normal(n) * 2.0
     k = np.arange(n + 1, dtype=float)
     hyper = make_hyper(1.0, 9.0)
     # increasing weights make every increment negative, so there is no cut
-    # and all n are ranked at once; a spike at k = n keeps the cut positive,
-    # and the bound, checked before anything is ranked, fails at k = n
+    # and all n are sorted and scanned at once; a spike at k = n keeps the
+    # cut positive, and the bound, checked before anything is sorted, fails
+    # at k = n
     spike = np.zeros(n + 1)
     spike[n] = 1000.0
     for weights in (5.0 * k, spike):
         spec = CustomLogWeightsPrior(weights)
-        sizes = ArgsortSizes(monkeypatch)
+        sizes, sorts, scans = ArgsortSizes(monkeypatch), SortCalls(monkeypatch), ScanSizes(monkeypatch)
         result = map_estimate(y, hyper, spec)
-        assert sizes == [n]
+        assert sorts == scans == [n]
+        assert sizes == [n]  # all n are kept, and only the kept are ranked
         assert result.k_hat == n
         inc = penalty_increments(spec, n, hyper)
         assert_same_result(result, full_ranking_estimate(y, full_scan_k(y, inc)))
-    # dense Foster-Stine: the bound fails with 477 candidates, so all n are ranked once
+    # dense Foster-Stine: the bound fails with 477 candidates, so all n
+    # are sorted and scanned once, and only the k_hat kept are ranked
     n = 1000
     rng = np.random.default_rng(20)
     y = np.where(rng.random(n) < 0.5, 3.0 * rng.standard_normal(n), 0.0) + rng.standard_normal(n)
     cutoffs = foster_stine_sequence(n, 1.0)
     assert np.count_nonzero(y * y > cutoffs[n // 2 - 1] ** 2) == 477
-    sizes = ArgsortSizes(monkeypatch)
+    sizes, sorts, scans = ArgsortSizes(monkeypatch), SortCalls(monkeypatch), ScanSizes(monkeypatch)
     result = variable_threshold_estimate(y, cutoffs)
-    assert sizes == [n]
+    assert sorts == scans == [n]
+    assert sizes == [result.k_hat] == [462]
     assert_same_result(result, full_ranking_estimate(y, full_scan_k(y, np.r_[0.0, cutoffs**2])))
 
 
@@ -594,6 +619,7 @@ def test_raw_selection_sorts_only_candidates(monkeypatch):
     results.append(fixed_threshold_estimate(y, lam))
     assert len(sizes) == 3
     assert max(sizes) < n // 10
+    assert sizes == [result.k_hat for result in results]  # each call ranks only its kept
     penalties = [np.cumsum(penalty_increments(spec, n, hyper)) for spec in specs]
     penalties.append(lam**2 * np.arange(n + 1.0))
     sorted_sq = -np.sort(-(y * y))

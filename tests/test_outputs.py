@@ -67,6 +67,10 @@ def test_the_committed_record_holds_every_listed_run():
     simulate = [name for name in runs if name.startswith("simulate/")]
     assert len(simulate) == 8
     assert all(len(runs[name]) == 1 + 2 * 5 * 9 for name in simulate)  # the CSV and 45 cells
+    blocks = sorted(name for name in runs if name.startswith("blocks/"))
+    assert blocks == ["blocks/n1001/em", "blocks/n1001/known", "blocks/n50001/known"]
+    assert len(runs["blocks/n1001/em"]) == len(runs["blocks/n1001/known"]) == 1 + 2 * 5 * 9
+    assert len(runs["blocks/n50001/known"]) == 1 + 2 * 5 * 4  # the CSV and 20 cells
     assert len(runs["em_fits"]) == 900 * 7
     assert sorted(name for name in runs if name.startswith("large_n/")) == [f"large_n/{i}" for i in range(4)]
     assert len([name for name in runs if name.startswith("penalty/")]) == 8

@@ -235,6 +235,8 @@ def test_prior_validation_errors():
         (1e-150, 1e150),  # gamma overflows
         (1.0, 1e-160),  # gamma is subnormal: 1/gamma and the penalty rate overflow
         (1e150, 1e140),  # sigma^2 / gamma, and so the penalty rate, overflows
+        (True, 2.0),  # a bool is not a scale
+        (1.0, True),
     ],
 )
 def test_hyperparams_validation(sigma, tau):

@@ -11,6 +11,10 @@ The runs, each keyed by name in the output:
   on and off, at its own master seed and at seeds 1, 2 and 3: the SHA-256
   of the CSV ``mapthresh simulate`` writes, and each cell's ``amse`` and
   ``std_err``;
+* ``blocks/n1001/<em|known>``: the same grid at n = 1001, whose blocks
+  hold 130 rows, and ``blocks/n50001/known``: n = 50,001, whose blocks
+  hold 2 rows, at xi 0.005 and 0.05, tau 3 and 5 and 4 replications, EM
+  off; fields as for ``simulate``;
 * ``em_fits``: the 900 ``em_fit`` calls of the bundled EM run: per fit the
   three parameters, the final log-likelihood, the iteration count, the
   convergence flag and a SHA-256 of the trace's bytes;
@@ -30,7 +34,7 @@ dispatch, so compare only records written under the same one.
 ``--compare OLD`` prints each value that moved, old and new, then the
 largest relative move per run, or "identical" when nothing moved.  The
 package is imported from ``--src`` (default: this tree's ``src``), so the
-same script records an older tree.  A run takes about 5 s on a 2-vCPU
+same script records an older tree.  A run takes about 7 s on a 2-vCPU
 Xeon.
 """
 
@@ -58,6 +62,12 @@ PENALTY_PRIORS = (
 ESTIMATE_RULES = (
     ("binomial", "--em"), ("poisson", "--em"), ("rpoisson", "--em"),
     ("universal", "--em"), ("fdr:q=0.05", "--sigma", "1"), ("foster-stine", "--sigma", "1"),
+)
+BLOCK_RUNS = (  # name, then the changes to the bundled table1 grid
+    ("blocks/n1001/em", dict(n=1001, use_em=True)),
+    ("blocks/n1001/known", dict(n=1001, use_em=False)),
+    ("blocks/n50001/known", dict(n=50_001, xi_grid=[0.005, 0.05], tau_grid=[3.0, 5.0], replications=4,
+                                 use_em=False)),
 )
 LARGE_N_SEED, LARGE_N_SIZE, LARGE_N_XIS, LARGE_N_TAU = 20260815, 1_000_000, (0.005, 0.05), 5.0
 
@@ -107,12 +117,27 @@ def cli_run(argv: list[str]) -> str:
     return out.getvalue()
 
 
-def simulate_runs(runs: dict) -> None:
+def report_fields(report) -> dict:
+    """The SHA-256 of a report's CSV and each cell's ``amse`` and ``std_err``."""
+    csv = io.StringIO()
+    report.write_csv(csv)
+    fields = {"csv_sha256": sha256(csv.getvalue().encode())}
+    for (method, xi, tau), cell in report.cells.items():
+        fields[f"amse/{method}/xi={xi!r}/tau={tau!r}"] = cell.amse.hex()
+        fields[f"std_err/{method}/xi={xi!r}/tau={tau!r}"] = cell.std_err.hex()
+    return fields
+
+
+def table1_config() -> dict:
     from importlib import resources
 
+    return json.loads(resources.files("mapthresh.configs").joinpath("table1.json").read_text())
+
+
+def simulate_runs(runs: dict) -> None:
     from mapthresh import risk
 
-    config = json.loads(resources.files("mapthresh.configs").joinpath("table1.json").read_text())
+    config = table1_config()
     for use_em in (True, False):
         for seed in SEEDS:
             master_seed = config["master_seed"] if seed is None else seed
@@ -130,18 +155,20 @@ def simulate_runs(runs: dict) -> None:
                 )
             finally:
                 risk.em_fit = em_fit
-            csv = io.StringIO()
-            report.write_csv(csv)
-            fields = {"csv_sha256": sha256(csv.getvalue().encode())}
-            for (method, xi, tau), cell in report.cells.items():
-                fields[f"amse/{method}/xi={xi!r}/tau={tau!r}"] = cell.amse.hex()
-                fields[f"std_err/{method}/xi={xi!r}/tau={tau!r}"] = cell.std_err.hex()
             name = "bundled" if seed is None else f"seed{seed}"
-            runs[f"simulate/{'em' if use_em else 'known'}/{name}"] = fields
+            runs[f"simulate/{'em' if use_em else 'known'}/{name}"] = report_fields(report)
             if use_em and seed is None:
                 runs["em_fits"] = {
                     f"{i}/{key}": value for i, fit in enumerate(fits) for key, value in fit_fields(fit).items()
                 }
+
+
+def block_runs(runs: dict) -> None:
+    from mapthresh import risk
+
+    for name, changes in BLOCK_RUNS:
+        report = risk.monte_carlo_amse(risk.ExperimentConfig(**dict(table1_config(), **changes)))
+        runs[name] = report_fields(report)
 
 
 def large_n_runs(runs: dict) -> None:
@@ -202,6 +229,7 @@ def estimate_runs(runs: dict, tmp: Path) -> None:
 def record() -> dict:
     runs: dict = {}
     simulate_runs(runs)
+    block_runs(runs)
     large_n_runs(runs)
     penalty_runs(runs)
     with tempfile.TemporaryDirectory(prefix="outputs_") as tmp:
