@@ -3,22 +3,17 @@
 ``penalized_scan`` is a reversed cumulative sum and one ``argmin`` per
 penalty, along the last axis, so one call scans every row of a matrix
 under every stacked penalty.
-``em_loop`` makes one fused pass over the data per EM iteration, block by
-block: every E-step quantity comes from a single vector of
-per-observation odds, held with its scratch vector in one two-row buffer
-of at most ``E_BLOCK`` columns allocated once per fit, so each block's
-chain runs in cache.  A block is 11 NumPy calls with 4 reductions: the
-log-likelihood sum, one row-wise sum of the buffer and two dot products.
-Every block, the last one included, runs the whole chain (``_e_step``)
-before the convergence check, so the pass that converges also computes
-responsibilities it does not use: half a chain per block, about 5.5 us
-at n = 1000.  A fit of several blocks cuts the vector into equal blocks,
-runs the first half of them on one helper thread where more than one CPU
-is usable, and adds their sums exactly rounded (``math.fsum``), so its
-result does not depend on which thread ran a block; its dot products are
-``np.einsum`` sums, not BLAS ``ddot``, so nor on the BLAS thread count.
-It keeps the mixture weight in [1/n, 1 - 1/n] and the variance ratio at
-or above ``TAU_SQ_FLOOR``.
+``em_loop`` makes one fused pass over the data per EM iteration: every
+E-step quantity comes from a single vector of per-observation odds, held
+with its scratch vector in one two-row buffer allocated once per call.
+Fits of at most ``E_BLOCK`` values run as the rows of one matrix, 11
+NumPy calls a pass over all the rows still iterating, whose row-wise
+sums equal each row's own sums to the bit; the M-step and convergence
+check stay per row, in ``math``.  A longer fit runs in equal cache-sized
+blocks, half of them on a helper thread where more than one CPU is
+usable, joined exactly rounded (``math.fsum``).  No sum uses BLAS, so no
+fit depends on the thread count.  It keeps the mixture weight in
+[1/n, 1 - 1/n] and the variance ratio at or above ``TAU_SQ_FLOOR``.
 """
 
 import contextlib
@@ -117,21 +112,25 @@ def _blocks(values):
 _einsum_dot = functools.partial(np.einsum, "i,i->")
 
 
-def _e_step(ys, rows, e, w, scale, shift, dot):
-    """``em_loop``'s E-step chain on one block of squares ``ys``, in its
-    columns ``rows`` = [e; w] of a two-row scratch buffer: the odds into
-    ``e`` and log1p(e) into ``w``, then [c; r], and the sums of log1p(e),
-    c, r, c y^2 and r y^2."""
+def _e_step(ys, rows, e, w, scale, shift, dot=None):
+    """``em_loop``'s E-step chain on a block of squares ``ys`` (a row or
+    rows) in ``rows`` = [e; w] of a scratch buffer: the odds into ``e`` and
+    log1p(e) into ``w``, then [c; r], and each row's sums of log1p(e), c,
+    r, c y^2 and r y^2, the last two by ``dot`` if given."""
     np.multiply(ys, scale, out=e)
     e += shift
     np.exp(e, out=e)
     np.log1p(e, out=w)
-    log1p_sum = float(np.add.reduce(w))
+    log1p_sum = np.add.reduce(w, -1).tolist()
     np.add(e, 1.0, out=w)
     np.reciprocal(w, out=w)
     e *= w
-    c_sum, r_sum = np.add.reduce(rows, axis=1).tolist()
-    return log1p_sum, c_sum, r_sum, float(dot(e, ys)), float(dot(w, ys))
+    c_sum, r_sum = np.add.reduce(rows, -1).tolist()
+    if dot is not None:
+        return log1p_sum, c_sum, r_sum, dot(e, ys), dot(w, ys)
+    e *= ys
+    w *= ys
+    return (log1p_sum, c_sum, r_sum, *np.add.reduce(rows, -1).tolist())
 
 
 def _on_scratch(blocks, scratch):
@@ -146,16 +145,29 @@ def _on_scratch(blocks, scratch):
     return chains
 
 
+@contextlib.contextmanager
+def _row_buffers(n):
+    """Ufunc buffers of at most one row of n values, which need no copy of a
+    broadcast column (8 against 19 us for ``ys * scale + shift`` on 10 rows
+    of 1000).  No result depends on the buffer size."""
+    size = np.setbufsize(min(np.getbufsize(), 16 * -(-n // 16)))
+    try:
+        yield
+    finally:
+        np.setbufsize(size)
+
+
 def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
     """EM iterations for the two-component scale mixture of centered normals.
 
-    ``y_sq`` are the n squared observations, a float64 array.  The weight
-    stays in [1/n, 1 - 1/n]: the starting ``xi`` is clamped to it, and so
-    is every update.  Each pass computes responsibilities for the wide
-    component and the log-likelihood at the current parameters, then
-    updates the parameters under the constraint gamma - log(1 + gamma) >=
-    2 log((1 - xi) / xi), gamma = tau_sq / sigma_sq, with gamma also at
-    least ``TAU_SQ_FLOOR``:
+    ``y_sq`` are the n squared observations, a float64 vector, or an
+    (R, n) matrix of them, one fit a row, with R values for each start.
+    The weight stays in [1/n, 1 - 1/n]: the starting ``xi`` is clamped to
+    it, and so is every update.  Each pass computes responsibilities for
+    the wide component and the log-likelihood at the current parameters,
+    then updates the parameters under the constraint gamma - log(1 +
+    gamma) >= 2 log((1 - xi) / xi), gamma = tau_sq / sigma_sq, with gamma
+    also at least ``TAU_SQ_FLOOR``:
 
     * the variances take their closed-form update, or, when that breaks
       the bound on gamma at the current ``xi``, the constrained maximizer
@@ -171,60 +183,58 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
 
     The log-likelihood is the wide component's term, whose sum over i is
     closed form, plus sum(log1p(e)); the wide responsibility is
-    r = 1/(1 + e) and the noise one c = e r.
+    r = 1/(1 + e) and the noise one c = e r.  ``e`` and the scratch vector
+    are the two rows of one buffer, which ends the chain (``_e_step``) as
+    [c; r].  Every pass runs the whole chain, then checks convergence.
 
-    The E-step runs over ``_blocks(y_sq)``: ceil(n / ``E_BLOCK``) in-order
-    views whose sizes differ by at most one, so each block's chain stays in
-    cache.  ``e`` and the scratch vector are the two rows of one buffer as
-    wide as the largest block, allocated once per fit, which ends a block's
-    chain as [c; r], so one row-wise ``np.add.reduce`` gives both weight
-    sums with the same pairwise sum per row as a sum of each row alone.
-    No block is special: each runs the whole chain, ``_e_step``, and only
-    then is convergence checked, so the converging pass computes one
-    responsibility half-chain per block that it does not use (about
-    5.5 us at n = 1000 and 2.5 ms over the 16 blocks at n = 1e6).  A fit
-    of several blocks adds the blocks' sums exactly rounded
-    (``math.fsum``), to the same total in any order; ``em_fit`` keeps
-    n max(y^2) at or below half the float max, so no sum overflows.
+    At n <= ``E_BLOCK`` the rows still iterating share each E-step: 11
+    NumPy calls under ``_row_buffers``, whose sums are row-wise
+    ``np.add.reduce`` sums, the variance sums over the products c y^2 and
+    r y^2 formed in place of [c; r].  Each equals its row's own sum to the
+    bit, so a row's fit does not depend on the rows beside it.  The M-step
+    and the convergence check run per row in ``math``; a row that stops
+    drops out, the rows left are compacted, and the last one runs on its
+    vector with scalar parameters, as a one-row fit does.  A longer fit,
+    one row at a time, runs its E-step over ``_blocks``, equal in-order
+    views on a buffer as wide as the largest, so each block's chain stays
+    in cache, and joins the blocks' sums exactly rounded (``math.fsum``);
+    its variance sums are ``np.einsum`` sums, which release the GIL.  With
+    more than one usable CPU (the affinity set where the OS reports one,
+    else ``os.cpu_count()``), a helper thread, started per fit, runs the
+    first half of the blocks of each E-step on a buffer of its own, under
+    the caller's ``np.errstate``.  No sum uses BLAS or depends on which
+    thread ran a block, so a fit is the same on any thread or CPU count.
 
-    At n <= ``E_BLOCK`` an iteration is 11 NumPy calls on the whole
-    vector, and the variance sums are two ``np.dot`` calls (the same BLAS
-    ``ddot`` as ``@``, with less dispatch).  A fit of several blocks takes
-    every variance sum with ``np.einsum`` instead: it releases the GIL, and
-    no BLAS threads split its vectors, so the fit is the same on any
-    thread or CPU count, while it can differ from one ``ddot`` over all n
-    in the last bits of the variance sums.  When more than one CPU is
-    usable, one helper thread, started per fit and ended with it, runs the
-    first half of the blocks of each E-step on a scratch buffer of its
-    own, under the caller's ``np.errstate``, while the calling thread runs
-    the rest; the exactly rounded totals do not depend on which thread ran
-    a block, so the helper does not change the result.  The usable CPUs
-    are the process's affinity set where the OS reports one, else
-    ``os.cpu_count()``.  Both variance sums are taken directly (c y^2, not
-    sum(y^2) - r y^2), so one huge observation cannot cancel the noise sum
-    to zero.  ``e`` cannot overflow: xi >= 1/n keeps
+    Both variance sums are taken directly (c y^2, not sum(y^2) - r y^2),
+    so one huge observation cannot cancel the noise sum to zero;
+    ``em_fit`` keeps n max(y^2) at or below half the float max, so no sum
+    overflows.  ``e`` cannot overflow: xi >= 1/n keeps
     log((1 - xi)/xi) <= log(n - 1), and log(1 + gamma)/2 < 355 for any
-    finite gamma, so d < 710.  When every noise responsibility underflows
-    to 0 (no observation looks like noise), the noise variance is
-    undefined and DegenerateDataError is raised.
+    finite gamma, so d < 710.  When every noise responsibility of a row
+    underflows to 0 (no observation looks like noise), its noise variance
+    is undefined and DegenerateDataError is raised.
 
     The previous parameters are feasible for both steps, so each step
     cannot lower the expected complete-data log-likelihood and the trace
-    is non-decreasing from any start that meets the constraint.  Stops
-    once the relative log-likelihood change drops below ``tol``.  Returns
-    (sigma_sq, tau_sq, xi, trace, iterations, converged).
+    is non-decreasing from any start that meets the constraint.  A fit
+    stops once its relative log-likelihood change drops below ``tol``.
+    Returns (sigma_sq, tau_sq, xi, trace, iterations, converged), or a
+    list of them for a matrix.
     """
-    n = y_sq.shape[0]
+    if y_sq.ndim == 1:
+        return em_loop(y_sq[None], [sigma_sq], [tau_sq], [xi], tol, max_iter)[0]
+    count, n = y_sq.shape
+    if count > 1 and n > E_BLOCK:  # a long fit shares its E-step between its blocks
+        return [em_loop(*row, tol, max_iter) for row in zip(y_sq, sigma_sq, tau_sq, xi)]
     xi_lo, xi_hi = 1.0 / n, 1.0 - 1.0 / n
-    xi = min(max(xi, xi_lo), xi_hi)
-    y_total = float(y_sq.sum())
-    blocks = _blocks(y_sq)
-    scratch = np.empty((2, max(map(len, blocks))))
-    several = len(blocks) > 1
-    # a helper thread takes the first half of the blocks when another CPU
-    # is usable
-    theirs = []
-    if several:
+    params = [(s, t, min(max(x, xi_lo), xi_hi)) for s, t, x in zip(sigma_sq, tau_sq, xi)]
+    y_total = np.add.reduce(y_sq, axis=-1).tolist()
+    theirs, dot = [], None
+    if n > E_BLOCK:  # one row, in blocks
+        blocks, dot = _blocks(y_sq[0]), _einsum_dot
+        scratch = np.empty((2, max(map(len, blocks))))
+        # a helper thread takes the first half of the blocks when another
+        # CPU is usable
         if hasattr(os, "sched_getaffinity"):
             cpus = len(os.sched_getaffinity(0))
         else:
@@ -236,50 +246,63 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
             # the helper runs in the caller's context, so its blocks obey
             # the caller's np.errstate as the caller's own blocks do
             context = contextvars.copy_context()
-    mine = _on_scratch(blocks[len(theirs) :], scratch)
-    trace = []
-    previous = math.nan  # no earlier pass: the first comparison is false
-    converged = False
-    iterations = 0
-    with (ThreadPoolExecutor(1) if theirs else contextlib.nullcontext()) as helper:
-        while True:
-            v1 = sigma_sq + tau_sq
-            log_odds = math.log1p(-xi) - math.log(xi)
-            scale = -0.5 * (tau_sq / v1) / sigma_sq
-            shift = log_odds + 0.5 * math.log1p(tau_sq / sigma_sq)
-            if several:
+        mine = _on_scratch(blocks[len(theirs) :], scratch)
+    else:
+        scratch = np.empty((2, count, n))
+        chain = (y_sq, scratch, *scratch)
+        mine = _on_scratch(y_sq[:1], scratch[:, 0])
+    traces = [[] for _ in range(count)]
+    fits = [None] * count
+    active = list(range(count))
+    with (ThreadPoolExecutor(1) if theirs else _row_buffers(n)) as helper:
+        while active:
+            current = [params[i] for i in active]
+            scale = [-0.5 * (t / (s + t)) / s for s, t, _ in current]
+            shift = [math.log1p(-x) - math.log(x) + 0.5 * math.log1p(t / s) for s, t, x in current]
+            if len(active) == 1:  # a vector, with no per-row arrays to build
+                (scale,), (shift,) = scale, shift
                 pending = [
-                    helper.submit(context.run, _e_step, *block, scale, shift, _einsum_dot)
+                    helper.submit(context.run, _e_step, *block, scale, shift, dot)
                     for block in theirs
                 ]
-                sums = [_e_step(*block, scale, shift, _einsum_dot) for block in mine]
+                sums = [_e_step(*block, scale, shift, dot) for block in mine]
                 sums += [future.result() for future in pending]
-                log1p_sum, c_sum, r_sum, c_y, r_y = map(math.fsum, zip(*sums))
+                sums = [map(math.fsum, zip(*sums))] if len(sums) > 1 else sums
             else:
-                log1p_sum, c_sum, r_sum, c_y, r_y = _e_step(*mine[0], scale, shift, np.dot)
-            loglik = (
-                n * (math.log(xi) - 0.5 * (_LOG_2PI + math.log(v1)))
-                - 0.5 * y_total / v1
-                + log1p_sum
-            )
-            trace.append(loglik)
-            if abs(loglik - previous) <= tol * max(1.0, abs(loglik)):
-                converged = True
-                break
-            if iterations >= max_iter:
-                break
-            previous = loglik
-            if c_sum == 0.0:
-                raise DegenerateDataError(
-                    "every noise responsibility underflowed: no observation fits the noise component"
+                sums = zip(*_e_step(*chain, np.array(scale)[:, None], np.array(shift)[:, None]))
+            for i, (sigma_sq, tau_sq, xi), row_sums in zip(active, current, sums):
+                log1p_sum, c_sum, r_sum, c_y, r_y = row_sums
+                v1 = sigma_sq + tau_sq
+                log_odds = math.log1p(-xi) - math.log(xi)
+                loglik = (
+                    n * (math.log(xi) - 0.5 * (_LOG_2PI + math.log(v1)))
+                    - 0.5 * y_total[i] / v1
+                    + log1p_sum
                 )
-            sigma_sq = c_y / c_sum
-            tau_sq = r_y / r_sum - sigma_sq
-            gamma = tau_sq / sigma_sq
-            if gamma < TAU_SQ_FLOOR or gamma - math.log1p(gamma) < 2.0 * log_odds:
-                gamma = max(TAU_SQ_FLOOR, slab_floor(xi))
-                sigma_sq = (c_y + r_y / (1.0 + gamma)) / n
-                tau_sq = gamma * sigma_sq
-            xi = min(max(r_sum / n, xi_lo, weight_floor(gamma)), xi_hi)
-            iterations += 1
-    return sigma_sq, tau_sq, xi, np.asarray(trace), iterations, converged
+                trace = traces[i]
+                # no earlier pass: the first comparison is false
+                previous = trace[-1] if trace else math.nan
+                trace.append(loglik)
+                converged = abs(loglik - previous) <= tol * max(1.0, abs(loglik))
+                if converged or len(trace) > max_iter:
+                    fits[i] = (sigma_sq, tau_sq, xi, np.asarray(trace), len(trace) - 1, converged)
+                    continue
+                if c_sum == 0.0:
+                    raise DegenerateDataError(
+                        "every noise responsibility underflowed: no observation fits the noise component"
+                    )
+                sigma_sq = c_y / c_sum
+                tau_sq = r_y / r_sum - sigma_sq
+                gamma = tau_sq / sigma_sq
+                if gamma < TAU_SQ_FLOOR or gamma - math.log1p(gamma) < 2.0 * log_odds:
+                    gamma = max(TAU_SQ_FLOOR, slab_floor(xi))
+                    sigma_sq = (c_y + r_y / (1.0 + gamma)) / n
+                    tau_sq = gamma * sigma_sq
+                params[i] = (sigma_sq, tau_sq, min(max(r_sum / n, xi_lo, weight_floor(gamma)), xi_hi))
+            kept = [p for p, i in enumerate(active) if fits[i] is None]
+            if 0 < len(kept) < len(active):  # rows of one block: a long fit is one row
+                rows = scratch[:, : len(kept)]
+                chain = (chain[0][kept], rows, *rows)
+                mine = _on_scratch(chain[0][:1], rows[:, 0])
+            active = [active[p] for p in kept]
+    return fits

@@ -3,10 +3,11 @@
 Marginally y_i ~ (1 - xi) N(0, sigma^2) + xi N(0, sigma^2 + tau^2); EM
 alternates responsibilities with closed-form variance and weight updates
 in ``_kernels.em_loop``, which keeps the mixture weight inside
-[1/n, 1 - 1/n].  ``em_fit`` squares the data once, after the starting
-point's robust scale, and ``em_loop`` runs each E-step over cache-sized
-blocks, so beside the data a fit holds the squares and one block's
-scratch.
+[1/n, 1 - 1/n].  ``em_fit_rows`` fits the rows of a matrix in one
+``em_loop`` call, and ``em_fit`` is its one-row call.  The data are
+squared once, after the starting point's robust scale; beside the data
+a fit holds the squares and two scratch values per square, or one
+cache-sized block's when the E-step runs in blocks.
 
 The fit is constrained so that the slab stays identifiable as signal.
 Unconstrained, the likelihood has a ridge along which the slab narrows
@@ -55,7 +56,7 @@ from .errors import DegenerateDataError, DomainError, check_between
 from .baselines import _mad_scale, universal_threshold
 from .estimator import GaussianSequence
 
-__all__ = ["EmEstimates", "marginal_loglik", "slab_log_odds", "init_heuristic", "em_fit"]
+__all__ = ["EmEstimates", "marginal_loglik", "slab_log_odds", "init_heuristic", "em_fit", "em_fit_rows"]
 
 
 @dataclass(frozen=True)
@@ -223,34 +224,39 @@ def em_fit(
     or underflow, for an unusable ``init``, for a ``tol`` that is not
     positive (NaN included) and for a ``max_iter`` that is not an integer
     >= 1 (a bool is not), and DegenerateDataError when no observation fits
-    the noise component.
+    the noise component.  It is the one-row call of ``em_fit_rows``.
     """
     y = np.asarray(y, dtype=float)
-    n = y.size
-    if n < 10:
-        raise DomainError(f"EM fitting needs n >= 10, got {n}")
-    _check_magnitudes(y)
-    if (y == y[0]).all():
-        raise DegenerateDataError("constant data cannot identify the mixture")
-    if not tol > 0.0:  # also false for NaN
-        raise DomainError(f"tol must be positive, got {tol!r}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
-        raise DomainError(f"max_iter must be an integer >= 1, got {max_iter!r}")
-    if init is None:
-        (init,), y_sq = _start(y, _mad_scale(y))
-    else:
-        y_sq = y * y
-    sigma0, tau0, xi0 = (float(v) for v in init)
-    _check_init(sigma0, tau0, xi0)
-    sigma_sq, tau_sq, xi, trace, iterations, converged = em_loop(
-        y_sq, sigma0**2, tau0**2, xi0, tol, max_iter
-    )
-    return EmEstimates(
-        sigma_hat=math.sqrt(sigma_sq),
-        tau_hat=math.sqrt(tau_sq),
-        xi_hat=xi,
-        loglik=float(trace[-1]),
-        iterations=iterations,
-        converged=converged,
-        loglik_trace=trace,
-    )
+    return em_fit_rows(y[None], inits=[init], tol=tol, max_iter=max_iter)[0]
+
+
+def em_fit_rows(y, y_sq=None, inits=None, tol=1e-8, max_iter=500) -> list[EmEstimates]:
+    """``em_fit`` of each row of the matrix ``y`` from its start in ``inits``
+    (None, or a None entry, for ``init_heuristic``) in one ``em_loop``
+    call; ``y_sq`` may give the squares y * y.  Each fit equals ``em_fit``
+    of its row to the bit.  The rows are checked in order before any is
+    fitted, so a row that fails a check raises as in ``em_fit``."""
+    y = np.asarray(y, dtype=float)
+    starts = []
+    for row, init in zip(y, [None] * len(y) if inits is None else inits):
+        if row.size < 10:
+            raise DomainError(f"EM fitting needs n >= 10, got {row.size}")
+        _check_magnitudes(row)
+        if (row == row[0]).all():
+            raise DegenerateDataError("constant data cannot identify the mixture")
+        if not tol > 0.0:  # also false for NaN
+            raise DomainError(f"tol must be positive, got {tol!r}")
+        if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+            raise DomainError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+        if init is None:
+            (init,), row_sq = _start(row, _mad_scale(row))
+            if len(y) == 1 and y_sq is None:  # em_fit squares its row once
+                y_sq = row_sq[None]
+        sigma0, tau0, xi0 = (float(v) for v in init)
+        _check_init(sigma0, tau0, xi0)
+        starts.append((sigma0**2, tau0**2, xi0))
+    fits = em_loop(y * y if y_sq is None else y_sq, *zip(*starts), tol, max_iter)
+    return [
+        EmEstimates(math.sqrt(sigma_sq), math.sqrt(tau_sq), xi, float(trace[-1]), iterations, converged, trace)
+        for sigma_sq, tau_sq, xi, trace, iterations, converged in fits
+    ]

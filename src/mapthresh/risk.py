@@ -24,7 +24,7 @@ from the sum of the squares left out.  Both give the same errors to the
 bit on the tested inputs.  Rows are taken
 in blocks of at most ``BLOCK_VALUES`` values, one row at a time once n
 exceeds it, so memory stays bounded for any n.  Each block is fitted,
-then scored.  Under EM each row is fitted by its own ``em_fit`` call;
+then scored.  Under EM a block's rows are fitted by one ``em_fit_rows`` call;
 without EM every row shares the cell's hyperparameters, so each prior's
 penalties are built once per cell.  Scoring receives those fits and
 fits nothing itself: the universal rule takes the robust scale of the
@@ -46,7 +46,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .baselines import _mad_scale, universal_threshold
-from .em import _start, em_fit
+from .em import _start, em_fit_rows
 from .errors import (
     ConfigurationError,
     DegenerateDataError,
@@ -368,12 +368,12 @@ def _run_cell(args) -> tuple[int, dict[str, np.ndarray], int, int]:
                 try:
                     scale = _mad_scale(y)
                 except (DegenerateDataError, DomainError):
-                    # without a scale for every row, each row's fit raises as it would alone
-                    inits = [None] * len(y)
+                    # without a scale for every row, the first bad row raises as it would alone
+                    inits = None
                 else:
                     # the block's squares, summed for the starts, are scored below
                     inits, y_sq = _start(y, scale)
-                row_fits = [em_fit(y_r, init=init) for y_r, init in zip(y, inits)]
+                row_fits = em_fit_rows(y, y_sq, inits)
                 nonconverged += sum(not fit.converged for fit in row_fits)
                 fits = _Fits.of(config, [(HyperParams(f.sigma_hat, f.tau_hat), f.xi_hat) for f in row_fits])
                 flat += sum(fits.flat)

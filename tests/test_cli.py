@@ -515,10 +515,10 @@ def test_simulate_reports_unconverged_fits_on_stderr(capsys, tmp_path, monkeypat
     rc, clean_out, clean_err = run(capsys, "simulate", "--config", cfg)
     assert rc == 0 and clean_err == ""
 
-    def unconverged_fit(y, init=None):
-        return dataclasses.replace(em_fit(y, init=init), converged=False)
+    def unconverged_fits(y, y_sq, inits):
+        return [dataclasses.replace(fit, converged=False) for fit in em_module.em_fit_rows(y, y_sq, inits)]
 
-    monkeypatch.setattr(risk, "em_fit", unconverged_fit)
+    monkeypatch.setattr(risk, "em_fit_rows", unconverged_fits)
     rc, out, err = run(capsys, "simulate", "--config", cfg)
     assert rc == 0
     assert out == clean_out

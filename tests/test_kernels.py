@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mapthresh.baselines
 import mapthresh.em
 import mapthresh.estimator
 import mapthresh._kernels
@@ -98,8 +99,10 @@ def test_fused_em_matches_reference(name):
 
 def previous_em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
     """``_kernels.em_loop`` as it was before its E-step shared one (2, n)
-    buffer and then ran in blocks, kept verbatim: the bit-for-bit reference
-    for one block, n <= E_BLOCK."""
+    buffer and then ran in blocks, kept verbatim but for its variance sums,
+    which it takes as the kernel does, as ``np.add.reduce`` of the products
+    rather than with ``@`` (BLAS ``ddot``): the bit-for-bit reference for
+    one block, n <= E_BLOCK."""
     n = y_sq.shape[0]
     xi_lo, xi_hi = 1.0 / n, 1.0 - 1.0 / n
     xi = min(max(xi, xi_lo), xi_hi)
@@ -130,14 +133,14 @@ def previous_em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
         np.add(e, 1.0, out=w)
         np.reciprocal(w, out=w)
         r_sum = float(w.sum())
-        r_y = float(w @ y_sq)
+        r_y = float(np.add.reduce(w * y_sq))
         e *= w
         c_sum = float(e.sum())
         if c_sum == 0.0:
             raise DegenerateDataError(
                 "every noise responsibility underflowed: no observation fits the noise component"
             )
-        c_y = float(e @ y_sq)
+        c_y = float(np.add.reduce(e * y_sq))
         sigma_sq = c_y / c_sum
         tau_sq = r_y / r_sum - sigma_sq
         gamma = tau_sq / sigma_sq
@@ -197,6 +200,38 @@ def test_em_loop_bit_identity_at_an_iteration_cutoff():
     assert got[4:] == (3, False)
 
 
+def assert_same_fits(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.sigma_hat, a.tau_hat, a.xi_hat, a.loglik, a.iterations, a.converged) == (
+            b.sigma_hat, b.tau_hat, b.xi_hat, b.loglik, b.iterations, b.converged
+        )
+        assert a.loglik_trace.tobytes() == b.loglik_trace.tobytes()
+
+
+@pytest.mark.parametrize("n", [10, 1000, 8193, 20_000, E_BLOCK])
+def test_each_row_of_a_block_fit_is_its_one_row_fit_to_the_bit(n):
+    y = np.stack([mixture(n, xi, 4.0, 40 + i) for i, xi in enumerate((0.3, 0.05, 0.01))])
+    if n == 1000:
+        y[1] = sparse_weak_replication()
+    inits, y_sq = mapthresh.em._start(y, mapthresh.baselines._mad_scale(y))
+    fits = mapthresh.em.em_fit_rows(y, y_sq, inits)
+    assert_same_fits(fits, [mapthresh.em_fit(row, init=init) for row, init in zip(y, inits)])
+    assert_same_fits(mapthresh.em.em_fit_rows(y), fits)
+    iterations = sorted(fit.iterations for fit in fits)
+    assert iterations[0] < iterations[-1]  # rows drop out at different passes
+    if n == 1000:  # the sparse, weak row ends on the identifiability bound
+        gamma = (fits[1].tau_hat / fits[1].sigma_hat) ** 2
+        assert fits[1].converged and gamma == pytest.approx(slab_floor(fits[1].xi_hat), rel=1e-4)
+    # the slowest row is cut at max_iter while the others converge
+    max_iter = iterations[-1] - 1
+    cut = mapthresh.em.em_fit_rows(y, y_sq, inits, max_iter=max_iter)
+    assert sorted(fit.converged for fit in cut) == [False, True, True]
+    assert_same_fits(
+        cut, [mapthresh.em_fit(row, init=init, max_iter=max_iter) for row, init in zip(y, inits)]
+    )
+
+
 @pytest.mark.parametrize(
     "n", [1, 7, 8, 9, 128, 129, E_BLOCK, E_BLOCK + 1, 2 * E_BLOCK + 3, 1_000_003]
 )
@@ -244,11 +279,7 @@ print(repr((fit.sigma_hat, fit.tau_hat, fit.xi_hat, fit.loglik_trace.tolist())))
 """
 
 
-def test_a_fit_of_several_blocks_is_the_same_on_any_thread_count(tmp_path):
-    # the parent kernel's np.dot split these sums across BLAS threads, so
-    # its fit here moved in the last bits with OPENBLAS_NUM_THREADS=1
-    y = mixture(200_003, 0.05, 4.0, 35)
-    assert len(_kernels._blocks(y)) == 4
+def assert_same_fit_on_any_thread_count(y, tmp_path):
     data = tmp_path / "y.npy"
     np.save(data, y)
     env = dict(os.environ, PYTHONPATH=str(Path(mapthresh.__file__).parents[1]))
@@ -266,6 +297,22 @@ def test_a_fit_of_several_blocks_is_the_same_on_any_thread_count(tmp_path):
     assert fits[0].strip() == repr(
         (fit.sigma_hat, fit.tau_hat, fit.xi_hat, fit.loglik_trace.tolist())
     )
+
+
+def test_a_fit_of_several_blocks_is_the_same_on_any_thread_count(tmp_path):
+    # the parent kernel's np.dot split these sums across BLAS threads, so
+    # its fit here moved in the last bits with OPENBLAS_NUM_THREADS=1
+    y = mixture(200_003, 0.05, 4.0, 35)
+    assert len(_kernels._blocks(y)) == 4
+    assert_same_fit_on_any_thread_count(y, tmp_path)
+
+
+def test_a_fit_of_one_long_block_is_the_same_on_any_thread_count(tmp_path):
+    # above 10,000 values BLAS ddot splits a sum across threads; one-block
+    # variance sums are NumPy's own row-wise sums, which no thread splits
+    y = BIT_CASES["n50001"]
+    assert len(_kernels._blocks(y)) == 1
+    assert_same_fit_on_any_thread_count(y, tmp_path)
 
 
 def test_em_loop_over_several_blocks_raises_as_the_previous_kernel_and_ends_its_thread():

@@ -618,13 +618,32 @@ def test_unconverged_fits_are_counted_not_written(monkeypatch):
     baseline = small_report()
     assert baseline.em_nonconverged == {(xi, tau): 0 for xi in (0.05, 0.3) for tau in (3.0, 5.0)}
 
-    def unconverged_fit(y, init=None):
-        return dataclasses.replace(em_fit(y, init=init), converged=False)
+    def unconverged_fits(y, y_sq, inits):
+        return [dataclasses.replace(fit, converged=False) for fit in em_module.em_fit_rows(y, y_sq, inits)]
 
-    monkeypatch.setattr(risk, "em_fit", unconverged_fit)
+    monkeypatch.setattr(risk, "em_fit_rows", unconverged_fits)
     report = small_report()
     assert report.em_nonconverged == {cell: 4 for cell in baseline.em_nonconverged}
     assert report_bytes(report) == report_bytes(baseline)
+
+
+def test_every_em_fit_of_the_table1_grid_has_a_non_decreasing_trace(monkeypatch):
+    # the benchmark's check pass records fits through em.em_fit, which the
+    # grid no longer calls; the rule is its TRACE_SLACK one
+    fits = []
+    original = risk.em_fit_rows
+
+    def recording(*args):
+        made = original(*args)
+        fits.extend(made)
+        return made
+
+    monkeypatch.setattr(risk, "em_fit_rows", recording)
+    config = bundled_config(use_em=True)
+    monte_carlo_amse(config)
+    assert len(fits) == len(config.xi_grid) * len(config.tau_grid) * config.replications
+    for fit in fits:
+        assert np.all(np.diff(fit.loglik_trace) >= -1e-10)
 
 
 def test_flat_reflected_priors_are_counted_not_warned(monkeypatch):
