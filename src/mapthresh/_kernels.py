@@ -3,17 +3,12 @@
 ``penalized_scan`` is a reversed cumulative sum and one ``argmin`` per
 penalty, along the last axis, so one call scans every row of a matrix
 under every stacked penalty.
-``em_loop`` makes one fused pass over the data per EM iteration: every
-E-step quantity comes from a single vector of per-observation odds, held
-with its scratch vector in one two-row buffer allocated once per call.
-Fits of at most ``E_BLOCK`` values run as the rows of one matrix, 11
-NumPy calls a pass over all the rows still iterating, whose row-wise
-sums equal each row's own sums to the bit; the M-step and convergence
-check stay per row, in ``math``.  A longer fit runs in equal cache-sized
-blocks, half of them on a helper thread where more than one CPU is
-usable, joined exactly rounded (``math.fsum``).  No sum uses BLAS, so no
-fit depends on the thread count.  It keeps the mixture weight in
-[1/n, 1 - 1/n] and the variance ratio at or above ``TAU_SQ_FLOOR``.
+``em_loop`` fits the rows of a matrix of squares in one fused pass over
+the data per EM iteration: the same chain of NumPy calls on each
+cache-sized column block, for all the rows still iterating, with the
+M-step per row in ``math``.  No fit depends on the rows beside it or on
+the thread count.  It keeps the mixture weight in [1/n, 1 - 1/n] and the
+variance ratio at or above ``TAU_SQ_FLOOR``.
 """
 
 import contextlib
@@ -33,8 +28,8 @@ TAU_SQ_FLOOR = 1e-8
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# Most squared observations per E-step block: a block and its two scratch
-# rows take 1.5 MB, so they stay in a 2 MB L2 cache through the whole
+# Most squared observations per E-step block: a row's block and its two
+# scratch rows take 1.5 MB, so they stay in a 2 MB L2 cache through the whole
 # fused chain, which passes over long whole vectors cannot.
 E_BLOCK = 2**16
 
@@ -98,11 +93,11 @@ def weight_floor(gamma):
 
 
 def _blocks(values):
-    """The E-step blocks of a vector, in order, as views: ceil(n / ``E_BLOCK``)
-    of them, whose sizes differ by at most one."""
-    n = values.shape[0]
+    """The E-step blocks of the last axis of ``values``, in order, as views:
+    ceil(n / ``E_BLOCK``) of them, whose sizes differ by at most one."""
+    n = values.shape[-1]
     k = max(1, -(-n // E_BLOCK))
-    return [values[i * n // k : (i + 1) * n // k] for i in range(k)]
+    return [values[..., i * n // k : (i + 1) * n // k] for i in range(k)]
 
 
 # The dot product of the E-step blocks of a fit of several blocks: NumPy's
@@ -113,10 +108,10 @@ _einsum_dot = functools.partial(np.einsum, "i,i->")
 
 
 def _e_step(ys, rows, e, w, scale, shift, dot=None):
-    """``em_loop``'s E-step chain on a block of squares ``ys`` (a row or
-    rows) in ``rows`` = [e; w] of a scratch buffer: the odds into ``e`` and
-    log1p(e) into ``w``, then [c; r], and each row's sums of log1p(e), c,
-    r, c y^2 and r y^2, the last two by ``dot`` if given."""
+    """``em_loop``'s E-step chain on ``ys``, a block of squares a row a fit,
+    in ``rows`` = [e; w] at (R, 1) columns ``scale`` and ``shift``: the odds
+    into ``e`` and log1p(e) into ``w``, then [c; r], and each row's sums of
+    log1p(e), c, r, c y^2 and r y^2, the last two by ``dot`` if given."""
     np.multiply(ys, scale, out=e)
     e += shift
     np.exp(e, out=e)
@@ -127,22 +122,30 @@ def _e_step(ys, rows, e, w, scale, shift, dot=None):
     e *= w
     c_sum, r_sum = np.add.reduce(rows, -1).tolist()
     if dot is not None:
-        return log1p_sum, c_sum, r_sum, dot(e, ys), dot(w, ys)
+        return log1p_sum, c_sum, r_sum, [*map(dot, e, ys)], [*map(dot, w, ys)]
     e *= ys
     w *= ys
     return (log1p_sum, c_sum, r_sum, *np.add.reduce(rows, -1).tolist())
 
 
-def _on_scratch(blocks, scratch):
-    """Each block with its first columns of the two-row ``scratch``, as
-    ``_e_step``'s leading arguments (ys, rows, e, w), built once per fit:
-    slicing and unpacking the views anew on every pass would cost about
-    1 us, as much as a NumPy call."""
+def _chains(y_sq, scratch, helper_scratch):
+    """The helper's and the caller's ``_e_step`` leading arguments (ys,
+    rows, e, w) for the blocks of the rows ``y_sq``: the first half on
+    ``helper_scratch`` if given, the rest on ``scratch``.  Slicing the views
+    on every pass would cost about 1 us, as much as a NumPy call."""
+    blocks = _blocks(y_sq)
+    half = 0 if helper_scratch is None else len(blocks) // 2
     chains = []
-    for ys in blocks:
-        rows = scratch[:, : ys.size]
+    for k, ys in enumerate(blocks):
+        rows = (scratch if k >= half else helper_scratch)[:, : len(ys), : ys.shape[-1]]
         chains.append((ys, rows, *rows))
-    return chains
+    return chains[:half], chains[half:]
+
+
+def _odds_line(sigma_sq, tau_sq, xi):
+    """The scale and shift of the noise log-odds d = scale y^2 + shift."""
+    scale = -0.5 * (tau_sq / (sigma_sq + tau_sq)) / sigma_sq
+    return scale, math.log1p(-xi) - math.log(xi) + 0.5 * math.log1p(tau_sq / sigma_sq)
 
 
 @contextlib.contextmanager
@@ -184,24 +187,22 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
     The log-likelihood is the wide component's term, whose sum over i is
     closed form, plus sum(log1p(e)); the wide responsibility is
     r = 1/(1 + e) and the noise one c = e r.  ``e`` and the scratch vector
-    are the two rows of one buffer, which ends the chain (``_e_step``) as
-    [c; r].  Every pass runs the whole chain, then checks convergence.
+    are the two planes of one buffer, which ends the chain (``_e_step``)
+    as [c; r].  Every pass runs the whole chain, then checks convergence.
 
-    At n <= ``E_BLOCK`` the rows still iterating share each E-step: 11
-    NumPy calls under ``_row_buffers``, whose sums are row-wise
-    ``np.add.reduce`` sums, the variance sums over the products c y^2 and
-    r y^2 formed in place of [c; r].  Each equals its row's own sum to the
-    bit, so a row's fit does not depend on the rows beside it.  The M-step
-    and the convergence check run per row in ``math``; a row that stops
-    drops out, the rows left are compacted, and the last one runs on its
-    vector with scalar parameters, as a one-row fit does.  A longer fit,
-    one row at a time, runs its E-step over ``_blocks``, equal in-order
-    views on a buffer as wide as the largest, so each block's chain stays
-    in cache, and joins the blocks' sums exactly rounded (``math.fsum``);
-    its variance sums are ``np.einsum`` sums, which release the GIL.  With
-    more than one usable CPU (the affinity set where the OS reports one,
-    else ``os.cpu_count()``), a helper thread, started per fit, runs the
-    first half of the blocks of each E-step on a buffer of its own, under
+    Every fit runs one way: ``_blocks`` cuts the rows into ceil(n /
+    ``E_BLOCK``) equal column views, so a row's chain stays in cache, and
+    each pass runs ``_e_step`` once per block on all the rows still
+    iterating, at (R, 1) scale and shift columns that each M-step rewrites.
+    A pass where a row stops compacts the rows left.  The sums are
+    row-wise ``np.add.reduce`` sums, equal to each row's own to the bit,
+    so no fit depends on the rows beside it; so are the variance sums of
+    a one-block fit, over c y^2 and r y^2 formed in place of [c; r].  A
+    fit of several blocks takes those per row by ``np.einsum``, which
+    releases the GIL, joins each row's block sums exactly rounded
+    (``math.fsum``) and runs the first half of the blocks on a helper
+    thread when more than one CPU is usable (the affinity set where the OS
+    reports one, else ``os.cpu_count()``), on a buffer of its own, under
     the caller's ``np.errstate``.  No sum uses BLAS or depends on which
     thread ran a block, so a fit is the same on any thread or CPU count.
 
@@ -224,15 +225,15 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
     if y_sq.ndim == 1:
         return em_loop(y_sq[None], [sigma_sq], [tau_sq], [xi], tol, max_iter)[0]
     count, n = y_sq.shape
-    if count > 1 and n > E_BLOCK:  # a long fit shares its E-step between its blocks
-        return [em_loop(*row, tol, max_iter) for row in zip(y_sq, sigma_sq, tau_sq, xi)]
     xi_lo, xi_hi = 1.0 / n, 1.0 - 1.0 / n
     params = [(s, t, min(max(x, xi_lo), xi_hi)) for s, t, x in zip(sigma_sq, tau_sq, xi)]
+    coefs = np.array([_odds_line(*row) for row in params]).T[..., None]
+    scale, shift = coefs
     y_total = np.add.reduce(y_sq, axis=-1).tolist()
-    theirs, dot = [], None
-    if n > E_BLOCK:  # one row, in blocks
-        blocks, dot = _blocks(y_sq[0]), _einsum_dot
-        scratch = np.empty((2, max(map(len, blocks))))
+    blocks = _blocks(y_sq)
+    scratch = np.empty((2, count, max(ys.shape[-1] for ys in blocks)))
+    helper_scratch, dot = None, (_einsum_dot if len(blocks) > 1 else None)
+    if dot is not None:
         # a helper thread takes the first half of the blocks when another
         # CPU is usable
         if hasattr(os, "sched_getaffinity"):
@@ -242,36 +243,26 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
         if cpus > 1:
             from concurrent.futures import ThreadPoolExecutor
 
-            theirs = _on_scratch(blocks[: len(blocks) // 2], np.empty_like(scratch))
+            helper_scratch = np.empty_like(scratch)
             # the helper runs in the caller's context, so its blocks obey
             # the caller's np.errstate as the caller's own blocks do
             context = contextvars.copy_context()
-        mine = _on_scratch(blocks[len(theirs) :], scratch)
-    else:
-        scratch = np.empty((2, count, n))
-        chain = (y_sq, scratch, *scratch)
-        mine = _on_scratch(y_sq[:1], scratch[:, 0])
+    theirs, mine = _chains(y_sq, scratch, helper_scratch)
     traces = [[] for _ in range(count)]
     fits = [None] * count
     active = list(range(count))
-    with (ThreadPoolExecutor(1) if theirs else _row_buffers(n)) as helper:
-        while active:
-            current = [params[i] for i in active]
-            scale = [-0.5 * (t / (s + t)) / s for s, t, _ in current]
-            shift = [math.log1p(-x) - math.log(x) + 0.5 * math.log1p(t / s) for s, t, x in current]
-            if len(active) == 1:  # a vector, with no per-row arrays to build
-                (scale,), (shift,) = scale, shift
-                pending = [
-                    helper.submit(context.run, _e_step, *block, scale, shift, dot)
-                    for block in theirs
-                ]
-                sums = [_e_step(*block, scale, shift, dot) for block in mine]
+    with (_row_buffers(n) if helper_scratch is None else ThreadPoolExecutor(1)) as helper:
+        while True:
+            if dot is None:  # one block
+                sums = _e_step(*mine[0], scale, shift)
+            else:  # each row's sums, joined over the blocks exactly rounded
+                pending = [helper.submit(context.run, _e_step, *chain, scale, shift, dot) for chain in theirs]
+                sums = [_e_step(*chain, scale, shift, dot) for chain in mine]
                 sums += [future.result() for future in pending]
-                sums = [map(math.fsum, zip(*sums))] if len(sums) > 1 else sums
-            else:
-                sums = zip(*_e_step(*chain, np.array(scale)[:, None], np.array(shift)[:, None]))
-            for i, (sigma_sq, tau_sq, xi), row_sums in zip(active, current, sums):
-                log1p_sum, c_sum, r_sum, c_y, r_y = row_sums
+                sums = [map(math.fsum, zip(*quantity)) for quantity in zip(*sums)]
+            kept = []
+            for p, (i, log1p_sum, c_sum, r_sum, c_y, r_y) in enumerate(zip(active, *sums)):
+                sigma_sq, tau_sq, xi = params[i]
                 v1 = sigma_sq + tau_sq
                 log_odds = math.log1p(-xi) - math.log(xi)
                 loglik = (
@@ -298,11 +289,14 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
                     gamma = max(TAU_SQ_FLOOR, slab_floor(xi))
                     sigma_sq = (c_y + r_y / (1.0 + gamma)) / n
                     tau_sq = gamma * sigma_sq
-                params[i] = (sigma_sq, tau_sq, min(max(r_sum / n, xi_lo, weight_floor(gamma)), xi_hi))
-            kept = [p for p, i in enumerate(active) if fits[i] is None]
-            if 0 < len(kept) < len(active):  # rows of one block: a long fit is one row
-                rows = scratch[:, : len(kept)]
-                chain = (chain[0][kept], rows, *rows)
-                mine = _on_scratch(chain[0][:1], rows[:, 0])
-            active = [active[p] for p in kept]
-    return fits
+                xi = min(max(r_sum / n, xi_lo, weight_floor(gamma)), xi_hi)
+                params[i] = sigma_sq, tau_sq, xi
+                scale[p, 0], shift[p, 0] = _odds_line(sigma_sq, tau_sq, xi)
+                kept.append(p)
+            if len(kept) < len(active):  # compact the rows still iterating
+                if not kept:
+                    return fits
+                active = [active[p] for p in kept]
+                y_sq, coefs = y_sq.take(kept, 0), coefs.take(kept, 1)
+                scale, shift = coefs
+                theirs, mine = _chains(y_sq, scratch, helper_scratch)

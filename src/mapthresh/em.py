@@ -6,8 +6,7 @@ in ``_kernels.em_loop``, which keeps the mixture weight inside
 [1/n, 1 - 1/n].  ``em_fit_rows`` fits the rows of a matrix in one
 ``em_loop`` call, and ``em_fit`` is its one-row call.  The data are
 squared once, after the starting point's robust scale; beside the data
-a fit holds the squares and two scratch values per square, or one
-cache-sized block's when the E-step runs in blocks.
+a fit holds the squares and two scratch rows an E-step block wide.
 
 The fit is constrained so that the slab stays identifiable as signal.
 Unconstrained, the likelihood has a ridge along which the slab narrows
@@ -227,6 +226,8 @@ def em_fit(
     the noise component.  It is the one-row call of ``em_fit_rows``.
     """
     y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise DomainError("y must be a non-empty 1-D vector")
     return em_fit_rows(y[None], inits=[init], tol=tol, max_iter=max_iter)[0]
 
 
@@ -234,9 +235,14 @@ def em_fit_rows(y, y_sq=None, inits=None, tol=1e-8, max_iter=500) -> list[EmEsti
     """``em_fit`` of each row of the matrix ``y`` from its start in ``inits``
     (None, or a None entry, for ``init_heuristic``) in one ``em_loop``
     call; ``y_sq`` may give the squares y * y.  Each fit equals ``em_fit``
-    of its row to the bit.  The rows are checked in order before any is
-    fitted, so a row that fails a check raises as in ``em_fit``."""
+    of its row to the bit.  A ``y`` of no rows or ``inits`` of another length
+    is a DomainError; the rows are checked in order before any is fitted,
+    so a row that fails a check raises as in ``em_fit``."""
     y = np.asarray(y, dtype=float)
+    if y.ndim != 2 or not len(y):
+        raise DomainError(f"y must be a matrix of at least one row, got shape {y.shape}")
+    if inits is not None and len(inits) != len(y):
+        raise DomainError(f"inits must hold one start a row: {len(inits)} for {len(y)} rows")
     starts = []
     for row, init in zip(y, [None] * len(y) if inits is None else inits):
         if row.size < 10:

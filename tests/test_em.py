@@ -263,6 +263,20 @@ def test_fit_validation():
 
 
 @pytest.mark.parametrize(
+    "rows, inits, match",
+    [
+        (np.empty((0, 100)), None, "at least one row"),  # was a TypeError from em_loop
+        (np.linspace(-3.0, 3.0, 100), None, "matrix"),  # was "needs n >= 10, got 1"
+        (np.tile(np.linspace(-3.0, 3.0, 100), (3, 1)), [None, None], "one start a row"),  # was an IndexError
+    ],
+    ids=["no-rows", "vector", "short-inits"],
+)
+def test_unusable_rows_are_a_domain_error(rows, inits, match):
+    with pytest.raises(DomainError, match=match):
+        em.em_fit_rows(rows, inits=inits)
+
+
+@pytest.mark.parametrize(
     "budget",
     [
         {"tol": math.nan},

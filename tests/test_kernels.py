@@ -209,7 +209,7 @@ def assert_same_fits(got, want):
         assert a.loglik_trace.tobytes() == b.loglik_trace.tobytes()
 
 
-@pytest.mark.parametrize("n", [10, 1000, 8193, 20_000, E_BLOCK])
+@pytest.mark.parametrize("n", [10, 1000, 8193, 20_000, E_BLOCK, 2 * E_BLOCK + 3])
 def test_each_row_of_a_block_fit_is_its_one_row_fit_to_the_bit(n):
     y = np.stack([mixture(n, xi, 4.0, 40 + i) for i, xi in enumerate((0.3, 0.05, 0.01))])
     if n == 1000:

@@ -76,3 +76,15 @@ def test_the_committed_record_holds_every_listed_run():
     assert len([name for name in runs if name.startswith("penalty/")]) == 8
     assert len([name for name in runs if name.startswith("estimate/")]) == 6
     assert set(committed["environment"]) == {"python", "numpy", "simd_baseline", "simd_dispatch"}
+
+
+def test_compare_mode_exits_1_when_a_value_moved(tmp_path, monkeypatch):
+    old = record(a={"x": (1.0).hex()})
+    (tmp_path / "old.json").write_text(json.dumps(old))
+    argv = ["--out", str(tmp_path / "new.json"), "--compare", str(tmp_path / "old.json")]
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main puts --src on the path
+    for new, code in ((old, 0), (record(a={"x": (1.5).hex()}), 1)):
+        monkeypatch.setattr(outputs, "record", lambda: new)
+        assert outputs.main(argv) == code
+        assert json.loads((tmp_path / "new.json").read_text()) == new
+    assert outputs.main(["--out", str(tmp_path / "new.json")]) == 0

@@ -33,10 +33,10 @@ record also names the Python and NumPy versions and the SIMD dispatch: EM
 parameters differ in their last bits between AVX-512 and SSE-only
 dispatch, so compare only records written under the same one.
 ``--compare OLD`` prints each value that moved, old and new, then the
-largest relative move per run, or "identical" when nothing moved.  The
-package is imported from ``--src`` (default: this tree's ``src``), so the
-same script records an older tree.  A run takes about 7 s on a 2-vCPU
-Xeon.
+largest relative move per run, or "identical" when nothing moved; it
+exits 1 when any value moved.  The package is imported from ``--src``
+(default: this tree's ``src``), so the same script records an older
+tree.  A run takes about 7 s on a 2-vCPU Xeon.
 """
 
 from __future__ import annotations
@@ -296,9 +296,7 @@ def main(argv=None) -> int:
     new = record()
     Path(args.out).write_text(json.dumps(new, indent=1) + "\n")
     print(f"wrote {args.out}")
-    if old is not None:
-        compare(old, new)
-    return 0
+    return 0 if old is None or compare(old, new) else 1
 
 
 if __name__ == "__main__":
