@@ -6,14 +6,15 @@ under every stacked penalty.
 ``em_loop`` fits the rows of a matrix of squares in one fused pass over
 the data per EM iteration: the same chain of NumPy calls on each
 cache-sized column block, for all the rows still iterating, with the
-M-step per row in ``math``.  No fit depends on the rows beside it or on
-the thread count.  It keeps the mixture weight in [1/n, 1 - 1/n] and the
-variance ratio at or above ``TAU_SQ_FLOOR``.
+M-step per row in ``math``.  Every E-step sum is a row-wise
+``np.add.reduce`` over a block, and a fit of several blocks joins its
+block sums exactly rounded, so no fit depends on the rows beside it or
+on the thread count.  It keeps the mixture weight in [1/n, 1 - 1/n] and
+the variance ratio at or above ``TAU_SQ_FLOOR``.
 """
 
 import contextlib
 import contextvars
-import functools
 import math
 import os
 
@@ -100,18 +101,12 @@ def _blocks(values):
     return [values[..., i * n // k : (i + 1) * n // k] for i in range(k)]
 
 
-# The dot product of the E-step blocks of a fit of several blocks: NumPy's
-# own sum of products, which releases the GIL and gives the same bits on
-# any thread count, where ``np.dot`` calls BLAS ``ddot``, which splits
-# vectors of more than 10,000 values across BLAS threads.
-_einsum_dot = functools.partial(np.einsum, "i,i->")
-
-
-def _e_step(ys, rows, e, w, scale, shift, dot=None):
+def _e_step(ys, rows, e, w, scale, shift):
     """``em_loop``'s E-step chain on ``ys``, a block of squares a row a fit,
     in ``rows`` = [e; w] at (R, 1) columns ``scale`` and ``shift``: the odds
-    into ``e`` and log1p(e) into ``w``, then [c; r], and each row's sums of
-    log1p(e), c, r, c y^2 and r y^2, the last two by ``dot`` if given."""
+    into ``e`` and log1p(e) into ``w``, then [c; r], then [c y^2; r y^2] in
+    place, and each row's ``np.add.reduce`` sums of log1p(e), c, r, c y^2
+    and r y^2."""
     np.multiply(ys, scale, out=e)
     e += shift
     np.exp(e, out=e)
@@ -121,8 +116,6 @@ def _e_step(ys, rows, e, w, scale, shift, dot=None):
     np.reciprocal(w, out=w)
     e *= w
     c_sum, r_sum = np.add.reduce(rows, -1).tolist()
-    if dot is not None:
-        return log1p_sum, c_sum, r_sum, [*map(dot, e, ys)], [*map(dot, w, ys)]
     e *= ys
     w *= ys
     return (log1p_sum, c_sum, r_sum, *np.add.reduce(rows, -1).tolist())
@@ -152,7 +145,9 @@ def _odds_line(sigma_sq, tau_sq, xi):
 def _row_buffers(n):
     """Ufunc buffers of at most one row of n values, which need no copy of a
     broadcast column (8 against 19 us for ``ys * scale + shift`` on 10 rows
-    of 1000).  No result depends on the buffer size."""
+    of 1000).  It never raises the buffer, so at NumPy's default of 8,192
+    values a longer row leaves it as it is.  No result depends on the
+    buffer size."""
     size = np.setbufsize(min(np.getbufsize(), 16 * -(-n // 16)))
     try:
         yield
@@ -194,17 +189,16 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
     ``E_BLOCK``) equal column views, so a row's chain stays in cache, and
     each pass runs ``_e_step`` once per block on all the rows still
     iterating, at (R, 1) scale and shift columns that each M-step rewrites.
-    A pass where a row stops compacts the rows left.  The sums are
-    row-wise ``np.add.reduce`` sums, equal to each row's own to the bit,
-    so no fit depends on the rows beside it; so are the variance sums of
-    a one-block fit, over c y^2 and r y^2 formed in place of [c; r].  A
-    fit of several blocks takes those per row by ``np.einsum``, which
-    releases the GIL, joins each row's block sums exactly rounded
-    (``math.fsum``) and runs the first half of the blocks on a helper
-    thread when more than one CPU is usable (the affinity set where the OS
-    reports one, else ``os.cpu_count()``), on a buffer of its own, under
-    the caller's ``np.errstate``.  No sum uses BLAS or depends on which
-    thread ran a block, so a fit is the same on any thread or CPU count.
+    A pass where a row stops compacts the rows left.  Every sum, the
+    variance sums over c y^2 and r y^2 formed in place of [c; r] included,
+    is a row-wise ``np.add.reduce`` sum, equal to each row's own to the
+    bit, so no fit depends on the rows beside it.  A fit of several blocks
+    joins each row's block sums exactly rounded (``math.fsum``) and runs
+    the first half of the blocks on a helper thread when more than one CPU
+    is usable (the affinity set where the OS reports one, else
+    ``os.cpu_count()``), on a buffer of its own, under the caller's
+    ``np.errstate``.  No sum uses BLAS or depends on which thread ran a
+    block, so a fit is the same on any thread or CPU count.
 
     Both variance sums are taken directly (c y^2, not sum(y^2) - r y^2),
     so one huge observation cannot cancel the noise sum to zero;
@@ -232,8 +226,8 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
     y_total = np.add.reduce(y_sq, axis=-1).tolist()
     blocks = _blocks(y_sq)
     scratch = np.empty((2, count, max(ys.shape[-1] for ys in blocks)))
-    helper_scratch, dot = None, (_einsum_dot if len(blocks) > 1 else None)
-    if dot is not None:
+    helper_scratch, helper = None, contextlib.nullcontext()
+    if len(blocks) > 1:
         # a helper thread takes the first half of the blocks when another
         # CPU is usable
         if hasattr(os, "sched_getaffinity"):
@@ -243,7 +237,7 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
         if cpus > 1:
             from concurrent.futures import ThreadPoolExecutor
 
-            helper_scratch = np.empty_like(scratch)
+            helper_scratch, helper = np.empty_like(scratch), ThreadPoolExecutor(1)
             # the helper runs in the caller's context, so its blocks obey
             # the caller's np.errstate as the caller's own blocks do
             context = contextvars.copy_context()
@@ -251,15 +245,13 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
     traces = [[] for _ in range(count)]
     fits = [None] * count
     active = list(range(count))
-    with (_row_buffers(n) if helper_scratch is None else ThreadPoolExecutor(1)) as helper:
+    with _row_buffers(n), helper:
         while True:
-            if dot is None:  # one block
-                sums = _e_step(*mine[0], scale, shift)
-            else:  # each row's sums, joined over the blocks exactly rounded
-                pending = [helper.submit(context.run, _e_step, *chain, scale, shift, dot) for chain in theirs]
-                sums = [_e_step(*chain, scale, shift, dot) for chain in mine]
-                sums += [future.result() for future in pending]
-                sums = [map(math.fsum, zip(*quantity)) for quantity in zip(*sums)]
+            pending = [helper.submit(context.run, _e_step, *chain, scale, shift) for chain in theirs]
+            sums = [_e_step(*chain, scale, shift) for chain in mine]
+            sums += [future.result() for future in pending]
+            # each row's sums, joined over the blocks exactly rounded
+            sums = sums[0] if len(sums) == 1 else [map(math.fsum, zip(*quantity)) for quantity in zip(*sums)]
             kept = []
             for p, (i, log1p_sum, c_sum, r_sum, c_y, r_y) in enumerate(zip(active, *sums)):
                 sigma_sq, tau_sq, xi = params[i]

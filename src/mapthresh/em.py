@@ -235,14 +235,21 @@ def em_fit_rows(y, y_sq=None, inits=None, tol=1e-8, max_iter=500) -> list[EmEsti
     """``em_fit`` of each row of the matrix ``y`` from its start in ``inits``
     (None, or a None entry, for ``init_heuristic``) in one ``em_loop``
     call; ``y_sq`` may give the squares y * y.  Each fit equals ``em_fit``
-    of its row to the bit.  A ``y`` of no rows or ``inits`` of another length
-    is a DomainError; the rows are checked in order before any is fitted,
+    of its row to the bit.  A ``y`` of no rows, a ``y_sq`` of another shape,
+    ``inits`` of another length and an unusable ``tol`` or ``max_iter`` are
+    a DomainError; then the rows are checked in order before any is fitted,
     so a row that fails a check raises as in ``em_fit``."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 2 or not len(y):
         raise DomainError(f"y must be a matrix of at least one row, got shape {y.shape}")
     if inits is not None and len(inits) != len(y):
         raise DomainError(f"inits must hold one start a row: {len(inits)} for {len(y)} rows")
+    if y_sq is not None and np.shape(y_sq) != y.shape:
+        raise DomainError(f"y_sq must have the shape of y, {y.shape}, got {np.shape(y_sq)}")
+    if not tol > 0.0:  # also false for NaN
+        raise DomainError(f"tol must be positive, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+        raise DomainError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     starts = []
     for row, init in zip(y, [None] * len(y) if inits is None else inits):
         if row.size < 10:
@@ -250,10 +257,6 @@ def em_fit_rows(y, y_sq=None, inits=None, tol=1e-8, max_iter=500) -> list[EmEsti
         _check_magnitudes(row)
         if (row == row[0]).all():
             raise DegenerateDataError("constant data cannot identify the mixture")
-        if not tol > 0.0:  # also false for NaN
-            raise DomainError(f"tol must be positive, got {tol!r}")
-        if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
-            raise DomainError(f"max_iter must be an integer >= 1, got {max_iter!r}")
         if init is None:
             (init,), row_sq = _start(row, _mad_scale(row))
             if len(y) == 1 and y_sq is None:  # em_fit squares its row once

@@ -263,17 +263,27 @@ def test_fit_validation():
 
 
 @pytest.mark.parametrize(
-    "rows, inits, match",
+    "rows, inits, y_sq, match",
     [
-        (np.empty((0, 100)), None, "at least one row"),  # was a TypeError from em_loop
-        (np.linspace(-3.0, 3.0, 100), None, "matrix"),  # was "needs n >= 10, got 1"
-        (np.tile(np.linspace(-3.0, 3.0, 100), (3, 1)), [None, None], "one start a row"),  # was an IndexError
+        (np.empty((0, 100)), None, None, "at least one row"),  # was a TypeError from em_loop
+        (np.linspace(-3.0, 3.0, 100), None, None, "matrix"),  # was "needs n >= 10, got 1"
+        (np.tile(np.linspace(-3.0, 3.0, 100), (3, 1)), [None, None], None, "one start a row"),  # was an IndexError
+        # was two fits of 50 constant squares
+        (np.tile(np.linspace(-3.0, 3.0, 100), (2, 1)), [(1.0, 2.0, 0.1)] * 2, np.ones((2, 50)), "shape"),
     ],
-    ids=["no-rows", "vector", "short-inits"],
+    ids=["no-rows", "vector", "short-inits", "y-sq-shape"],
 )
-def test_unusable_rows_are_a_domain_error(rows, inits, match):
+def test_unusable_rows_are_a_domain_error(rows, inits, y_sq, match):
     with pytest.raises(DomainError, match=match):
-        em.em_fit_rows(rows, inits=inits)
+        em.em_fit_rows(rows, y_sq, inits)
+
+
+@pytest.mark.parametrize("budget", [{"tol": 0.0}, {"max_iter": 0}], ids=["tol", "max-iter"])
+def test_the_iteration_budget_is_checked_before_the_rows(budget):
+    # a constant row and a row too short to fit: the budget's error comes first
+    for rows in (np.ones((2, 100)), np.linspace(-3.0, 3.0, 5)[None]):
+        with pytest.raises(DomainError, match=next(iter(budget))):
+            em.em_fit_rows(rows, **budget)
 
 
 @pytest.mark.parametrize(

@@ -97,12 +97,23 @@ def test_fused_em_matches_reference(name):
     )
 
 
-def previous_em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
+def one_sum(values):
+    return float(np.add.reduce(values))
+
+
+def blocked_sum(values):
+    """A sum as ``em_loop`` takes it over several blocks: one
+    ``np.add.reduce`` per ``_kernels._blocks`` block, joined by ``math.fsum``."""
+    return math.fsum(np.add.reduce(block) for block in _kernels._blocks(values))
+
+
+def previous_em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter, total=one_sum):
     """``_kernels.em_loop`` as it was before its E-step shared one (2, n)
     buffer and then ran in blocks, kept verbatim but for its variance sums,
     which it takes as the kernel does, as ``np.add.reduce`` of the products
     rather than with ``@`` (BLAS ``ddot``): the bit-for-bit reference for
-    one block, n <= E_BLOCK."""
+    one block, n <= E_BLOCK.  Each E-step sum is ``total``; with
+    ``blocked_sum`` it is the bit-for-bit reference for several blocks."""
     n = y_sq.shape[0]
     xi_lo, xi_hi = 1.0 / n, 1.0 - 1.0 / n
     xi = min(max(xi, xi_lo), xi_hi)
@@ -122,7 +133,7 @@ def previous_em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
         loglik = (
             n * (math.log(xi) - 0.5 * (_LOG_2PI + math.log(v1)))
             - 0.5 * y_total / v1
-            + float(w.sum())
+            + total(w)
         )
         trace.append(loglik)
         if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-1])):
@@ -132,15 +143,15 @@ def previous_em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
             break
         np.add(e, 1.0, out=w)
         np.reciprocal(w, out=w)
-        r_sum = float(w.sum())
-        r_y = float(np.add.reduce(w * y_sq))
+        r_sum = total(w)
+        r_y = total(w * y_sq)
         e *= w
-        c_sum = float(e.sum())
+        c_sum = total(e)
         if c_sum == 0.0:
             raise DegenerateDataError(
                 "every noise responsibility underflowed: no observation fits the noise component"
             )
-        c_y = float(np.add.reduce(e * y_sq))
+        c_y = total(e * y_sq)
         sigma_sq = c_y / c_sum
         tau_sq = r_y / r_sum - sigma_sq
         gamma = tau_sq / sigma_sq
@@ -255,6 +266,18 @@ def test_em_loop_over_several_blocks_follows_the_previous_kernel():
     for field in (0, 1, 2):
         assert got[field] == pytest.approx(want[field], rel=1e-13, abs=0.0)
     assert np.allclose(got[3], want[3], rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("max_iter", [500, 3])
+def test_em_loop_over_several_blocks_is_bit_identical_to_the_blocked_reference(max_iter):
+    y = mixture(200_003, 0.05, 4.0, 35)
+    assert len(_kernels._blocks(y)) == 4
+    args = fit_args(y, max_iter)
+    got = _kernels.em_loop(*args)
+    want = previous_em_loop(*args, total=blocked_sum)
+    assert got[:3] == want[:3] and got[4:] == want[4:]
+    assert got[3].tobytes() == want[3].tobytes()
+    assert got[5] == (max_iter == 500)  # the cut at 3 passes stops the fit early
 
 
 def test_em_loop_raises_as_the_previous_kernel_on_data_with_no_noise():

@@ -72,6 +72,8 @@ def test_the_committed_record_holds_every_listed_run():
     assert len(runs["blocks/n1001/em"]) == len(runs["blocks/n1001/known"]) == 1 + 2 * 5 * 9
     assert len(runs["blocks/n50001/known"]) == 1 + 2 * 5 * 4  # the CSV and 20 cells
     assert len(runs["em_fits"]) == 900 * 7
+    assert sorted(name for name in runs if name.startswith("em_rows/")) == ["em_rows/n131075"]
+    assert len(runs["em_rows/n131075"]) == 3 * 7
     assert sorted(name for name in runs if name.startswith("large_n/")) == [f"large_n/{i}" for i in range(4)]
     assert len([name for name in runs if name.startswith("penalty/")]) == 8
     assert len([name for name in runs if name.startswith("estimate/")]) == 6

@@ -19,6 +19,9 @@ The runs, each keyed by name in the output:
   returns them (``em_fit`` in a tree that fits row by row): per fit the
   three parameters, the final log-likelihood, the iteration count, the
   convergence flag and a SHA-256 of the trace's bytes;
+* ``em_rows/n131075``: one ``em_fit_rows`` call on three seeded rows of
+  131,075 values (xi 0.01, 0.05 and 0.3, tau 4), three E-step blocks a
+  row: the ``em_fits`` fields of each fit;
 * ``large_n/<i>``: the four seeded n = 1e6 sequences of the benchmark's
   large_n workload: the ``em_fit`` fields as above, the same fit stopped at
   ``max_iter=3``, and ``k_hat`` and ``threshold`` of ``map_estimate`` under
@@ -70,6 +73,7 @@ BLOCK_RUNS = (  # name, then the changes to the bundled table1 grid
     ("blocks/n50001/known", dict(n=50_001, xi_grid=[0.005, 0.05], tau_grid=[3.0, 5.0], replications=4,
                                  use_em=False)),
 )
+EM_ROWS_SEED, EM_ROWS_SIZE, EM_ROWS_XIS, EM_ROWS_TAU = 20261021, 131_075, (0.01, 0.05, 0.3), 4.0
 LARGE_N_SEED, LARGE_N_SIZE, LARGE_N_XIS, LARGE_N_TAU = 20260815, 1_000_000, (0.005, 0.05), 5.0
 
 
@@ -175,6 +179,20 @@ def block_runs(runs: dict) -> None:
         runs[name] = report_fields(report)
 
 
+def em_rows_runs(runs: dict) -> None:
+    import numpy as np
+
+    from mapthresh.em import em_fit_rows
+
+    rng = np.random.default_rng(EM_ROWS_SEED)
+    n = EM_ROWS_SIZE
+    y = np.stack([np.where(rng.random(n) < xi, EM_ROWS_TAU * rng.standard_normal(n), 0.0) for xi in EM_ROWS_XIS])
+    y += rng.standard_normal(y.shape)
+    runs[f"em_rows/n{n}"] = {
+        f"{i}/{key}": value for i, fit in enumerate(em_fit_rows(y)) for key, value in fit_fields(fit).items()
+    }
+
+
 def large_n_runs(runs: dict) -> None:
     import numpy as np
 
@@ -234,6 +252,7 @@ def record() -> dict:
     runs: dict = {}
     simulate_runs(runs)
     block_runs(runs)
+    em_rows_runs(runs)
     large_n_runs(runs)
     penalty_runs(runs)
     with tempfile.TemporaryDirectory(prefix="outputs_") as tmp:
