@@ -185,15 +185,14 @@ def _start(y: np.ndarray, sigma0) -> tuple[list[tuple[float, float, float]], np.
     The squares are formed after the counts' temporaries are freed.
     """
     n = y.shape[-1]
-    scales = np.atleast_1d(sigma0).tolist()
-    exceed = [
-        np.count_nonzero(np.abs(row) > universal_threshold(n, s))
-        for row, s in zip(np.atleast_2d(y), scales)
-    ]
+    scales = np.atleast_1d(sigma0)
+    # s * universal_threshold(n, 1.0) is universal_threshold(n, s), to the bit
+    cutoffs = scales[:, None] * universal_threshold(n, 1.0)
+    exceed = np.count_nonzero(np.abs(np.atleast_2d(y)) > cutoffs, axis=-1).tolist()
     y_sq = y * y
     sums = np.atleast_1d(np.add.reduce(y_sq, axis=-1)).tolist()
     starts = []
-    for s, count, total in zip(scales, exceed, sums):
+    for s, count, total in zip(scales.tolist(), exceed, sums):
         xi0 = min(max(1.0 / n, count / n), 1.0 - 1.0 / n)
         tau0_sq = max(total / n - s**2, s**2) / xi0
         starts.append((s, math.sqrt(tau0_sq), xi0))
@@ -234,18 +233,20 @@ def em_fit(
 def em_fit_rows(y, y_sq=None, inits=None, tol=1e-8, max_iter=500) -> list[EmEstimates]:
     """``em_fit`` of each row of the matrix ``y`` from its start in ``inits``
     (None, or a None entry, for ``init_heuristic``) in one ``em_loop``
-    call; ``y_sq`` may give the squares y * y.  Each fit equals ``em_fit``
-    of its row to the bit.  A ``y`` of no rows, a ``y_sq`` of another shape,
-    ``inits`` of another length and an unusable ``tol`` or ``max_iter`` are
-    a DomainError; then the rows are checked in order before any is fitted,
-    so a row that fails a check raises as in ``em_fit``."""
+    call; ``y_sq``, taken as float64, may give the squares y * y.  Each fit
+    equals ``em_fit`` of its row to the bit.  A ``y`` of no rows, a ``y_sq``
+    of another shape, ``inits`` of another length and an unusable ``tol`` or
+    ``max_iter`` are a DomainError; then the rows are checked in order
+    before any is fitted, so a row that fails a check raises as in ``em_fit``."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 2 or not len(y):
         raise DomainError(f"y must be a matrix of at least one row, got shape {y.shape}")
     if inits is not None and len(inits) != len(y):
         raise DomainError(f"inits must hold one start a row: {len(inits)} for {len(y)} rows")
-    if y_sq is not None and np.shape(y_sq) != y.shape:
-        raise DomainError(f"y_sq must have the shape of y, {y.shape}, got {np.shape(y_sq)}")
+    if y_sq is not None:
+        y_sq = np.asarray(y_sq, dtype=float)
+        if y_sq.shape != y.shape:
+            raise DomainError(f"y_sq must have the shape of y, {y.shape}, got {y_sq.shape}")
     if not tol > 0.0:  # also false for NaN
         raise DomainError(f"tol must be positive, got {tol!r}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
@@ -261,7 +262,10 @@ def em_fit_rows(y, y_sq=None, inits=None, tol=1e-8, max_iter=500) -> list[EmEsti
             (init,), row_sq = _start(row, _mad_scale(row))
             if len(y) == 1 and y_sq is None:  # em_fit squares its row once
                 y_sq = row_sq[None]
-        sigma0, tau0, xi0 = (float(v) for v in init)
+        try:
+            sigma0, tau0, xi0 = (float(v) for v in init)
+        except (TypeError, ValueError):  # not iterable, not three, not numbers
+            raise DomainError(f"init must be three real numbers (sigma0, tau0, xi0), got {init!r}") from None
         _check_init(sigma0, tau0, xi0)
         starts.append((sigma0**2, tau0**2, xi0))
     fits = em_loop(y * y if y_sq is None else y_sq, *zip(*starts), tol, max_iter)

@@ -93,7 +93,6 @@ from .priors import (
     _check_prior_size,
     _complexity,
     _complexity_gap,
-    _log_poisson_cdf,  # read by the tests as estimator._log_poisson_cdf
     _unit_steps,
     build_prior_table,
 )
@@ -377,8 +376,12 @@ def penalty_increments(spec: PriorSpec, n: int, hyper: HyperParams) -> np.ndarra
     leaves the float range.
     """
     n = _check_prior_size(spec, n)
-    with np.errstate(over="ignore"):  # refused below
-        inc = _increments(spec, n, hyper)
+    with np.errstate(over="ignore"):  # refused by _finite_increments
+        return _finite_increments(_increments(spec, n, hyper))
+
+
+def _finite_increments(inc: np.ndarray) -> np.ndarray:
+    """``inc`` (any shape); DomainError if an increment left the float range."""
     if not np.isfinite(inc).all():
         raise DomainError("the penalty increments leave the float range; rescale the data")
     return inc

@@ -37,9 +37,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-import re
 import sys
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -55,7 +53,7 @@ from .errors import (
     check_between,
     check_integer,
 )
-from .estimator import _binomial_cut, _keep_scanned, map_estimate, penalty_increments
+from .estimator import _binomial_cut, _finite_increments, _increments, _keep_scanned, map_estimate
 from .priors import (
     BallSpec,
     HyperParams,
@@ -65,7 +63,6 @@ from .priors import (
     StrongLpBall,
     TruncatedPoissonPrior,
     WeakLpBall,
-    _FLAT_REFLECTED_WARNING,
     _reflected_is_flat,
 )
 
@@ -219,9 +216,10 @@ class RiskReport:
     the iteration budget; their estimates are used as returned.
     ``flat_reflected_priors`` counts, per cell, the ``pois2`` estimates
     whose reflected Poisson prior was nearly flat (lam <= sqrt(n log n)).
-    ``map_estimate`` warns once per such call; the benchmark silences that
-    warning and counts the calls here instead.  Neither count is part of
-    the CSV.
+    ``map_estimate`` warns once per such call.  The benchmark builds its
+    penalties from the estimator's increments, which do not warn, for
+    priors that fit n by construction (lam = n xi < n), and counts the
+    flat priors here instead.  Neither count is part of the CSV.
     """
 
     config: ExperimentConfig
@@ -295,8 +293,10 @@ class _Fits:
                 specs = [_SCANNED_PRIORS[method](n * xi) for _, xi in hypers]
                 if method == "pois2":
                     flat = tuple(_reflected_is_flat(spec.lam, n) for spec in specs)
-                increments.append([penalty_increments(spec, n, h) for spec, (h, _) in zip(specs, hypers)])
-        return cls(cuts, np.cumsum(increments, axis=-1) if increments else None, flat)
+                with np.errstate(over="ignore"):  # refused below
+                    increments.append([_increments(spec, n, h) for spec, (h, _) in zip(specs, hypers)])
+        penalties = np.cumsum(_finite_increments(np.array(increments)), axis=-1) if increments else None
+        return cls(cuts, penalties, flat)
 
 
 def _score_block(
@@ -354,30 +354,27 @@ def _run_cell(args) -> tuple[int, dict[str, np.ndarray], int, int]:
     nonconverged = flat = 0
     step = max(1, BLOCK_VALUES // config.n)
     fitting = config.use_em and any(m in ("bin", *_SCANNED_PRIORS) for m in config.methods)
-    with warnings.catch_warnings():
-        # counted per cell in ``flat`` instead of warned per prior
-        warnings.filterwarnings("ignore", message=re.escape(_FLAT_REFLECTED_WARNING))
-        if not fitting:
-            fits = _Fits.of(config, [(HyperParams(sigma=config.sigma, tau=tau), xi)])
-            flat = reps * sum(fits.flat)
-        for start in range(0, reps, step):
-            block = range(start, min(start + step, reps))
-            mu, y = _draw_block(config, cell_index, xi, tau, block)
-            scale = y_sq = None
-            if fitting:
-                try:
-                    scale = _mad_scale(y)
-                except (DegenerateDataError, DomainError):
-                    # without a scale for every row, the first bad row raises as it would alone
-                    inits = None
-                else:
-                    # the block's squares, summed for the starts, are scored below
-                    inits, y_sq = _start(y, scale)
-                row_fits = em_fit_rows(y, y_sq, inits)
-                nonconverged += sum(not fit.converged for fit in row_fits)
-                fits = _Fits.of(config, [(HyperParams(f.sigma_hat, f.tau_hat), f.xi_hat) for f in row_fits])
-                flat += sum(fits.flat)
-            errors[:, block.start : block.stop] = _score_block(config, fits, scale, y_sq, mu, y)
+    if not fitting:
+        fits = _Fits.of(config, [(HyperParams(sigma=config.sigma, tau=tau), xi)])
+        flat = reps * sum(fits.flat)
+    for start in range(0, reps, step):
+        block = range(start, min(start + step, reps))
+        mu, y = _draw_block(config, cell_index, xi, tau, block)
+        scale = y_sq = None
+        if fitting:
+            try:
+                scale = _mad_scale(y)
+            except (DegenerateDataError, DomainError):
+                # without a scale for every row, the first bad row raises as it would alone
+                inits = None
+            else:
+                # the block's squares, summed for the starts, are scored below
+                inits, y_sq = _start(y, scale)
+            row_fits = em_fit_rows(y, y_sq, inits)
+            nonconverged += sum(not fit.converged for fit in row_fits)
+            fits = _Fits.of(config, [(HyperParams(f.sigma_hat, f.tau_hat), f.xi_hat) for f in row_fits])
+            flat += sum(fits.flat)
+        errors[:, block.start : block.stop] = _score_block(config, fits, scale, y_sq, mu, y)
     return cell_index, dict(zip(config.methods, errors)), nonconverged, flat
 
 

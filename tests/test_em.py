@@ -278,6 +278,21 @@ def test_unusable_rows_are_a_domain_error(rows, inits, y_sq, match):
         em.em_fit_rows(rows, y_sq, inits)
 
 
+def test_given_squares_are_read_as_float64():
+    # y on a 1/256 grid below 16 in size: every square is exact in float32, but not their sums
+    y = np.vstack([mixture_dataset(1000, xi, 4.0, 1.0, seed=34) for xi in (0.05, 0.3)])
+    y = np.round(256.0 * np.clip(y, -15.0, 15.0)) / 256.0
+    squares = y * y
+    assert np.array_equal(squares.astype(np.float32), squares)
+    expected = [em_fit(row) for row in y]
+    # a list was an AttributeError in em_loop; float32 squares were summed in float32
+    for y_sq in (squares.tolist(), squares.astype(np.float32)):
+        for fit, one in zip(em.em_fit_rows(y, y_sq), expected):
+            assert fit.loglik_trace.tobytes() == one.loglik_trace.tobytes()
+            for name in ("sigma_hat", "tau_hat", "xi_hat", "loglik", "iterations", "converged"):
+                assert getattr(fit, name) == getattr(one, name), name
+
+
 @pytest.mark.parametrize("budget", [{"tol": 0.0}, {"max_iter": 0}], ids=["tol", "max-iter"])
 def test_the_iteration_budget_is_checked_before_the_rows(budget):
     # a constant row and a row too short to fit: the budget's error comes first
@@ -365,8 +380,10 @@ def test_overflowing_squares_are_a_domain_error():
 
 @pytest.mark.parametrize(
     "init",
-    [(1.0, math.inf, 0.1), (1.0, 2.0, math.nan), (1.0, 1e155, 0.1)],
-    ids=["infinite-tau", "nan-xi", "tau-squared-overflows"],
+    [(1.0, math.inf, 0.1), (1.0, 2.0, math.nan), (1.0, 1e155, 0.1),
+     # were a ValueError from unpacking, a TypeError and a ValueError from float()
+     (1.0, 2.0), (None, 1.0, 0.1), ("a", 1.0, 0.1)],
+    ids=["infinite-tau", "nan-xi", "tau-squared-overflows", "two-values", "none-sigma", "string-sigma"],
 )
 def test_unusable_init_is_a_domain_error(init):
     y = mixture_dataset(100, 0.1, 3.0, 1.0, seed=0)

@@ -38,7 +38,7 @@ from mapthresh import (
     select_k,
     variable_threshold_estimate,
 )
-from mapthresh import estimator
+from mapthresh import estimator, priors
 
 UNIT_HYPER = HyperParams(1.0, 1.0)  # gamma = 1
 
@@ -222,7 +222,7 @@ def previous_increments(spec, n, hyper):
         body.fill(math.log1p(-spec.xi) - math.log(spec.xi) + half_log_1pg)
     elif isinstance(spec, TruncatedPoissonPrior):
         lam = spec.lam
-        inc[0] = lam + estimator._log_poisson_cdf(n, lam)
+        inc[0] = lam + priors._log_poisson_cdf(n, lam)
         np.subtract(n, body, out=body)
         body += 1.0
         body /= lam
@@ -230,7 +230,7 @@ def previous_increments(spec, n, hyper):
         body += half_log_1pg
     else:
         m = n - spec.lam
-        inc[0] = m + estimator._log_poisson_cdf(n, m) - n * math.log(m) + math.lgamma(n + 1.0)
+        inc[0] = m + priors._log_poisson_cdf(n, m) - n * math.log(m) + math.lgamma(n + 1.0)
         np.divide(m, body, out=body)
         np.log(body, out=body)
         body += half_log_1pg
@@ -336,7 +336,7 @@ def test_log_poisson_cdf_against_scipy(n):
     for ratio in (1e-6, 1e-3, 0.005, 0.05, 0.3, 0.5, 0.7, 0.9, 0.95, 0.99, 0.995, 0.999, 1.0):
         x = ratio * n
         ref = math.log(scipy.special.gammaincc(n + 1, x))
-        assert abs(estimator._log_poisson_cdf(n, x) - ref) <= 1e-14 * (n + 1), (n, x)
+        assert abs(priors._log_poisson_cdf(n, x) - ref) <= 1e-14 * (n + 1), (n, x)
 
 
 def test_penalty_increments_custom_prior_uses_its_table():

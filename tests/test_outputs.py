@@ -66,11 +66,12 @@ def test_the_committed_record_holds_every_listed_run():
     runs = committed["runs"]
     simulate = [name for name in runs if name.startswith("simulate/")]
     assert len(simulate) == 8
-    assert all(len(runs[name]) == 1 + 2 * 5 * 9 for name in simulate)  # the CSV and 45 cells
+    # the CSV, 45 cells and two counts for each of the 9 (xi, tau)
+    assert all(len(runs[name]) == 1 + 2 * 5 * 9 + 2 * 9 for name in simulate)
     blocks = sorted(name for name in runs if name.startswith("blocks/"))
     assert blocks == ["blocks/n1001/em", "blocks/n1001/known", "blocks/n50001/known"]
-    assert len(runs["blocks/n1001/em"]) == len(runs["blocks/n1001/known"]) == 1 + 2 * 5 * 9
-    assert len(runs["blocks/n50001/known"]) == 1 + 2 * 5 * 4  # the CSV and 20 cells
+    assert len(runs["blocks/n1001/em"]) == len(runs["blocks/n1001/known"]) == 1 + 2 * 5 * 9 + 2 * 9
+    assert len(runs["blocks/n50001/known"]) == 1 + 2 * 5 * 4 + 2 * 4  # the CSV, 20 cells, 4 (xi, tau)
     assert len(runs["em_fits"]) == 900 * 7
     assert sorted(name for name in runs if name.startswith("em_rows/")) == ["em_rows/n131075"]
     assert len(runs["em_rows/n131075"]) == 3 * 7

@@ -407,18 +407,49 @@ def test_one_ranking_per_cell(monkeypatch):
 @pytest.mark.parametrize("use_em", [True, False])
 def test_penalties_once_per_cell_without_em(monkeypatch, use_em):
     calls = []
-    increments = risk.penalty_increments
+    increments = risk._increments
 
     def counting_increments(*args):
         calls.append(1)
         return increments(*args)
 
-    monkeypatch.setattr(risk, "penalty_increments", counting_increments)
+    monkeypatch.setattr(risk, "_increments", counting_increments)
     monkeypatch.setattr(risk, "BLOCK_VALUES", 1)  # one row per block
     report = small_report(use_em=use_em, methods=("pois1", "pois2", "oracle"))
     cfg = report.config
     cells = len(cfg.xi_grid) * len(cfg.tau_grid)
     assert len(calls) == 2 * cells * (cfg.replications if use_em else 1)
+
+
+@pytest.mark.parametrize("n", [10, 1000, 50_001])
+def test_block_penalties_are_each_rows_penalty_increments(n):
+    # reflected lam = n xi at or below sqrt(n log n) is flat: the first two
+    # rows are, the last two are not; xi spans EM's clamp [1/n, 1 - 1/n]
+    xis = (1.0 / n, 0.3 * math.sqrt(math.log(n) / n), 0.7, 1.0 - 1.0 / n)
+    rng = np.random.default_rng(n)
+    hypers = [(HyperParams(s, t), xi) for (s, t), xi in zip(rng.uniform(0.5, 4.0, (4, 2)).tolist(), xis)]
+    config = ExperimentConfig(**{**GOOD, "n": n, "methods": ("pois2", "bin", "oracle", "pois1")})
+    fits = risk._Fits.of(config, hypers)
+    assert fits.flat == (True, True, False, False)
+    for row, (hyper, xi) in enumerate(hypers):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # flat reflected priors
+            for p, spec in enumerate((ReflectedPoissonPrior(n * xi), TruncatedPoissonPrior(n * xi))):
+                expected = np.cumsum(estimator.penalty_increments(spec, n, hyper))
+                assert fits.penalties[p, row].tobytes() == expected.tobytes(), (spec, row)
+        assert fits.cuts[row, 0] == estimator.penalty_increments(BinomialPrior(xi), n, hyper)[1]
+
+
+def test_block_penalties_past_the_float_range_raise_as_penalty_increments_does():
+    config = ExperimentConfig(**{**GOOD, "methods": ("bin", "pois1", "pois2")})
+    hyper = HyperParams(1e153, 1e153)
+    with pytest.raises(DomainError) as alone:
+        estimator.penalty_increments(TruncatedPoissonPrior(config.n * 0.9), config.n, hyper)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from the overflow
+        with pytest.raises(DomainError) as in_block:
+            risk._Fits.of(config, [(HyperParams(1.0, 3.0), 0.1), (hyper, 0.9)])
+    assert str(in_block.value) == str(alone.value)
 
 
 def test_one_robust_scale_per_block_under_em(monkeypatch):
@@ -664,6 +695,17 @@ def test_flat_reflected_priors_are_counted_not_warned(monkeypatch):
     y = np.random.default_rng(0).standard_normal(100)
     with pytest.warns(UserWarning, match="nearly flat"):
         map_estimate(y, HyperParams(1.0, 3.0), ReflectedPoissonPrior(5.0))
+
+
+@pytest.mark.parametrize("use_em", [True, False])
+def test_a_table1_cell_makes_no_warnings_warn_call(monkeypatch, use_em):
+    # its reflected Poisson priors are flat: counted, not warned and filtered
+    calls = []
+    monkeypatch.setattr(warnings, "warn", lambda *args, **kwargs: calls.append(args))
+    config = bundled_config(replications=10, use_em=use_em)
+    _, _, _, flat = risk._run_cell((config, 0, config.xi_grid[0], config.tau_grid[0]))
+    assert flat == 10
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

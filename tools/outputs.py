@@ -9,8 +9,9 @@ The runs, each keyed by name in the output:
 
 * ``simulate/<em|known>/<seed>``: the bundled ``table1.json`` grid with EM
   on and off, at its own master seed and at seeds 1, 2 and 3: the SHA-256
-  of the CSV ``mapthresh simulate`` writes, and each cell's ``amse`` and
-  ``std_err``;
+  of the CSV ``mapthresh simulate`` writes, each cell's ``amse`` and
+  ``std_err``, and per (xi, tau) the report's ``em_nonconverged`` and
+  ``flat_reflected_priors`` counts;
 * ``blocks/n1001/<em|known>``: the same grid at n = 1001, whose blocks
   hold 130 rows, and ``blocks/n50001/known``: n = 50,001, whose blocks
   hold 2 rows, at xi 0.005 and 0.05, tau 3 and 5 and 4 replications, EM
@@ -123,13 +124,17 @@ def cli_run(argv: list[str]) -> str:
 
 
 def report_fields(report) -> dict:
-    """The SHA-256 of a report's CSV and each cell's ``amse`` and ``std_err``."""
+    """The SHA-256 of a report's CSV, each cell's ``amse`` and ``std_err``,
+    and the report's two counts per (xi, tau)."""
     csv = io.StringIO()
     report.write_csv(csv)
     fields = {"csv_sha256": sha256(csv.getvalue().encode())}
     for (method, xi, tau), cell in report.cells.items():
         fields[f"amse/{method}/xi={xi!r}/tau={tau!r}"] = cell.amse.hex()
         fields[f"std_err/{method}/xi={xi!r}/tau={tau!r}"] = cell.std_err.hex()
+    for count in ("em_nonconverged", "flat_reflected_priors"):
+        for (xi, tau), value in getattr(report, count).items():
+            fields[f"{count}/xi={xi!r}/tau={tau!r}"] = value
     return fields
 
 
