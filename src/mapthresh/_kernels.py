@@ -3,14 +3,16 @@
 ``penalized_scan`` is a reversed cumulative sum and one ``argmin`` per
 penalty, along the last axis, so one call scans every row of a matrix
 under every stacked penalty.
-``em_loop`` fits the rows of a matrix of squares in one fused pass over
-the data per EM iteration: the same chain of NumPy calls on each
-cache-sized column block, for all the rows still iterating, with the
-M-step per row in ``math``.  Every E-step sum is a row-wise
-``np.add.reduce`` over a block, and a fit of several blocks joins its
-block sums exactly rounded, so no fit depends on the rows beside it or
-on the thread count.  It keeps the mixture weight in [1/n, 1 - 1/n] and
-the variance ratio at or above ``TAU_SQ_FLOOR``.
+``em_loop`` fits the rows of a matrix of squares by safeguarded SQUAREM
+cycles over the EM map (Varadhan & Roland 2008, scheme S3), in one fused
+pass over the data per E-step: the same chain of NumPy calls on each
+cache-sized column block, for all the rows still iterating, each at its
+own point, with the M-step and the cycle per row in ``math``.  Every
+E-step sum is a row-wise ``np.add.reduce`` over a block, and a fit of
+several blocks joins its block sums exactly rounded, so no fit depends
+on the rows beside it or on the thread count.  It keeps the mixture
+weight in [1/n, 1 - 1/n] and the variance ratio at or above
+``TAU_SQ_FLOOR``.
 """
 
 import contextlib
@@ -141,6 +143,46 @@ def _odds_line(sigma_sq, tau_sq, xi):
     return scale, math.log1p(-xi) - math.log(xi) + 0.5 * math.log1p(tau_sq / sigma_sq)
 
 
+def _feasible(sigma_sq, tau_sq, xi, xi_lo, xi_hi):
+    """Whether (sigma_sq, tau_sq, xi) is in ``em_loop``'s constrained set."""
+    if not (0.0 < sigma_sq < math.inf and 0.0 < tau_sq < math.inf and xi_lo <= xi <= xi_hi):
+        return False
+    gamma = tau_sq / sigma_sq
+    return gamma >= TAU_SQ_FLOOR and gamma - math.log1p(gamma) >= 2.0 * (math.log1p(-xi) - math.log(xi))
+
+
+def _extrapolate(start, middle, end, xi_lo, xi_hi):
+    """The SQUAREM point of a cycle start, F(start) and F(F(start)), or None.
+
+    Each point is u = (log(sigma_sq / sigma0_sq), log(tau_sq / tau0_sq),
+    logit xi) relative to the start, so a power-of-two rescaling of the data
+    scales the result exactly.  With r = u1 - u0, v = u2 - 2 u1 + u0 and
+    alpha = -|r| / |v|, the point is u0 - 2 alpha r + alpha^2 v.  None when
+    alpha >= -1 (the point would be F(F(start))) or |v| = 0, when a
+    coordinate exceeds 700 in magnitude, and when the start or the point
+    is infeasible."""
+    sigma0_sq, tau0_sq, _ = start
+    if not _feasible(*start, xi_lo, xi_hi):
+        return None
+    u0, u1, u2 = (
+        (math.log(s / sigma0_sq), math.log(t / tau0_sq), math.log(x) - math.log1p(-x))
+        for s, t, x in (start, middle, end)
+    )
+    r = [b - a for a, b in zip(u0, u1)]
+    v = [c - 2.0 * b + a for a, b, c in zip(u0, u1, u2)]
+    norm_v = math.hypot(*v)
+    if norm_v == 0.0:
+        return None
+    alpha = -math.hypot(*r) / norm_v
+    if alpha >= -1.0:
+        return None
+    u = [a - 2.0 * alpha * dr + alpha * alpha * dv for a, dr, dv in zip(u0, r, v)]
+    if not all(abs(c) <= 700.0 for c in u):
+        return None
+    point = sigma0_sq * math.exp(u[0]), tau0_sq * math.exp(u[1]), 1.0 / (1.0 + math.exp(-u[2]))
+    return point if _feasible(*point, xi_lo, xi_hi) else None
+
+
 @contextlib.contextmanager
 def _row_buffers(n):
     """Ufunc buffers of at most one row of n values, which need no copy of a
@@ -156,14 +198,15 @@ def _row_buffers(n):
 
 
 def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
-    """EM iterations for the two-component scale mixture of centered normals.
+    """EM for the two-component scale mixture of centered normals, run as
+    safeguarded SQUAREM cycles over the EM map F.
 
     ``y_sq`` are the n squared observations, a float64 vector, or an
     (R, n) matrix of them, one fit a row, with R values for each start.
     The weight stays in [1/n, 1 - 1/n]: the starting ``xi`` is clamped to
     it, and so is every update.  Each pass computes responsibilities for
-    the wide component and the log-likelihood at the current parameters,
-    then updates the parameters under the constraint gamma - log(1 +
+    the wide component and the log-likelihood at a row's current point,
+    then F updates the parameters under the constraint gamma - log(1 +
     gamma) >= 2 log((1 - xi) / xi), gamma = tau_sq / sigma_sq, with gamma
     also at least ``TAU_SQ_FLOOR``:
 
@@ -183,7 +226,7 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
     closed form, plus sum(log1p(e)); the wide responsibility is
     r = 1/(1 + e) and the noise one c = e r.  ``e`` and the scratch vector
     are the two planes of one buffer, which ends the chain (``_e_step``)
-    as [c; r].  Every pass runs the whole chain, then checks convergence.
+    as [c; r].  Every pass runs the whole chain, then the rest of the pass.
 
     Every fit runs one way: ``_blocks`` cuts the rows into ceil(n /
     ``E_BLOCK``) equal column views, so a row's chain stays in cache, and
@@ -209,10 +252,27 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
     underflows to 0 (no observation looks like noise), its noise variance
     is undefined and DegenerateDataError is raised.
 
-    The previous parameters are feasible for both steps, so each step
-    cannot lower the expected complete-data log-likelihood and the trace
-    is non-decreasing from any start that meets the constraint.  A fit
-    stops once its relative log-likelihood change drops below ``tol``.
+    A cycle records two plain points, its start theta0 and theta1 =
+    F(theta0); the second M-step gives theta2 = F(theta1), and
+    ``_extrapolate`` a point theta' for the next pass, or None (the next
+    cycle then starts at theta2).  A start off the constrained set, or a
+    point of F that rounding puts just outside the bound, gets no
+    extrapolation.  theta' is kept when its noise responsibilities do not
+    all underflow and its log-likelihood is at least theta1's, and the
+    next cycle starts at F(theta'); a refused theta' leaves no trace and
+    raises nothing, and the next cycle starts at theta2.  The safeguard's
+    gain and the extrapolation do not depend on the data's scale, so a
+    power-of-two rescaling scales every point exactly, barring subnormal
+    products.
+
+    F's previous parameters are feasible for both of its steps, so F
+    cannot lower the expected complete-data log-likelihood; with the
+    safeguard, the trace (theta0, theta1, a kept theta', then the next
+    cycle) is non-decreasing from any start that meets the constraint.
+    The stopping rule runs at plain points only: a fit stops once its
+    relative log-likelihood change from the last recorded point drops
+    below ``tol``, so a converged fit returns a point of F.  ``iterations``
+    counts the recorded steps, len(trace) - 1, which ``max_iter`` caps.
     Returns (sigma_sq, tau_sq, xi, trace, iterations, converged), or a
     list of them for a matrix.
     """
@@ -245,6 +305,12 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
     traces = [[] for _ in range(count)]
     fits = [None] * count
     active = list(range(count))
+    # per row: 0 at a cycle's start, 1 at its second plain point, 2 at an
+    # extrapolated point; the cycle's start, and at 2 the fallback and the
+    # second plain point's xi, sigma_sq + tau_sq and sum of log1p(e)
+    phases = [0] * count
+    starts = [None] * count
+    fallbacks = [None] * count
     with _row_buffers(n), helper:
         while True:
             pending = [helper.submit(context.run, _e_step, *chain, scale, shift) for chain in theirs]
@@ -257,14 +323,32 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
                 sigma_sq, tau_sq, xi = params[i]
                 v1 = sigma_sq + tau_sq
                 log_odds = math.log1p(-xi) - math.log(xi)
+                trace = traces[i]
+                phase = phases[i]
+                if phase == 2:
+                    # the extrapolated point, kept if it gains over the
+                    # second plain point, in terms that do not depend on
+                    # the data's scale
+                    point, xi_1, v1_1, log1p_sum_1 = fallbacks[i]
+                    gain = (
+                        n * (math.log(xi) - math.log(xi_1) - 0.5 * math.log(v1 / v1_1))
+                        - 0.5 * y_total[i] * (1.0 / v1 - 1.0 / v1_1)
+                        + (log1p_sum - log1p_sum_1)
+                    )
+                    if not (c_sum > 0.0 and gain >= 0.0):  # the cycle ends at F(F(start))
+                        params[i] = point
+                        phases[i] = 0
+                        scale[p, 0], shift[p, 0] = _odds_line(*point)
+                        kept.append(p)
+                        continue
                 loglik = (
                     n * (math.log(xi) - 0.5 * (_LOG_2PI + math.log(v1)))
                     - 0.5 * y_total[i] / v1
                     + log1p_sum
                 )
-                trace = traces[i]
-                # no earlier pass: the first comparison is false
-                previous = trace[-1] if trace else math.nan
+                # the stopping rule runs at plain points only; no earlier
+                # pass: the first comparison is false
+                previous = trace[-1] if trace and phase < 2 else math.nan
                 trace.append(loglik)
                 converged = abs(loglik - previous) <= tol * max(1.0, abs(loglik))
                 if converged or len(trace) > max_iter:
@@ -282,8 +366,19 @@ def em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter):
                     sigma_sq = (c_y + r_y / (1.0 + gamma)) / n
                     tau_sq = gamma * sigma_sq
                 xi = min(max(r_sum / n, xi_lo, weight_floor(gamma)), xi_hi)
-                params[i] = sigma_sq, tau_sq, xi
-                scale[p, 0], shift[p, 0] = _odds_line(sigma_sq, tau_sq, xi)
+                point = sigma_sq, tau_sq, xi
+                if phase == 0:  # the cycle's first step
+                    starts[i], phases[i] = params[i], 1
+                elif phase == 1:  # its second: extrapolate, or start the next cycle here
+                    extrapolated = _extrapolate(starts[i], params[i], point, xi_lo, xi_hi)
+                    if extrapolated is not None:
+                        fallbacks[i] = point, params[i][2], v1, log1p_sum
+                        point = extrapolated
+                    phases[i] = 0 if extrapolated is None else 2
+                else:  # F of a kept extrapolation starts the next cycle
+                    phases[i] = 0
+                params[i] = point
+                scale[p, 0], shift[p, 0] = _odds_line(*point)
                 kept.append(p)
             if len(kept) < len(active):  # compact the rows still iterating
                 if not kept:

@@ -3,10 +3,20 @@
 Marginally y_i ~ (1 - xi) N(0, sigma^2) + xi N(0, sigma^2 + tau^2); EM
 alternates responsibilities with closed-form variance and weight updates
 in ``_kernels.em_loop``, which keeps the mixture weight inside
-[1/n, 1 - 1/n].  ``em_fit_rows`` fits the rows of a matrix in one
-``em_loop`` call, and ``em_fit`` is its one-row call.  The data are
-squared once, after the starting point's robust scale; beside the data
-a fit holds the squares and two scratch rows an E-step block wide.
+[1/n, 1 - 1/n].  It runs EM as safeguarded SQUAREM cycles (Varadhan &
+Roland 2008, scheme S3): each cycle records two plain EM points, then
+evaluates a point extrapolated from their two steps and keeps it only if
+its log-likelihood is no lower than the second's.  A refused point is
+not in the trace, ``iterations`` counts the recorded steps, and a fit
+stops by the relative log-likelihood rule only at plain points, so a
+converged fit ends at a point of the EM map.  The cycle is taken in log
+variances and logit weight relative to its start, so a fit of data
+scaled by a power of two has exactly scaled variances, step for step,
+unless a product underflows to a subnormal number.
+``em_fit_rows`` fits the rows of a matrix in one ``em_loop`` call, and
+``em_fit`` is its one-row call.  The data are squared once, after the
+starting point's robust scale; beside the data a fit holds the squares
+and two scratch rows an E-step block wide.
 
 The fit is constrained so that the slab stays identifiable as signal.
 Unconstrained, the likelihood has a ridge along which the slab narrows
@@ -210,14 +220,16 @@ def em_fit(
     Maximizes the likelihood subject to ``slab_log_odds >= 0`` (see the
     module docstring) by a generalized EM: the variance step and the
     weight step each maximize the expected complete-data log-likelihood
-    under the constraint, so the trace never decreases from a start that
-    meets it.  ``init_heuristic`` always does; from an ``init`` that does
-    not, the first step moves into the constrained set and may lower the
-    likelihood.
+    under the constraint, and an extrapolated point is kept only if it
+    does not lower the likelihood, so the trace never decreases from a
+    start that meets the constraint.  ``init_heuristic`` always does; from
+    an ``init`` that does not, the first step moves into the constrained
+    set and may lower the likelihood.
 
     ``init`` is an optional (sigma0, tau0, xi0) triple; by default it comes
     from ``init_heuristic``.  ``tol`` is a relative log-likelihood change;
-    hitting ``max_iter`` first returns converged=False rather than raising.
+    hitting ``max_iter`` recorded steps first returns converged=False
+    rather than raising.
     Raises DomainError for data that is not 1-D or whose squares overflow
     or underflow, for an unusable ``init``, for a ``tol`` that is not
     positive (NaN included) and for a ``max_iter`` that is not an integer
@@ -263,9 +275,13 @@ def em_fit_rows(y, y_sq=None, inits=None, tol=1e-8, max_iter=500) -> list[EmEsti
             if len(y) == 1 and y_sq is None:  # em_fit squares its row once
                 y_sq = row_sq[None]
         try:
-            sigma0, tau0, xi0 = (float(v) for v in init)
-        except (TypeError, ValueError):  # not iterable, not three, not numbers
-            raise DomainError(f"init must be three real numbers (sigma0, tau0, xi0), got {init!r}") from None
+            values = tuple(init)
+        except TypeError:  # not iterable
+            values = ()
+        # a string, bytes or a bool is not a real number, though float() takes it
+        if len(values) != 3 or not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
+            raise DomainError(f"init must be three real numbers (sigma0, tau0, xi0), got {init!r}")
+        sigma0, tau0, xi0 = map(float, values)
         _check_init(sigma0, tau0, xi0)
         starts.append((sigma0**2, tau0**2, xi0))
     fits = em_loop(y * y if y_sq is None else y_sq, *zip(*starts), tol, max_iter)

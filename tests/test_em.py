@@ -162,9 +162,10 @@ def test_rerun_from_converged_is_nearly_fixed():
 
 def test_scale_equivariance_iteration_matched():
     y = mixture_dataset(1500, 0.08, 4.0, 1.0, seed=13)
-    a = em_fit(y, tol=1e-300, max_iter=40)
-    b = em_fit(2.0 * y, tol=1e-300, max_iter=40)
-    assert a.iterations == b.iterations == 40
+    # at tol 1e-300 the fit repeats its point exactly after about 30 steps
+    a = em_fit(y, tol=1e-300, max_iter=20)
+    b = em_fit(2.0 * y, tol=1e-300, max_iter=20)
+    assert a.iterations == b.iterations == 20
     assert b.sigma_hat == pytest.approx(2 * a.sigma_hat, rel=1e-10)
     assert b.tau_hat == pytest.approx(2 * a.tau_hat, rel=1e-10)
     assert b.xi_hat == pytest.approx(a.xi_hat, rel=1e-10)
@@ -382,8 +383,11 @@ def test_overflowing_squares_are_a_domain_error():
     "init",
     [(1.0, math.inf, 0.1), (1.0, 2.0, math.nan), (1.0, 1e155, 0.1),
      # were a ValueError from unpacking, a TypeError and a ValueError from float()
-     (1.0, 2.0), (None, 1.0, 0.1), ("a", 1.0, 0.1)],
-    ids=["infinite-tau", "nan-xi", "tau-squared-overflows", "two-values", "none-sigma", "string-sigma"],
+     (1.0, 2.0), (None, 1.0, 0.1), ("a", 1.0, 0.1),
+     # each went through float() and fitted
+     ("1.0", b"2.0", "0.1"), (1.0, 2.0, "0.1"), (True, 1.0, 0.1), (np.True_, 2.0, 0.1)],
+    ids=["infinite-tau", "nan-xi", "tau-squared-overflows", "two-values", "none-sigma", "string-sigma",
+         "numeric-strings", "string-xi", "bool-sigma", "numpy-bool-sigma"],
 )
 def test_unusable_init_is_a_domain_error(init):
     y = mixture_dataset(100, 0.1, 3.0, 1.0, seed=0)
@@ -465,3 +469,8 @@ def test_starts_of_a_block_equal_each_rows_own(n):
     starts, block_squares = em._start(rows, baselines._mad_scale(rows))
     assert starts == [init_heuristic(row) for row in rows]
     assert np.array_equal(block_squares, squares)
+    # each row's weight is its own exceedances of its own universal cutoff
+    for row, (sigma0, _, xi0) in zip(rows, starts):
+        assert sigma0 == baselines._mad_scale(row)
+        count = int(np.count_nonzero(np.abs(row) > universal_threshold(n, sigma0)))
+        assert xi0 == min(max(1.0 / n, count / n), 1.0 - 1.0 / n)

@@ -1,6 +1,8 @@
-"""The fused NumPy EM kernel against a plain, unfused reference loop and,
-bit for bit up to one E-step block, against the kernel it replaced."""
+"""The fused NumPy EM kernel against a plain, unfused reference map and,
+bit for bit up to one E-step block, against the kernel it replaced, both
+driven by one SQUAREM cycle written here from ``em_loop``'s scheme."""
 
+import collections
 import math
 import os
 import subprocess
@@ -20,42 +22,226 @@ from mapthresh._kernels import E_BLOCK, TAU_SQ_FLOOR, slab_floor, weight_floor
 from mapthresh.errors import DegenerateDataError
 
 _LOG_2PI = math.log(2.0 * math.pi)
+_NO_NOISE = "every noise responsibility underflowed: no observation fits the noise component"
 
 
-def reference_em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter, xi_lo, xi_hi, tau_floor):
-    """The E-step written out term by term: both component log-densities,
-    ``logaddexp`` for the log-likelihood, and the noise sums by subtraction."""
+def reference_em_step(y_sq, xi_lo, xi_hi, tau_floor):
+    """One EM pass with the E-step written out term by term: both component
+    log-densities, ``logaddexp`` for the log-likelihood, and the noise sums
+    by subtraction.  The map takes a point to (log-likelihood, sum of
+    log1p of the noise odds, noise responsibility sum, the next point, and
+    whether the variance step sat on the slab floor)."""
     n = y_sq.shape[0]
     y_total = float(np.sum(y_sq))
-    trace = []
-    converged = False
-    iterations = 0
-    while True:
+
+    def step(sigma_sq, tau_sq, xi):
         v0 = sigma_sq
         v1 = sigma_sq + tau_sq
         l0 = np.log1p(-xi) - 0.5 * (_LOG_2PI + np.log(v0) + y_sq / v0)
         l1 = np.log(xi) - 0.5 * (_LOG_2PI + np.log(v1) + y_sq / v1)
-        trace.append(float(np.sum(np.logaddexp(l0, l1))))
-        if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-1])):
-            converged = True
-            break
-        if iterations >= max_iter:
-            break
+        loglik = float(np.sum(np.logaddexp(l0, l1)))
+        log1p_sum = float(np.sum(np.log1p(np.exp(l0 - l1))))
         r = 1.0 / (1.0 + np.exp(l0 - l1))
         r_sum = float(np.sum(r))
         r_y = float(np.sum(r * y_sq))
         c_y = y_total - r_y
-        sigma_sq = c_y / (n - r_sum)
+        c_sum = n - r_sum
+        if c_sum == 0.0:
+            return loglik, log1p_sum, c_sum, None, False
+        sigma_sq = c_y / c_sum
         tau_sq = r_y / r_sum - sigma_sq
         gamma = tau_sq / sigma_sq
         log_odds = math.log1p(-xi) - math.log(xi)
-        if gamma < tau_floor or gamma - math.log1p(gamma) < 2.0 * log_odds:
+        floored = gamma < tau_floor or gamma - math.log1p(gamma) < 2.0 * log_odds
+        if floored:
             gamma = max(tau_floor, _kernels.slab_floor(xi))
             sigma_sq = (c_y + r_y / (1.0 + gamma)) / n
             tau_sq = gamma * sigma_sq
         xi = min(max(r_sum / n, xi_lo, _kernels.weight_floor(gamma)), xi_hi)
-        iterations += 1
-    return sigma_sq, tau_sq, xi, np.asarray(trace), iterations, converged
+        return loglik, log1p_sum, c_sum, (sigma_sq, tau_sq, xi), floored
+
+    return step
+
+
+def previous_em_step(y_sq, total):
+    """One pass of ``_kernels.em_loop`` as it was before its E-step shared
+    one (2, n) buffer and then ran in blocks, kept verbatim but for its
+    variance sums, which it takes as the kernel does, as ``np.add.reduce``
+    of the products rather than with ``@`` (BLAS ``ddot``): the bit-for-bit
+    reference for one block, n <= E_BLOCK.  Each E-step sum is ``total``;
+    with ``blocked_sum`` it is the bit-for-bit reference for several
+    blocks.  The map's values are ``reference_em_step``'s."""
+    n = y_sq.shape[0]
+    xi_lo, xi_hi = 1.0 / n, 1.0 - 1.0 / n
+    y_total = float(y_sq.sum())
+
+    def step(sigma_sq, tau_sq, xi):
+        e = np.empty(n)
+        w = np.empty(n)
+        v1 = sigma_sq + tau_sq
+        log_odds = math.log1p(-xi) - math.log(xi)
+        np.multiply(y_sq, -0.5 * (tau_sq / v1) / sigma_sq, out=e)
+        e += log_odds + 0.5 * math.log1p(tau_sq / sigma_sq)
+        np.exp(e, out=e)
+        np.log1p(e, out=w)
+        log1p_sum = total(w)
+        loglik = n * (math.log(xi) - 0.5 * (_LOG_2PI + math.log(v1))) - 0.5 * y_total / v1 + log1p_sum
+        np.add(e, 1.0, out=w)
+        np.reciprocal(w, out=w)
+        r_sum = total(w)
+        r_y = total(w * y_sq)
+        e *= w
+        c_sum = total(e)
+        if c_sum == 0.0:
+            return loglik, log1p_sum, c_sum, None, False
+        c_y = total(e * y_sq)
+        sigma_sq = c_y / c_sum
+        tau_sq = r_y / r_sum - sigma_sq
+        gamma = tau_sq / sigma_sq
+        floored = gamma < TAU_SQ_FLOOR or gamma - math.log1p(gamma) < 2.0 * log_odds
+        if floored:
+            gamma = max(TAU_SQ_FLOOR, slab_floor(xi))
+            sigma_sq = (c_y + r_y / (1.0 + gamma)) / n
+            tau_sq = gamma * sigma_sq
+        xi = min(max(r_sum / n, xi_lo, weight_floor(gamma)), xi_hi)
+        return loglik, log1p_sum, c_sum, (sigma_sq, tau_sq, xi), floored
+
+    return step
+
+
+class Decisions:
+    """Every yes/no decision of a ``squarem`` run's cycles, in order.
+
+    Recording, it keeps each outcome.  Replaying another run's record
+    (``Decisions(record)``), it returns the recorded outcome and checks that
+    its own agrees, except at a close call: a point within 1e-12 of the
+    identifiability bound, or a gain within 1e-12 of the log-likelihood.
+    Two maps that agree to rounding can fall on either side of such a
+    call, so the term-by-term map follows the kernel's path through it."""
+
+    def __init__(self, record=None):
+        self.outcomes = []
+        self.replay = None if record is None else iter(record.outcomes)
+
+    def __call__(self, outcome, close=False):
+        if self.replay is not None:
+            recorded = next(self.replay)
+            assert close or outcome == recorded
+            outcome = recorded
+        self.outcomes.append(outcome)
+        return outcome
+
+
+def feasible(theta, n, decide):
+    sigma_sq, tau_sq, xi = theta
+    if not decide(0.0 < sigma_sq < math.inf and 0.0 < tau_sq < math.inf and 1.0 / n <= xi <= 1.0 - 1.0 / n):
+        return False
+    gamma = tau_sq / sigma_sq
+    if not decide(gamma >= TAU_SQ_FLOOR):
+        return False
+    margin = gamma - math.log1p(gamma) - 2.0 * (math.log1p(-xi) - math.log(xi))
+    return decide(margin >= 0.0, abs(margin) <= 1e-12)
+
+
+def extrapolate(theta0, theta1, theta2, n, decide):
+    """The scheme's extrapolated point from a cycle's three map points, or
+    None with the reason it is skipped."""
+    if not feasible(theta0, n, decide):
+        return None, "infeasible start"
+    sigma0_sq, tau0_sq, _ = theta0
+    u0, u1, u2 = [
+        (math.log(sigma_sq / sigma0_sq), math.log(tau_sq / tau0_sq), math.log(xi) - math.log1p(-xi))
+        for sigma_sq, tau_sq, xi in (theta0, theta1, theta2)
+    ]
+    r = [u1[j] - u0[j] for j in range(3)]
+    v = [u2[j] - 2.0 * u1[j] + u0[j] for j in range(3)]
+    if decide(math.hypot(*v) == 0.0):
+        return None, "no curvature"
+    alpha = -math.hypot(*r) / math.hypot(*v)
+    if decide(alpha >= -1.0):
+        return None, "short step"
+    u = [u0[j] - 2.0 * alpha * r[j] + alpha * alpha * v[j] for j in range(3)]
+    if not decide(all(abs(c) <= 700.0 for c in u)):
+        return None, "too far"
+    theta = (sigma0_sq * math.exp(u[0]), tau0_sq * math.exp(u[1]), 1.0 / (1.0 + math.exp(-u[2])))
+    return (theta, None) if feasible(theta, n, decide) else (None, "infeasible point")
+
+
+def squarem(step, n, y_total, theta, tol, max_iter, tally=None, decide=None):
+    """SQUAREM cycles over the EM map ``step`` from ``theta``, as
+    ``em_loop`` runs them: two plain points, each recorded and checked by
+    the stopping rule, then an extrapolated point that is recorded and kept
+    only when its log-likelihood is at least the second plain point's; the
+    next cycle starts at F of the kept point, else at F(F(start)).  Returns
+    ``em_loop``'s tuple; ``tally`` counts the E-steps, the extrapolations
+    kept and refused and each reason to skip one, and records whether the
+    step that made the returned point sat on the slab floor.  ``decide``
+    (a ``Decisions``) sees every decision of the cycles."""
+    tally = collections.Counter() if tally is None else tally
+    decide = Decisions() if decide is None else decide
+    trace = []
+    floored = False
+    while True:
+        start = theta
+        plain = []
+        for _ in range(2):
+            loglik, log1p_sum, c_sum, following, floor = step(*theta)
+            tally["e_steps"] += 1
+            previous = trace[-1] if trace else math.nan
+            trace.append(loglik)
+            converged = abs(loglik - previous) <= tol * max(1.0, abs(loglik))
+            if converged or len(trace) > max_iter:
+                tally["floored"] = floored
+                return (*theta, np.asarray(trace), len(trace) - 1, converged)
+            if following is None:
+                raise DegenerateDataError(_NO_NOISE)
+            plain.append((theta, log1p_sum))
+            theta, floored = following, floor
+        (middle, log1p_sum_1), end = plain[1], theta
+        point, skipped = extrapolate(start, middle, end, n, decide)
+        if point is None:
+            tally[skipped] += 1
+            continue
+        loglik, log1p_sum, c_sum, following, floor = step(*point)
+        tally["e_steps"] += 1
+        xi, v1 = point[2], point[0] + point[1]
+        xi_1, v1_1 = middle[2], middle[0] + middle[1]
+        gain = (
+            n * (math.log(xi) - math.log(xi_1) - 0.5 * math.log(v1 / v1_1))
+            - 0.5 * y_total * (1.0 / v1 - 1.0 / v1_1)
+            + (log1p_sum - log1p_sum_1)
+        )
+        if not decide(c_sum > 0.0 and gain >= 0.0, abs(gain) <= 1e-12 * max(1.0, abs(loglik))):
+            tally["refused"] += 1
+            continue
+        tally["kept"] += 1
+        trace.append(loglik)
+        if len(trace) > max_iter:
+            tally["floored"] = False
+            return (*point, np.asarray(trace), len(trace) - 1, False)
+        theta, floored = following, floor
+
+
+def plain_em(step, theta, tol, max_iter, tally=None):
+    """Plain EM over the map ``step``: every pass recorded and checked."""
+    tally = collections.Counter() if tally is None else tally
+    trace = []
+    while True:
+        loglik, _, _, following, _ = step(*theta)
+        tally["e_steps"] += 1
+        previous = trace[-1] if trace else math.nan
+        trace.append(loglik)
+        converged = abs(loglik - previous) <= tol * max(1.0, abs(loglik))
+        if converged or len(trace) > max_iter:
+            return (*theta, np.asarray(trace), len(trace) - 1, converged)
+        if following is None:
+            raise DegenerateDataError(_NO_NOISE)
+        theta = following
+
+
+def reference_em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter, xi_lo, xi_hi, tau_floor, decide=None):
+    step = reference_em_step(y_sq, xi_lo, xi_hi, tau_floor)
+    return squarem(step, y_sq.shape[0], float(np.sum(y_sq)), (sigma_sq, tau_sq, xi), tol, max_iter, decide=decide)
 
 
 def mixture(n, xi, tau, seed, scale=1.0):
@@ -80,21 +266,22 @@ CASES = {
 def test_fused_em_matches_reference(name):
     y = CASES[name]
     n = y.size
-    scale_sq = float(np.median(y**2)) / 0.4549  # median of chi^2_1
-    args = (y**2, 1.1 * scale_sq, 4.0 * scale_sq, 0.1, 1e-8, 500)
-    s, t, x, trace, it, conv = _kernels.em_loop(*args)
-    s_ref, t_ref, x_ref, trace_ref, it_ref, conv_ref = reference_em_loop(
-        *args, 1.0 / n, 1.0 - 1.0 / n, 1e-8
-    )
-    assert (it, conv) == (it_ref, conv_ref)
-    assert s == pytest.approx(s_ref, rel=1e-12)
-    assert t == pytest.approx(t_ref, rel=1e-12)
-    assert x == pytest.approx(x_ref, rel=1e-12)
-    assert len(trace) == len(trace_ref)
-    assert np.allclose(trace, trace_ref, rtol=1e-12, atol=0.0)
-    assert trace[-1] == pytest.approx(
-        marginal_loglik(y, math.sqrt(s), math.sqrt(t), x), rel=1e-12
-    )
+    for args in both_starts(y):
+        s, t, x, trace, it, conv = _kernels.em_loop(*args)
+        kernel_path = Decisions()  # the previous kernel's cycles are the kernel's to the bit
+        previous_em_loop(*args, decide=kernel_path)
+        s_ref, t_ref, x_ref, trace_ref, it_ref, conv_ref = reference_em_loop(
+            *args, 1.0 / n, 1.0 - 1.0 / n, 1e-8, decide=Decisions(kernel_path)
+        )
+        assert (it, conv) == (it_ref, conv_ref)
+        assert s == pytest.approx(s_ref, rel=1e-12)
+        assert t == pytest.approx(t_ref, rel=1e-12)
+        assert x == pytest.approx(x_ref, rel=1e-12)
+        assert len(trace) == len(trace_ref)
+        assert np.allclose(trace, trace_ref, rtol=1e-12, atol=0.0)
+        assert trace[-1] == pytest.approx(
+            marginal_loglik(y, math.sqrt(s), math.sqrt(t), x), rel=1e-12
+        )
 
 
 def one_sum(values):
@@ -107,67 +294,28 @@ def blocked_sum(values):
     return math.fsum(np.add.reduce(block) for block in _kernels._blocks(values))
 
 
-def previous_em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter, total=one_sum):
-    """``_kernels.em_loop`` as it was before its E-step shared one (2, n)
-    buffer and then ran in blocks, kept verbatim but for its variance sums,
-    which it takes as the kernel does, as ``np.add.reduce`` of the products
-    rather than with ``@`` (BLAS ``ddot``): the bit-for-bit reference for
-    one block, n <= E_BLOCK.  Each E-step sum is ``total``; with
-    ``blocked_sum`` it is the bit-for-bit reference for several blocks."""
+def previous_em_loop(y_sq, sigma_sq, tau_sq, xi, tol, max_iter, total=one_sum, drive=squarem, tally=None, decide=None):
+    """``previous_em_step`` driven as ``em_loop`` drives its map, from the
+    start with ``xi`` clamped to [1/n, 1 - 1/n] as the kernel clamps it."""
     n = y_sq.shape[0]
-    xi_lo, xi_hi = 1.0 / n, 1.0 - 1.0 / n
-    xi = min(max(xi, xi_lo), xi_hi)
-    y_total = float(y_sq.sum())
-    e = np.empty(n)
-    w = np.empty(n)
-    trace = []
-    converged = False
-    iterations = 0
-    while True:
-        v1 = sigma_sq + tau_sq
-        log_odds = math.log1p(-xi) - math.log(xi)
-        np.multiply(y_sq, -0.5 * (tau_sq / v1) / sigma_sq, out=e)
-        e += log_odds + 0.5 * math.log1p(tau_sq / sigma_sq)
-        np.exp(e, out=e)
-        np.log1p(e, out=w)
-        loglik = (
-            n * (math.log(xi) - 0.5 * (_LOG_2PI + math.log(v1)))
-            - 0.5 * y_total / v1
-            + total(w)
-        )
-        trace.append(loglik)
-        if len(trace) > 1 and abs(trace[-1] - trace[-2]) <= tol * max(1.0, abs(trace[-1])):
-            converged = True
-            break
-        if iterations >= max_iter:
-            break
-        np.add(e, 1.0, out=w)
-        np.reciprocal(w, out=w)
-        r_sum = total(w)
-        r_y = total(w * y_sq)
-        e *= w
-        c_sum = total(e)
-        if c_sum == 0.0:
-            raise DegenerateDataError(
-                "every noise responsibility underflowed: no observation fits the noise component"
-            )
-        c_y = total(e * y_sq)
-        sigma_sq = c_y / c_sum
-        tau_sq = r_y / r_sum - sigma_sq
-        gamma = tau_sq / sigma_sq
-        if gamma < TAU_SQ_FLOOR or gamma - math.log1p(gamma) < 2.0 * log_odds:
-            gamma = max(TAU_SQ_FLOOR, slab_floor(xi))
-            sigma_sq = (c_y + r_y / (1.0 + gamma)) / n
-            tau_sq = gamma * sigma_sq
-        xi = min(max(r_sum / n, xi_lo, weight_floor(gamma)), xi_hi)
-        iterations += 1
-    return sigma_sq, tau_sq, xi, np.asarray(trace), iterations, converged
+    theta = sigma_sq, tau_sq, min(max(xi, 1.0 / n), 1.0 - 1.0 / n)
+    step = previous_em_step(y_sq, total)
+    if drive is plain_em:
+        return plain_em(step, theta, tol, max_iter, tally)
+    return squarem(step, n, float(y_sq.sum()), theta, tol, max_iter, tally, decide)
 
 
 def fit_args(y, max_iter=500):
     """em_loop's arguments as em_fit builds them from the default start."""
     sigma0, tau0, xi0 = init_heuristic(y)
     return y**2, sigma0**2, tau0**2, xi0, 1e-8, max_iter
+
+
+def both_starts(y):
+    """em_loop's arguments from em_fit's default start, which is feasible,
+    and from the reference test's, which breaks the identifiability bound."""
+    scale_sq = float(np.median(y**2)) / 0.4549  # median of chi^2_1
+    return fit_args(y), (y**2, 1.1 * scale_sq, 4.0 * scale_sq, 0.1, 1e-8, 500)
 
 
 def sparse_weak_replication():
@@ -182,9 +330,9 @@ def sparse_weak_replication():
 BIT_CASES = {**CASES, "n50001": mixture(50_001, 0.05, 4.0, 34)}
 
 
-def assert_same_fit(args):
+def assert_same_fit(args, tally=None):
     got = _kernels.em_loop(*args)
-    want = previous_em_loop(*args)
+    want = previous_em_loop(*args, tally=tally)
     for field in (0, 1, 2, 4, 5):
         assert got[field] == want[field]
     assert np.array_equal(got[3], want[3])
@@ -193,10 +341,8 @@ def assert_same_fit(args):
 
 @pytest.mark.parametrize("name", sorted(BIT_CASES))
 def test_em_loop_is_bit_identical_to_the_previous_kernel(name):
-    y = BIT_CASES[name]
-    assert_same_fit(fit_args(y))
-    scale_sq = float(np.median(y**2)) / 0.4549  # the reference test's start
-    assert_same_fit((y**2, 1.1 * scale_sq, 4.0 * scale_sq, 0.1, 1e-8, 500))
+    for args in both_starts(BIT_CASES[name]):
+        assert_same_fit(args)
 
 
 def test_em_loop_bit_identity_reaches_the_slab_floor():
@@ -209,6 +355,54 @@ def test_em_loop_bit_identity_reaches_the_slab_floor():
 def test_em_loop_bit_identity_at_an_iteration_cutoff():
     got = assert_same_fit(fit_args(CASES["n2000"], max_iter=3))
     assert got[4:] == (3, False)
+
+
+def test_every_path_of_the_cycle_runs_on_the_cases():
+    paths, squarem_steps, plain_steps = collections.Counter(), 0, 0
+    floored = 0
+    for name in sorted(CASES):
+        for feasible_start, args in zip((True, False), both_starts(CASES[name])):
+            tally, plain = collections.Counter(), collections.Counter()
+            sigma_sq, tau_sq, xi, trace, _, converged = assert_same_fit(args, tally)
+            previous_em_loop(*args, drive=plain_em, tally=plain)
+            squarem_steps += tally.pop("e_steps")
+            plain_steps += plain["e_steps"]
+            if feasible_start:
+                assert np.all(np.diff(trace) >= 0.0), name
+            # a converged fit returns a point of the EM map, on the bound
+            # when the map's last variance step sat on the slab floor
+            if converged and tally.pop("floored"):
+                floored += 1
+                assert tau_sq / sigma_sq == pytest.approx(slab_floor(xi), rel=1e-4)
+            paths.update(tally)
+    assert paths["kept"] and paths["refused"] and paths["infeasible start"] and floored
+    assert squarem_steps <= plain_steps
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_one_step_is_plain_em_to_the_bit(name):
+    for args in both_starts(CASES[name]):
+        args = args[:-1] + (1,)
+        got = _kernels.em_loop(*args)
+        want = previous_em_loop(*args, drive=plain_em)
+        assert got[:3] == want[:3] and got[4:] == want[4:] == (1, False)
+        assert got[3].tobytes() == want[3].tobytes()
+
+
+@pytest.mark.parametrize("factor", [4.0, 2.0**-20])
+def test_a_power_of_two_rescaling_scales_every_step_exactly(factor):
+    # at tol 1e-300 a fit stops only where its log-likelihood repeats
+    # exactly, which the log-likelihood's scale decides; every point up to
+    # there scales exactly
+    for name in ("n50", "n500", "n2000", "tied"):
+        y_sq, sigma_sq, tau_sq, xi, _, _ = fit_args(CASES[name])
+        for max_iter in range(1, 21):
+            got = _kernels.em_loop(y_sq, sigma_sq, tau_sq, xi, 1e-300, max_iter)
+            scaled = _kernels.em_loop(factor * y_sq, factor * sigma_sq, factor * tau_sq, xi, 1e-300, max_iter)
+            assert scaled[:3] == (factor * got[0], factor * got[1], got[2])
+            assert scaled[4] == got[4]
+            if got[5] or scaled[5]:
+                break
 
 
 def assert_same_fits(got, want):
@@ -234,10 +428,12 @@ def test_each_row_of_a_block_fit_is_its_one_row_fit_to_the_bit(n):
     if n == 1000:  # the sparse, weak row ends on the identifiability bound
         gamma = (fits[1].tau_hat / fits[1].sigma_hat) ** 2
         assert fits[1].converged and gamma == pytest.approx(slab_floor(fits[1].xi_hat), rel=1e-4)
-    # the slowest row is cut at max_iter while the others converge
+    # the rows of more steps than max_iter are cut while the others converge
+    # (the two slowest rows may take as many steps)
     max_iter = iterations[-1] - 1
     cut = mapthresh.em.em_fit_rows(y, y_sq, inits, max_iter=max_iter)
-    assert sorted(fit.converged for fit in cut) == [False, True, True]
+    assert [fit.converged for fit in cut] == [fit.iterations <= max_iter for fit in fits]
+    assert sorted({fit.converged for fit in cut}) == [False, True]
     assert_same_fits(
         cut, [mapthresh.em_fit(row, init=init, max_iter=max_iter) for row, init in zip(y, inits)]
     )
